@@ -217,9 +217,8 @@ main(int argc, char **argv)
                 out = {res.throughput, res.txCommits, res.txAborts,
                        res.oracle.ok && res.sorted &&
                            res.lengthConsistent,
-                       res.watchdogFired, res.oracle.summary()};
-                out.lincheck = res.lincheck;
-                out.orderInfer = res.orderInfer;
+                       res.watchdogFired, res.oracle.summary(),
+                       res.lincheck, res.orderInfer};
                 report.addSimWork(res.elapsedCycles,
                                   res.instructions);
                 report.addSched(res.sched);
@@ -234,9 +233,8 @@ main(int argc, char **argv)
                 const auto res = runHashTableBench(cfg);
                 out = {res.throughput, res.txCommits, res.txAborts,
                        res.oracle.ok, res.watchdogFired,
-                       res.oracle.summary()};
-                out.lincheck = res.lincheck;
-                out.orderInfer = res.orderInfer;
+                       res.oracle.summary(),
+                       res.lincheck, res.orderInfer};
                 report.addSimWork(res.elapsedCycles,
                                   res.instructions);
                 report.addSched(res.sched);
@@ -251,9 +249,8 @@ main(int argc, char **argv)
                 const auto res = runQueueBench(cfg);
                 out = {res.throughput, res.txCommits, res.txAborts,
                        res.oracle.ok, res.watchdogFired,
-                       res.oracle.summary()};
-                out.lincheck = res.lincheck;
-                out.orderInfer = res.orderInfer;
+                       res.oracle.summary(),
+                       res.lincheck, res.orderInfer};
                 report.addSimWork(res.elapsedCycles,
                                   res.instructions);
                 report.addSched(res.sched);
@@ -321,9 +318,8 @@ main(int argc, char **argv)
             out = {res.throughput, res.txCommits, res.txAborts,
                    res.oracle.ok && res.sorted &&
                        res.lengthConsistent,
-                   res.watchdogFired, res.oracle.summary()};
-            out.lincheck = res.lincheck;
-            out.orderInfer = res.orderInfer;
+                   res.watchdogFired, res.oracle.summary(),
+                   res.lincheck, res.orderInfer};
             report.addSimWork(res.elapsedCycles, res.instructions);
             report.addSched(res.sched);
             rec = bench::resultJson(res);
@@ -337,9 +333,8 @@ main(int argc, char **argv)
             const auto res = runHashTableBench(cfg);
             out = {res.throughput, res.txCommits, res.txAborts,
                    res.oracle.ok, res.watchdogFired,
-                   res.oracle.summary()};
-            out.lincheck = res.lincheck;
-            out.orderInfer = res.orderInfer;
+                   res.oracle.summary(),
+                   res.lincheck, res.orderInfer};
             report.addSimWork(res.elapsedCycles, res.instructions);
             report.addSched(res.sched);
             rec = bench::resultJson(res);
@@ -353,9 +348,8 @@ main(int argc, char **argv)
             const auto res = runQueueBench(cfg);
             out = {res.throughput, res.txCommits, res.txAborts,
                    res.oracle.ok, res.watchdogFired,
-                   res.oracle.summary()};
-            out.lincheck = res.lincheck;
-            out.orderInfer = res.orderInfer;
+                   res.oracle.summary(),
+                   res.lincheck, res.orderInfer};
             report.addSimWork(res.elapsedCycles, res.instructions);
             report.addSched(res.sched);
             rec = bench::resultJson(res);

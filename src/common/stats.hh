@@ -175,6 +175,45 @@ class StatGroup
     std::map<std::string, Histogram> histograms_;
 };
 
+/**
+ * A cached handle to one counter of a StatGroup, for hot paths that
+ * would otherwise build a key string and search the group's map on
+ * every increment.
+ *
+ * The counter is looked up on the handle's first increment, not at
+ * construction: a counter registers exactly when a string-keyed
+ * counter() call would have, so an untouched counter still never
+ * appears in dumps. std::map nodes never move and resetAll() keeps
+ * them, so the cached pointer stays valid for the group's lifetime.
+ * Handles cannot be copied, which keeps an owner that holds one from
+ * being copied into a handle that points at another object's group.
+ */
+class CounterHandle
+{
+  public:
+    CounterHandle(StatGroup &group, const char *stat_name)
+        : group_(group), name_(stat_name)
+    {
+    }
+
+    CounterHandle(const CounterHandle &) = delete;
+    CounterHandle &operator=(const CounterHandle &) = delete;
+
+    /** Add @p n events to the counter, registering it if new. */
+    void
+    inc(std::uint64_t n = 1)
+    {
+        if (!counter_) [[unlikely]]
+            counter_ = &group_.counter(name_);
+        counter_->inc(n);
+    }
+
+  private:
+    StatGroup &group_;
+    const char *name_;
+    Counter *counter_ = nullptr;
+};
+
 } // namespace ztx
 
 #endif // ZTX_COMMON_STATS_HH

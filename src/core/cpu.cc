@@ -591,7 +591,7 @@ Cpu::beginTransaction(const isa::Program::Slot &slot, bool constrained)
         if (constrained)
             checker_.begin(slot.addr);
         txLevels_.clear();
-        stats_.counter("tx.begins").inc();
+        txBegins_.inc();
         if (constrained)
             stats_.counter("tx.begins_constrained").inc();
     }
@@ -666,7 +666,7 @@ Cpu::endTransaction()
         constrained_ = false;
         millicode::MillicodeEngine::constrainedSuccess(*this);
     }
-    stats_.counter("tx.commits").inc();
+    txCommits_.inc();
     if (was_constrained)
         stats_.counter("tx.commits_constrained").inc();
     ++progressEvents_;
@@ -1119,7 +1119,7 @@ Cpu::step()
 
     if (res.completed && !abortedDuringStep_) {
         rejectsSinceCompletion_ = 0;
-        stats_.counter("instructions").inc();
+        instructions_.inc();
         // Superscalar approximation: up to dispatchWidth simple
         // single-cycle instructions complete per cycle.
         if (res.cost == 1 && cost >= 1) {

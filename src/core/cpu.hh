@@ -436,6 +436,12 @@ class Cpu : public mem::CacheClient
     bool versionArmed_ = false;
 
     StatGroup stats_;
+    /** @name Per-step and per-transaction counters of stats_ @{ */
+    CounterHandle instructions_{stats_, "instructions"};
+    CounterHandle txBegins_{stats_, "tx.begins"};
+    CounterHandle txCommits_{stats_, "tx.commits"};
+    CounterHandle txAborts_{stats_, "tx.aborts"};
+    /** @} */
 };
 
 } // namespace ztx::core

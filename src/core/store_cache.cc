@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/log.hh"
-#include "common/prof.hh"
 #include "mem/main_memory.hh"
 
 namespace ztx::core {
@@ -196,7 +195,7 @@ GatheringStoreCache::allocate(mem::MainMemory &memory)
             }
         }
     }
-    writeBack(*oldest, memory);
+    writeBack(oldest_idx, memory);
     indexRemove(oldest_idx);
     oldest->live = false;
     stats_.counter("evictions").inc();
@@ -204,12 +203,32 @@ GatheringStoreCache::allocate(mem::MainMemory &memory)
 }
 
 void
-GatheringStoreCache::writeBack(Entry &entry,
-                               mem::MainMemory &memory) const
+GatheringStoreCache::writeBack(unsigned idx, mem::MainMemory &memory)
 {
-    for (std::uint64_t b = 0; b < storeCacheBlockBytes; ++b)
-        if (entry.valid[b])
-            memory.writeByte(entry.block + b, entry.data[b]);
+    Entry &e = entries_[idx];
+    if (!e.dirty)
+        return;
+    writeBytes(idx, e.valid, memory);
+    e.dirty = false;
+}
+
+void
+GatheringStoreCache::writeBytes(
+    unsigned idx,
+    const std::array<std::uint64_t, storeCacheBlockBytes / 64> &mask,
+    mem::MainMemory &memory)
+{
+    const Entry &e = entries_[idx];
+    memory.writeMasked(e.block, e.data.data(), storeCacheBlockBytes,
+                       mask.data());
+    // A clean entry promises memory equals its valid bytes, and
+    // these bytes may overlap another live entry of the block: mark
+    // it dirty so a batch write-back in entry-array order still
+    // leaves each byte with the last valid entry's value.
+    const std::size_t slot = mapFind(e.block);
+    for (std::uint16_t i = map_[slot].head; i != npos; i = next_[i])
+        if (i != idx)
+            entries_[i].dirty = true;
 }
 
 void
@@ -221,17 +240,18 @@ GatheringStoreCache::storeBlockPiece(Entry &entry, Addr addr,
     for (unsigned i = 0; i < len; ++i) {
         const std::uint64_t b = off + i;
         const std::uint64_t dw = b / 8;
-        if (entry.valid[b] && entry.ntstg[dw] != ntstg) {
+        if (entry.validByte(b) && entry.ntstg[dw] != ntstg) {
             // The architecture requires NTSTG targets not to overlap
             // other stores of the transaction; the outcome would be
             // unpredictable on real hardware. Record it.
             stats_.counter("ntstg_overlap").inc();
         }
         entry.data[b] = bytes[i];
-        entry.valid.set(b);
+        entry.valid[b / 64] |= std::uint64_t(1) << (b % 64);
         if (ntstg)
             entry.ntstg.set(dw);
     }
+    entry.dirty = true;
 }
 
 bool
@@ -239,7 +259,6 @@ GatheringStoreCache::store(Addr addr, const std::uint8_t *bytes,
                            unsigned len, bool transactional,
                            bool ntstg, mem::MainMemory &memory)
 {
-    ZTX_PROF_SCOPE("stc.store");
     while (len > 0) {
         const Addr block = storeCacheBlockAlign(addr);
         const unsigned in_block = unsigned(
@@ -248,7 +267,7 @@ GatheringStoreCache::store(Addr addr, const std::uint8_t *bytes,
                                         addr));
         Entry *entry = findOpen(block, transactional);
         if (entry) {
-            stats_.counter("gathers").inc();
+            gathers_.inc();
         } else {
             entry = allocate(memory);
             if (!entry) {
@@ -260,10 +279,10 @@ GatheringStoreCache::store(Addr addr, const std::uint8_t *bytes,
             entry->closed = false;
             entry->block = block;
             entry->seq = ++seq_;
-            entry->valid.reset();
+            entry->valid = {};
             entry->ntstg.reset();
             indexInsert(unsigned(entry - entries_.data()));
-            stats_.counter("allocations").inc();
+            allocations_.inc();
         }
         storeBlockPiece(*entry, addr, bytes, in_block, ntstg);
         addr += in_block;
@@ -277,7 +296,6 @@ void
 GatheringStoreCache::overlay(Addr addr, unsigned len,
                              std::uint8_t *buf) const
 {
-    ZTX_PROF_SCOPE("stc.overlay");
     if (live_ == 0 || len == 0)
         return;
     // Collect intersecting live entries (via the block index) and
@@ -304,7 +322,7 @@ GatheringStoreCache::overlay(Addr addr, unsigned len,
             std::min(addr + len, e->block + storeCacheBlockBytes);
         for (Addr b = lo; b < hi; ++b) {
             const std::uint64_t in_entry = b - e->block;
-            if (e->valid[in_entry])
+            if (e->validByte(in_entry))
                 buf[b - addr] = e->data[in_entry];
         }
     }
@@ -315,26 +333,23 @@ GatheringStoreCache::closeAllEntries(mem::MainMemory &memory)
 {
     if (live_ == 0)
         return;
-    std::vector<unsigned> idxs;
-    idxs.reserve(live_);
+    if (liveTx_ != 0)
+        ztx_panic("TBEGIN with live transactional store-cache "
+                  "entries");
+    // Entry-array order; each word is a snapshot, so freeing an
+    // entry (which clears its own bit) cannot disturb the walk.
     for (std::size_t w = 0; w < liveMask_.size(); ++w) {
-        std::uint64_t bits = liveMask_[w];
-        while (bits != 0) {
-            idxs.push_back(unsigned(w * 64) +
-                           unsigned(std::countr_zero(bits)));
-            bits &= bits - 1;
+        for (std::uint64_t bits = liveMask_[w]; bits != 0;
+             bits &= bits - 1) {
+            const unsigned idx =
+                unsigned(w * 64) + unsigned(std::countr_zero(bits));
+            // Close and start eviction; functionally the data
+            // reaches memory immediately (a clean entry's already
+            // has).
+            writeBack(idx, memory);
+            indexRemove(idx);
+            entries_[idx].live = false;
         }
-    }
-    for (const unsigned idx : idxs) {
-        Entry &e = entries_[idx];
-        if (e.transactional)
-            ztx_panic("TBEGIN with live transactional store-cache "
-                      "entries");
-        // Close and start eviction; functionally the data reaches
-        // memory immediately.
-        writeBack(e, memory);
-        indexRemove(idx);
-        e.live = false;
     }
 }
 
@@ -343,24 +358,20 @@ GatheringStoreCache::commitTransaction(mem::MainMemory &memory)
 {
     if (liveTx_ == 0)
         return;
-    std::vector<unsigned> idxs;
-    idxs.reserve(liveTx_);
     for (std::size_t w = 0; w < txMask_.size(); ++w) {
-        std::uint64_t bits = txMask_[w];
-        while (bits != 0) {
-            idxs.push_back(unsigned(w * 64) +
-                           unsigned(std::countr_zero(bits)));
-            bits &= bits - 1;
+        for (std::uint64_t bits = txMask_[w]; bits != 0;
+             bits &= bits - 1) {
+            const unsigned idx =
+                unsigned(w * 64) + unsigned(std::countr_zero(bits));
+            Entry &e = entries_[idx];
+            writeBack(idx, memory);
+            // Become a normal (clean) entry; post-transaction stores
+            // may keep gathering into it until the next TBEGIN
+            // closes it, which writes it again only if they did.
+            e.transactional = false;
+            e.ntstg.reset();
+            indexSetNonTx(idx);
         }
-    }
-    for (const unsigned idx : idxs) {
-        Entry &e = entries_[idx];
-        writeBack(e, memory);
-        // Become a normal entry; subsequent post-transaction stores
-        // may keep gathering into it until the next TBEGIN closes it.
-        e.transactional = false;
-        e.ntstg.reset();
-        indexSetNonTx(idx);
     }
 }
 
@@ -369,29 +380,28 @@ GatheringStoreCache::abortTransaction(mem::MainMemory &memory)
 {
     if (liveTx_ == 0)
         return;
-    std::vector<unsigned> idxs;
-    idxs.reserve(liveTx_);
     for (std::size_t w = 0; w < txMask_.size(); ++w) {
-        std::uint64_t bits = txMask_[w];
-        while (bits != 0) {
-            idxs.push_back(unsigned(w * 64) +
-                           unsigned(std::countr_zero(bits)));
-            bits &= bits - 1;
+        for (std::uint64_t bits = txMask_[w]; bits != 0;
+             bits &= bits - 1) {
+            const unsigned idx =
+                unsigned(w * 64) + unsigned(std::countr_zero(bits));
+            Entry &e = entries_[idx];
+            // NTSTG doublewords are committed even on abort: write
+            // the valid bytes of every marked doubleword.
+            if (e.ntstg.any()) {
+                std::array<std::uint64_t, storeCacheBlockBytes / 64>
+                    mask{};
+                for (std::size_t dw = 0; dw < e.ntstg.size(); ++dw)
+                    if (e.ntstg[dw])
+                        mask[dw / 8] |= std::uint64_t(0xFF)
+                                        << (dw % 8 * 8);
+                for (std::size_t k = 0; k < mask.size(); ++k)
+                    mask[k] &= e.valid[k];
+                writeBytes(idx, mask, memory);
+            }
+            indexRemove(idx);
+            e.live = false;
         }
-    }
-    for (const unsigned idx : idxs) {
-        Entry &e = entries_[idx];
-        // NTSTG doublewords are committed even on abort.
-        for (std::uint64_t dw = 0; dw < storeCacheBlockBytes / 8;
-             ++dw) {
-            if (!e.ntstg[dw])
-                continue;
-            for (std::uint64_t b = dw * 8; b < dw * 8 + 8; ++b)
-                if (e.valid[b])
-                    memory.writeByte(e.block + b, e.data[b]);
-        }
-        indexRemove(idx);
-        e.live = false;
     }
 }
 
@@ -449,10 +459,9 @@ GatheringStoreCache::drainLine(Addr line, mem::MainMemory &memory)
     }
     std::sort(idxs.begin(), idxs.end());
     for (const unsigned idx : idxs) {
-        Entry &e = entries_[idx];
-        writeBack(e, memory);
+        writeBack(idx, memory);
         indexRemove(idx);
-        e.live = false;
+        entries_[idx].live = false;
     }
 }
 
@@ -461,21 +470,15 @@ GatheringStoreCache::drainAll(mem::MainMemory &memory)
 {
     if (live_ == liveTx_)
         return; // nothing non-transactional to drain
-    std::vector<unsigned> idxs;
-    idxs.reserve(live_ - liveTx_);
     for (std::size_t w = 0; w < liveMask_.size(); ++w) {
-        std::uint64_t bits = liveMask_[w] & ~txMask_[w];
-        while (bits != 0) {
-            idxs.push_back(unsigned(w * 64) +
-                           unsigned(std::countr_zero(bits)));
-            bits &= bits - 1;
+        for (std::uint64_t bits = liveMask_[w] & ~txMask_[w];
+             bits != 0; bits &= bits - 1) {
+            const unsigned idx =
+                unsigned(w * 64) + unsigned(std::countr_zero(bits));
+            writeBack(idx, memory);
+            indexRemove(idx);
+            entries_[idx].live = false;
         }
-    }
-    for (const unsigned idx : idxs) {
-        Entry &e = entries_[idx];
-        writeBack(e, memory);
-        indexRemove(idx);
-        e.live = false;
     }
 }
 

@@ -32,6 +32,12 @@
  * counts + a 64-bit signature over hashed line addresses) that
  * rejects non-intersecting line queries with a single AND. See
  * DESIGN.md §5b "per-access hot path".
+ *
+ * Write-back is once per store burst: an entry carries a dirty flag
+ * (set by a store, cleared by write-back), so the entry a TEND
+ * committed reaches memory again at the next TBEGIN only if a
+ * post-transaction store re-dirtied it. A block goes to memory in
+ * one masked line write under its byte-valid mask.
  */
 
 #ifndef ZTX_CORE_STORE_CACHE_HH
@@ -72,6 +78,9 @@ class GatheringStoreCache
      */
     explicit GatheringStoreCache(unsigned num_entries = 64,
                                  const std::string &name = "stc");
+
+    GatheringStoreCache(const GatheringStoreCache &) = delete;
+    GatheringStoreCache &operator=(const GatheringStoreCache &) = delete;
 
     /**
      * Record a store of @p len bytes at @p addr (big-endian image in
@@ -151,12 +160,25 @@ class GatheringStoreCache
         bool live = false;
         bool transactional = false;
         bool closed = false;
+        /**
+         * Holds bytes memory may not: set by every store into the
+         * entry, cleared by writeBack(). Clean means memory equals
+         * data under the valid mask (see writeBack()).
+         */
+        bool dirty = false;
         Addr block = 0;
         std::uint64_t seq = 0;
         std::array<std::uint8_t, storeCacheBlockBytes> data{};
-        std::bitset<storeCacheBlockBytes> valid;
+        /** Byte-valid mask: bit b % 64 of word b / 64 = data[b]. */
+        std::array<std::uint64_t, storeCacheBlockBytes / 64> valid{};
         /** Per-doubleword NTSTG mark (16 doublewords per block). */
         std::bitset<storeCacheBlockBytes / 8> ntstg;
+
+        bool
+        validByte(std::uint64_t b) const
+        {
+            return (valid[b / 64] >> (b % 64)) & 1;
+        }
     };
 
     /** Chain terminator / empty-map-slot marker. */
@@ -171,7 +193,16 @@ class GatheringStoreCache
 
     Entry *findOpen(Addr block, bool transactional);
     Entry *allocate(mem::MainMemory &memory);
-    void writeBack(Entry &entry, mem::MainMemory &memory) const;
+    /** Write entry @p idx to @p memory if dirty; leaves it clean. */
+    void writeBack(unsigned idx, mem::MainMemory &memory);
+    /**
+     * Write entry @p idx's bytes selected by @p mask to @p memory
+     * and mark the other live entries of its block dirty.
+     */
+    void writeBytes(unsigned idx,
+                    const std::array<std::uint64_t,
+                                     storeCacheBlockBytes / 64> &mask,
+                    mem::MainMemory &memory);
     void storeBlockPiece(Entry &entry, Addr addr,
                          const std::uint8_t *bytes, unsigned len,
                          bool ntstg);
@@ -219,6 +250,8 @@ class GatheringStoreCache
     /** @} */
 
     StatGroup stats_;
+    CounterHandle gathers_{stats_, "gathers"};
+    CounterHandle allocations_{stats_, "allocations"};
 };
 
 } // namespace ztx::core

@@ -244,8 +244,8 @@ class Engine
         /** Spec state at the branch point (after forced ops). */
         State state;
         /** Forced-fast-path marks, undone when the frame dies. */
-        std::vector<std::size_t> forced;
-        Window w;
+        std::vector<std::size_t> forced{};
+        Window w{};
         /** Cursor into w.cand: the candidate being explored. */
         std::size_t ci = 0;
         /** Pending candidates: 0 = took effect, 1 = never happened. */

@@ -28,7 +28,6 @@ Assembler::emit(Opcode op)
     slot.inst.op = op;
     slot.addr = addr_;
     slot.length = opcodeInfo(op).length;
-    prog_.byAddr_[addr_] = prog_.slots_.size();
     prog_.slots_.push_back(slot);
     addr_ += slot.length;
     return prog_.slots_.back().inst;
@@ -421,6 +420,7 @@ Assembler::finish()
             ztx_fatal("undefined label '", fix.label, "'");
         prog_.slots_[fix.slot].inst.target = it->second;
     }
+    prog_.buildIndex();
     return std::move(prog_);
 }
 

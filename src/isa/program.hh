@@ -2,11 +2,17 @@
  * @file
  * An assembled program: instructions located at byte-accurate
  * addresses, fetched by address by the CPU interpreter.
+ *
+ * Programs are static once assembled, so fetch runs against a dense
+ * index with one entry per halfword of the program's byte range
+ * (instruction lengths are 2, 4 or 6 bytes and addresses rise
+ * monotonically): an O(1) array load instead of a hash lookup.
  */
 
 #ifndef ZTX_ISA_PROGRAM_HH
 #define ZTX_ISA_PROGRAM_HH
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,8 +58,15 @@ class Program
   private:
     friend class Assembler;
 
+    /** slotAt_ marker for a halfword inside an instruction. */
+    static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
+
+    /** Build slotAt_ from slots_ (Assembler::finish()). */
+    void buildIndex();
+
     std::vector<Slot> slots_;
-    std::unordered_map<Addr, std::size_t> byAddr_;
+    /** Slot index per halfword from slots_.front().addr; see file. */
+    std::vector<std::uint32_t> slotAt_;
     std::unordered_map<std::string, Addr> labels_;
 };
 

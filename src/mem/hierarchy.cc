@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/log.hh"
-#include "common/prof.hh"
 #include "common/trace.hh"
 
 namespace ztx::mem {
@@ -204,7 +203,6 @@ AccessResult
 Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive,
                  bool local_only)
 {
-    ZTX_PROF_SCOPE("hier.fetch");
     if (lineOffset(line) != 0)
         ztx_panic("fetch of non-line-aligned address");
 

@@ -1,6 +1,7 @@
 #include "main_memory.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/log.hh"
@@ -179,6 +180,38 @@ MainMemory::writeBlock(Addr addr, const std::uint8_t *in, std::size_t len)
         addr += chunk;
         in += chunk;
         len -= chunk;
+    }
+}
+
+void
+MainMemory::writeMasked(Addr addr, const std::uint8_t *in,
+                        std::size_t len, const std::uint64_t *mask)
+{
+    const std::size_t off = lineOffset(addr);
+    if (off + len > lineSizeBytes)
+        ztx_panic("MainMemory::writeMasked across a line boundary");
+    Line *line = nullptr;
+    for (std::size_t w = 0; w * 64 < len; ++w) {
+        std::uint64_t bits = mask[w];
+        const std::size_t n = std::min<std::size_t>(64, len - w * 64);
+        if (n < 64)
+            bits &= (std::uint64_t(1) << n) - 1;
+        if (bits == 0)
+            continue;
+        if (!line)
+            line = &ensureLine(lineAlign(addr));
+        std::uint8_t *dst = line->data() + off + w * 64;
+        const std::uint8_t *src = in + w * 64;
+        // Copy each run of consecutive selected bytes.
+        while (bits != 0) {
+            const unsigned start = unsigned(std::countr_zero(bits));
+            const unsigned run =
+                unsigned(std::countr_one(bits >> start));
+            std::memcpy(dst + start, src + start, run);
+            bits = start + run == 64
+                       ? 0
+                       : bits & (~std::uint64_t(0) << (start + run));
+        }
     }
 }
 

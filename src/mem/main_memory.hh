@@ -76,6 +76,15 @@ class MainMemory
     /** Bulk copy into memory. */
     void writeBlock(Addr addr, const std::uint8_t *in, std::size_t len);
 
+    /**
+     * Masked bulk copy into memory: write in[i] to addr + i for
+     * every i < @p len whose bit (bit i % 64 of mask[i / 64]) is
+     * set. [addr, addr + len) must lie within one line. The line is
+     * looked up once, and only when the mask selects a byte.
+     */
+    void writeMasked(Addr addr, const std::uint8_t *in, std::size_t len,
+                     const std::uint64_t *mask);
+
     /** Number of distinct lines ever written. */
     std::size_t linesAllocated() const;
 

@@ -43,7 +43,7 @@ MillicodeEngine::transactionAbort(core::Cpu &cpu,
     if (ctx.code == 0)
         ctx.code = std::uint64_t(ctx.reason);
 
-    cpu.stats_.counter("tx.aborts").inc();
+    cpu.txAborts_.inc();
     ++cpu.abortsTotal_;
     cpu.stats_.counter(std::string("tx.abort.") +
                        tx::abortReasonName(ctx.reason)).inc();

@@ -218,9 +218,25 @@ Machine::runLegacy(Cycles max_cycles)
         lastProgressSum_ = progressSum();
     }
 
-    while (!heap.empty()) {
-        const auto [t, id] = heap.top();
-        heap.pop();
+    // The CPU just stepped is held out of the heap. Each pick takes
+    // the minimum of the heap top and the held entry, i.e. the
+    // minimum of the same set the heap alone would hold, so the step
+    // order is unchanged; a CPU that is still the minimum (zero-cost
+    // steps, a leader) runs again without a push/pop pair.
+    HeapEntry held;
+    bool holding = false;
+    while (holding || !heap.empty()) {
+        HeapEntry pick;
+        if (holding && (heap.empty() || !(heap.top() < held))) {
+            pick = held;
+        } else {
+            if (holding)
+                heap.push(held);
+            pick = heap.top();
+            heap.pop();
+        }
+        holding = false;
+        const auto [t, id] = pick;
         if (t != readyAt_[id] || cpus_[id]->halted())
             continue; // stale entry
 
@@ -277,17 +293,15 @@ Machine::runLegacy(Cycles max_cycles)
             injector_->beforeStep(id, now_);
 
         stepCounter_.inc();
-        Cycles cost;
-        {
-            ZTX_PROF_SCOPE("cpu.step");
-            cost = cpus_[id]->step();
-        }
+        Cycles cost = cpus_[id]->step();
         cost += cpus_[id]->consumePendingStall();
         // Zero-cost steps model superscalar grouping; the CPU's
         // dispatch credit bounds how many occur per cycle.
         readyAt_[id] = now_ + cost;
-        if (!cpus_[id]->halted())
-            heap.push({readyAt_[id], id});
+        if (!cpus_[id]->halted()) {
+            held = {readyAt_[id], id};
+            holding = true;
+        }
 
         if (cfg_.watchdogCycles != 0) {
             // O(1) per step: commits/region-closes/halts bump

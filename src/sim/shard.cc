@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/prof.hh"
 #include "sim/machine.hh"
 
 namespace ztx::sim {
@@ -134,11 +133,7 @@ Shard::runQuantum(Cycles q_end)
 
         core::Cpu &cpu = *machine_.cpus_[id];
         cpu.setLocalOnly(true);
-        Cycles cost;
-        {
-            ZTX_PROF_SCOPE("cpu.step");
-            cost = cpu.step();
-        }
+        const Cycles cost = cpu.step();
         cpu.setLocalOnly(false);
         // Fast-path L3 hits are counted even for a step that later
         // defers on another line: the partial fetches really

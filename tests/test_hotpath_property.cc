@@ -284,6 +284,31 @@ TEST(HotPathProperty, StoreCacheMatchesScanReference)
         constexpr unsigned kLines = 6;
         bool in_tx = false;
 
+        // Write-back may skip clean entries (each block reaches
+        // memory once per store burst), so memory itself, not only
+        // the merged view, must match after every boundary or drain.
+        const auto expect_same_image = [&](const char *what) {
+            std::vector<std::uint8_t> dut_img(kLines * lineSizeBytes);
+            std::vector<std::uint8_t> ref_img(kLines * lineSizeBytes);
+            dut_mem.readBlock(0, dut_img.data(), dut_img.size());
+            ref_mem.readBlock(0, ref_img.data(), ref_img.size());
+            for (std::size_t a = 0; a < dut_img.size(); ++a)
+                ASSERT_EQ(dut_img[a], ref_img[a])
+                    << "memory byte " << a << " diverged after "
+                    << what << " (seed " << seed << ")";
+        };
+        const auto store_both = [&](Addr addr, unsigned len, bool tx,
+                                    bool ntstg) {
+            std::uint8_t bytes[16];
+            for (unsigned i = 0; i < len; ++i)
+                bytes[i] = std::uint8_t(rng.next());
+            const bool ok = dut.store(addr, bytes, len, tx, ntstg,
+                                      dut_mem);
+            EXPECT_EQ(ok, ref.store(addr, bytes, len, tx, ntstg,
+                                    ref_mem));
+            return ok;
+        };
+
         for (unsigned op = 0; op < 4000; ++op) {
             const unsigned kind = unsigned(rng.nextBounded(100));
             if (kind < 55) {
@@ -307,6 +332,7 @@ TEST(HotPathProperty, StoreCacheMatchesScanReference)
                     dut.abortTransaction(dut_mem);
                     ref.abortTransaction(ref_mem);
                     in_tx = false;
+                    expect_same_image("overflow abort");
                 }
             } else if (kind < 70) {
                 // Load overlay across a random window.
@@ -335,9 +361,11 @@ TEST(HotPathProperty, StoreCacheMatchesScanReference)
                 const Addr line = lineAlign(pickAddr(rng, kLines));
                 dut.drainLine(line, dut_mem);
                 ref.drainLine(line, ref_mem);
+                expect_same_image("drainLine");
             } else if (kind < 90) {
                 dut.drainAll(dut_mem);
                 ref.drainAll(ref_mem);
+                expect_same_image("drainAll");
             } else if (kind < 96) {
                 // Transaction boundary: a new outermost TBEGIN
                 // closes+drains, TEND commits, abort discards.
@@ -354,19 +382,53 @@ TEST(HotPathProperty, StoreCacheMatchesScanReference)
                     ref.abortTransaction(ref_mem);
                     in_tx = false;
                 }
+                expect_same_image("transaction boundary");
             } else {
                 ASSERT_EQ(dut.liveEntries(), ref.liveEntries());
                 ASSERT_EQ(dut.liveTransactionalEntries(),
                           ref.liveTransactionalEntries());
             }
             ASSERT_EQ(dut.indexCheck(), "") << "after op " << op;
+            if (HasFatalFailure())
+                return;
         }
 
-        // Flush both and compare the full memory images.
+        // Directed: commit -> no store -> TBEGIN, the sequence whose
+        // second write-back the dirty flag skips; first on clean
+        // transactional blocks, then with a non-transactional store
+        // into a block that also holds a transactional entry.
         if (in_tx) {
             dut.commitTransaction(dut_mem);
             ref.commitTransaction(ref_mem);
+            expect_same_image("final commit");
         }
+        for (const bool mixed : {false, true}) {
+            dut.closeAllEntries(dut_mem);
+            ref.closeAllEntries(ref_mem);
+            expect_same_image("directed TBEGIN");
+            for (unsigned i = 0; i < 6; ++i) {
+                const Addr addr = pickAddr(rng, kLines);
+                if (!store_both(addr, 8, true, i == 3)) {
+                    dut.abortTransaction(dut_mem);
+                    ref.abortTransaction(ref_mem);
+                    break;
+                }
+                if (mixed)
+                    store_both(addr + 4, 8, false, false);
+            }
+            dut.commitTransaction(dut_mem);
+            ref.commitTransaction(ref_mem);
+            expect_same_image("directed commit");
+            dut.closeAllEntries(dut_mem);
+            ref.closeAllEntries(ref_mem);
+            expect_same_image("directed commit-then-TBEGIN");
+            ASSERT_EQ(dut.liveEntries(), 0u);
+            ASSERT_EQ(dut.indexCheck(), "");
+        }
+        if (HasFatalFailure())
+            return;
+
+        // Flush both and compare the full memory images.
         dut.drainAll(dut_mem);
         ref.drainAll(ref_mem);
         for (Addr a = 0; a < Addr(kLines) * lineSizeBytes; ++a)

@@ -185,6 +185,71 @@ TEST(Assembler, TBeginCForcesControls)
     EXPECT_TRUE(tb.allowArMod);
 }
 
+TEST(Program, FetchRejectsNonInstructionAddresses)
+{
+    Assembler as(0x3000);
+    as.lr(1, 2);    // 0x3000, 2 bytes
+    as.lhi(3, 7);   // 0x3002, 4 bytes
+    as.lg(4, 5, 8); // 0x3006, 6 bytes
+    as.halt();      // 0x300C, 2 bytes
+    const Program p = as.finish();
+    for (const Addr a : {0x3000u, 0x3002u, 0x3006u, 0x300Cu})
+        EXPECT_NE(p.fetch(a), nullptr) << std::hex << a;
+    // Odd addresses, inside or outside the program.
+    for (const Addr a : {0x2FFFu, 0x3001u, 0x3003u, 0x3007u, 0x300Du})
+        EXPECT_EQ(p.fetch(a), nullptr) << std::hex << a;
+    // Before the base, including a wrap-around distance.
+    EXPECT_EQ(p.fetch(0x2FFE), nullptr);
+    EXPECT_EQ(p.fetch(0), nullptr);
+    // Past the last slot.
+    EXPECT_EQ(p.fetch(0x300E), nullptr);
+    EXPECT_EQ(p.fetch(0x3010), nullptr);
+    EXPECT_EQ(p.fetch(~Addr(1)), nullptr);
+    // The middle of the 4-byte LHI and of the 6-byte LG.
+    EXPECT_EQ(p.fetch(0x3004), nullptr);
+    EXPECT_EQ(p.fetch(0x3008), nullptr);
+    EXPECT_EQ(p.fetch(0x300A), nullptr);
+}
+
+TEST(Program, FetchOnEmptyProgram)
+{
+    const Program empty;
+    EXPECT_EQ(empty.fetch(0), nullptr);
+    EXPECT_EQ(empty.fetch(0x10'0000), nullptr);
+    Assembler as;
+    const Program finished = as.finish();
+    EXPECT_EQ(finished.size(), 0u);
+    EXPECT_EQ(finished.fetch(0x10'0000), nullptr);
+}
+
+TEST(Program, FetchFindsEverySlotOfLongMixedProgram)
+{
+    Assembler as(0x8000);
+    for (unsigned i = 0; i < 3000; ++i) {
+        const unsigned kind = (i * 7 + i / 5) % 3;
+        if (kind == 0)
+            as.lr(1, 2); // 2 bytes
+        else if (kind == 1)
+            as.lhi(3, i); // 4 bytes
+        else
+            as.lg(4, 5, 8); // 6 bytes
+    }
+    as.halt();
+    const Program p = as.finish();
+    const auto &slots = p.slots();
+    ASSERT_EQ(slots.size(), 3001u);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        EXPECT_EQ(p.fetch(slots[i].addr), &slots[i]) << i;
+        // Every other halfword the slot covers is mid-instruction.
+        for (Addr a = slots[i].addr + 2;
+             a < slots[i].addr + slots[i].length; a += 2)
+            EXPECT_EQ(p.fetch(a), nullptr) << std::hex << a;
+        EXPECT_EQ(p.fetch(slots[i].addr + 1), nullptr);
+    }
+    const Program::Slot &last = slots.back();
+    EXPECT_EQ(p.fetch(last.addr + last.length), nullptr);
+}
+
 TEST(Program, LabelAddrForData)
 {
     Assembler as(0x100);

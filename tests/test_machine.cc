@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 
+#include "common/json.hh"
 #include "ztx_test_util.hh"
 
 namespace {
@@ -176,6 +177,30 @@ TEST(Machine, StatsDumpContainsComponents)
     m.dumpStats(os);
     const std::string dump = os.str();
     EXPECT_NE(dump.find("cpu0.instructions"), std::string::npos);
+}
+
+TEST(Machine, CountersRegisterOnFirstIncrement)
+{
+    // A CPU that never runs a transaction must not grow tx counter
+    // keys (cached counter handles resolve lazily), so stat
+    // documents keep exactly the keys a string lookup would add.
+    const Program p = counterProgram(5);
+    sim::Machine m(smallConfig(1));
+    m.setProgram(0, &p);
+    const auto &counters = m.cpu(0).stats().counters();
+    EXPECT_EQ(counters.count("instructions"), 0u);
+    m.run();
+    EXPECT_EQ(counters.count("instructions"), 1u);
+    for (const char *name : {"tx.begins", "tx.commits", "tx.aborts"})
+        EXPECT_EQ(counters.count(name), 0u) << name;
+
+    const Json doc = m.statsJson();
+    const Json &cpu0 = doc.find("cpus")->at(0);
+    const Json *json_counters = cpu0.find("counters");
+    ASSERT_NE(json_counters, nullptr);
+    EXPECT_NE(json_counters->find("instructions"), nullptr);
+    for (const char *name : {"tx.begins", "tx.commits", "tx.aborts"})
+        EXPECT_EQ(json_counters->find(name), nullptr) << name;
 }
 
 TEST(Machine, ActiveCpusBoundedByTopology)

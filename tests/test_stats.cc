@@ -87,6 +87,31 @@ TEST(StatGroup, NamedCountersPersist)
     EXPECT_EQ(g.counter("aborts").value(), 3u);
 }
 
+TEST(CounterHandle, RegistersOnFirstIncrementOnly)
+{
+    StatGroup g("cpu0");
+    ztx::CounterHandle h(g, "instructions");
+    EXPECT_TRUE(g.counters().empty());
+    h.inc();
+    h.inc(4);
+    ASSERT_EQ(g.counters().count("instructions"), 1u);
+    EXPECT_EQ(g.counter("instructions").value(), 5u);
+    // resetAll() keeps the node the handle caches.
+    g.resetAll();
+    h.inc();
+    EXPECT_EQ(g.counter("instructions").value(), 1u);
+}
+
+TEST(CounterHandle, SharesACounterRegisteredByName)
+{
+    StatGroup g("cpu0");
+    g.counter("tx.commits").inc(2);
+    ztx::CounterHandle h(g, "tx.commits");
+    h.inc();
+    EXPECT_EQ(g.counter("tx.commits").value(), 3u);
+    EXPECT_EQ(g.counters().size(), 1u);
+}
+
 TEST(StatGroup, DumpFormat)
 {
     StatGroup g("l1");

@@ -186,6 +186,43 @@ TEST_F(StoreCacheTest, CommitKeepsEntriesOpenForGathering)
     EXPECT_EQ(sc.liveEntries(), 1u);
 }
 
+TEST_F(StoreCacheTest, CommittedBlockReachesMemoryOnce)
+{
+    store8(0x100, 1, true);
+    sc.commitTransaction(memory);
+    EXPECT_EQ(memory.read(0x100, 8), 1u);
+    // A direct memory write stands in for observing a second
+    // write-back: the clean committed entry must not rewrite it at
+    // the next TBEGIN. (In a machine every other writer of the line
+    // first sends the XI that drains the entry.)
+    memory.write(0x100, 77, 8);
+    sc.closeAllEntries(memory);
+    EXPECT_EQ(sc.liveEntries(), 0u);
+    EXPECT_EQ(memory.read(0x100, 8), 77u);
+}
+
+TEST_F(StoreCacheTest, PostCommitStoreRedirtiesWholeEntry)
+{
+    store8(0x100, 1, true);
+    sc.commitTransaction(memory);
+    memory.write(0x100, 77, 8);
+    store8(0x108, 2, false); // gathers into the committed entry
+    sc.closeAllEntries(memory);
+    // The re-dirtied entry writes every valid byte, as before.
+    EXPECT_EQ(memory.read(0x100, 8), 1u);
+    EXPECT_EQ(memory.read(0x108, 8), 2u);
+}
+
+TEST_F(StoreCacheTest, CountersRegisterOnFirstIncrement)
+{
+    EXPECT_TRUE(sc.stats().counters().empty());
+    store8(0x100, 1, false);
+    EXPECT_EQ(sc.stats().counters().count("allocations"), 1u);
+    EXPECT_EQ(sc.stats().counters().count("gathers"), 0u);
+    store8(0x108, 2, false);
+    EXPECT_EQ(sc.stats().counters().count("gathers"), 1u);
+}
+
 TEST_F(StoreCacheTest, LineQueries)
 {
     store8(0x100, 1, true);
