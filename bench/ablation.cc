@@ -38,7 +38,6 @@ contendedThroughput(bench::JsonReport &report, unsigned cpus,
     cfg.machine.tm.stiffArmEnabled = stiff_arm;
     const auto res = runUpdateBench(cfg);
     report.addSimWork(res.elapsedCycles, res.instructions);
-        report.addSched(res.sched);
     if (report.enabled()) {
         Json rec = bench::resultJson(res);
         rec["section"] = "stiff-arm";
@@ -209,7 +208,6 @@ main(int argc, char **argv)
         }
         report.addSimWork(elapsed,
                           collectTxStats(machine).instructions);
-        report.addSched(collectSchedStats(machine));
         const double thr =
             double(cfg.cpus) / (region_sum / double(region_count));
         om.addRow(prob, {1000.0 * thr, double(reduced)});

@@ -221,7 +221,6 @@ main(int argc, char **argv)
                        res.lincheck, res.orderInfer};
                 report.addSimWork(res.elapsedCycles,
                                   res.instructions);
-                report.addSched(res.sched);
                 rec = bench::resultJson(res);
             } else if (wl == "hashtable") {
                 HashTableBenchConfig cfg;
@@ -237,7 +236,6 @@ main(int argc, char **argv)
                        res.lincheck, res.orderInfer};
                 report.addSimWork(res.elapsedCycles,
                                   res.instructions);
-                report.addSched(res.sched);
                 rec = bench::resultJson(res);
             } else {
                 QueueBenchConfig cfg;
@@ -253,7 +251,6 @@ main(int argc, char **argv)
                        res.lincheck, res.orderInfer};
                 report.addSimWork(res.elapsedCycles,
                                   res.instructions);
-                report.addSched(res.sched);
                 rec = bench::resultJson(res);
             }
 
@@ -321,7 +318,6 @@ main(int argc, char **argv)
                    res.watchdogFired, res.oracle.summary(),
                    res.lincheck, res.orderInfer};
             report.addSimWork(res.elapsedCycles, res.instructions);
-            report.addSched(res.sched);
             rec = bench::resultJson(res);
         } else if (wl == "hashtable") {
             HashTableBenchConfig cfg;
@@ -336,7 +332,6 @@ main(int argc, char **argv)
                    res.oracle.summary(),
                    res.lincheck, res.orderInfer};
             report.addSimWork(res.elapsedCycles, res.instructions);
-            report.addSched(res.sched);
             rec = bench::resultJson(res);
         } else {
             QueueBenchConfig cfg;
@@ -351,7 +346,6 @@ main(int argc, char **argv)
                    res.oracle.summary(),
                    res.lincheck, res.orderInfer};
             report.addSimWork(res.elapsedCycles, res.instructions);
-            report.addSched(res.sched);
             rec = bench::resultJson(res);
         }
 

@@ -49,7 +49,6 @@ main(int argc, char **argv)
             const auto res = runUpdateBench(cfg);
             row.push_back(100.0 * res.throughput / ref);
             report.addSimWork(res.elapsedCycles, res.instructions);
-        report.addSched(res.sched);
             if (report.enabled()) {
                 Json rec = bench::resultJson(res);
                 rec["cpus"] = cpus;

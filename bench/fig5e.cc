@@ -42,7 +42,6 @@ main(int argc, char **argv)
                 lock2 = res.throughput;
             row.push_back(res.throughput);
             report.addSimWork(res.elapsedCycles, res.instructions);
-        report.addSched(res.sched);
             if (report.enabled()) {
                 Json rec = bench::resultJson(res);
                 rec["cpus"] = threads;

@@ -8,7 +8,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -167,65 +166,16 @@ checkLitmus(const ztx::Json &lit)
     return nullptr;
 }
 
-/**
- * Validate one record's "prof" section: the phase-profiler snapshot
- * must carry the enabled flag, the cycle unit, and a sites array of
- * {name, cycles, calls} entries with non-empty names. An enabled
- * snapshot with no sites means the profiler was compiled out or the
- * scopes were never reached — either way the record is not the
- * per-phase breakdown it claims to be. Returns nullptr when
- * well-formed, else a static message.
- */
-const char *
-checkProf(const ztx::Json &prof)
-{
-    if (!prof.isObject())
-        return "prof is not an object";
-    const ztx::Json *enabled = prof.find("enabled");
-    if (!enabled || enabled->type() != ztx::Json::Type::Bool)
-        return "prof.enabled missing or not a bool";
-    const ztx::Json *unit = prof.find("unit");
-    if (!unit || !isOneOf(*unit, {"tsc", "ns"}))
-        return "prof.unit unknown";
-    const ztx::Json *sites = prof.find("sites");
-    if (!sites || !sites->isArray())
-        return "prof.sites missing";
-    for (std::size_t i = 0; i < sites->size(); ++i) {
-        const ztx::Json &s = sites->at(i);
-        const ztx::Json *name = s.find("name");
-        if (!name || !name->isString() || name->str().empty())
-            return "prof site without a name";
-        const ztx::Json *cycles = s.find("cycles");
-        const ztx::Json *calls = s.find("calls");
-        if (!cycles || !cycles->isNumber() || !calls ||
-            !calls->isNumber())
-            return "prof site cycles/calls missing or not numeric";
-        if (calls->asUint() == 0 && cycles->asUint() != 0)
-            return "prof site with cycles but zero calls";
-    }
-    return nullptr;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool require_prof = false;
-    const char *path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--require-prof") == 0)
-            require_prof = true;
-        else if (path == nullptr)
-            path = argv[i];
-        else
-            path = ""; // too many operands
-    }
-    if (path == nullptr || *path == '\0') {
-        std::fprintf(stderr, "usage: json_check [--require-prof] "
-                             "<BENCH_*.json>\n");
+    if (argc != 2) {
+        std::fprintf(stderr, "usage: json_check <BENCH_*.json>\n");
         return 2;
     }
+    const char *path = argv[1];
     std::ifstream in(path);
     if (!in)
         return fail(path, "cannot open");
@@ -251,7 +201,6 @@ main(int argc, char **argv)
     const ztx::Json *records = doc->find("records");
     if (!records || records->size() == 0)
         return fail(path, "missing or empty records");
-    std::size_t prof_records = 0;
     // Determinism is part of the schema contract: any record that
     // carries a determinism verdict must carry a passing one.
     for (std::size_t i = 0; i < records->size(); ++i) {
@@ -288,42 +237,7 @@ main(int argc, char **argv)
         if (const ztx::Json *lit = rec.find("litmus"))
             if (const char *why = checkLitmus(*lit))
                 return fail(path, why);
-        // Phase-profiler snapshots: shape-checked wherever present;
-        // --require-prof additionally demands at least one record
-        // with an enabled, populated snapshot (the perf_smoke
-        // contract — see bench/perf_smoke.cmake).
-        if (const ztx::Json *prof = rec.find("prof")) {
-            if (const char *why = checkProf(*prof))
-                return fail(path, why);
-            const ztx::Json *sites = prof->find("sites");
-            if (prof->find("enabled")->boolean() &&
-                sites->size() > 0)
-                prof_records += 1;
-        }
-        // Full-topology scale records break the host wall-clock
-        // down by scheduler phase; an incomplete or inconsistent
-        // breakdown would silently corrupt the Amdahl analysis the
-        // campaign exists to produce.
-        if (const ztx::Json *phase = rec.find("phase")) {
-            if (!phase->isObject())
-                return fail(path, "phase is not an object");
-            for (const char *key :
-                 {"parallel_seconds", "merge_seconds", "quanta",
-                  "merge_share"}) {
-                const ztx::Json *v = phase->find(key);
-                if (!v || !v->isNumber())
-                    return fail(path, "phase timing field missing "
-                                      "or not numeric");
-            }
-            const double share =
-                phase->find("merge_share")->number();
-            if (share < 0.0 || share > 1.0)
-                return fail(path, "phase.merge_share outside [0,1]");
-        }
     }
-    if (require_prof && prof_records == 0)
-        return fail(path, "--require-prof: no record carries an "
-                          "enabled prof snapshot with sites");
     const ztx::Json *speed = doc->find("sim_speed");
     if (!speed)
         return fail(path, "missing sim_speed");

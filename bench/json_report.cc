@@ -32,19 +32,6 @@ jsonReportPath(const std::string &bench_name, int argc, char **argv)
 }
 
 Json
-schedStatsJson(const workload::SchedStatsSummary &sched)
-{
-    Json s = Json::object();
-    s["steps_local"] = sched.stepsLocal;
-    s["steps_deferred"] = sched.stepsDeferred;
-    s["steps_total"] = sched.stepsTotal;
-    s["l3_local_hits"] = sched.l3LocalHits;
-    s["heap_reinserts"] = sched.heapReinserts;
-    s["serial_fraction"] = sched.serialFraction();
-    return s;
-}
-
-Json
 rasStatsJson(const workload::RasSummary &ras)
 {
     Json s = Json::object();
@@ -96,16 +83,6 @@ JsonReport::addSimWork(Cycles cycles, std::uint64_t instructions)
     instructions_ += instructions;
 }
 
-void
-JsonReport::addSched(const workload::SchedStatsSummary &sched)
-{
-    sched_.stepsLocal += sched.stepsLocal;
-    sched_.stepsDeferred += sched.stepsDeferred;
-    sched_.stepsTotal += sched.stepsTotal;
-    sched_.l3LocalHits += sched.l3LocalHits;
-    sched_.heapReinserts += sched.heapReinserts;
-}
-
 bool
 JsonReport::write()
 {
@@ -123,7 +100,6 @@ JsonReport::write()
     doc["bench"] = name_;
     doc["meta"] = meta_;
     doc["records"] = records_;
-    doc["sched"] = schedStatsJson(sched_);
 
     Json speed = Json::object();
     speed["host_seconds"] = host_seconds;

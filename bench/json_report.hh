@@ -42,13 +42,6 @@ Json abortBreakdownJson(
     const std::map<std::string, std::uint64_t> &aborts_by_reason);
 
 /**
- * A scheduler summary as a JSON object: the "sched.*" counters plus
- * the derived serial fraction. All-zero under the legacy scheduler,
- * so the record shape is identical across scheduler modes.
- */
-Json schedStatsJson(const workload::SchedStatsSummary &sched);
-
-/**
  * A RAS summary as a JSON object: poison/machine-check activity and
  * what recovery did. All-zero (same shape) without RAS faults.
  */
@@ -75,7 +68,6 @@ resultJson(const Result &res)
     r["aborts_by_reason"] = abortBreakdownJson(res.abortsByReason);
     r["sim_cycles"] = std::uint64_t(res.elapsedCycles);
     r["instructions"] = res.instructions;
-    r["sched"] = schedStatsJson(res.sched);
     r["ras"] = rasStatsJson(res.ras);
     return r;
 }
@@ -111,12 +103,6 @@ class JsonReport
     void addSimWork(Cycles cycles, std::uint64_t instructions);
 
     /**
-     * Accumulate one run's scheduler activity into the doc-level
-     * "sched" object (always emitted, all-zero for legacy runs).
-     */
-    void addSched(const workload::SchedStatsSummary &sched);
-
-    /**
      * Write the document (no-op success when disabled).
      * @return False when the file could not be written.
      */
@@ -129,7 +115,6 @@ class JsonReport
     Json records_ = Json::array();
     std::uint64_t simCycles_ = 0;
     std::uint64_t instructions_ = 0;
-    workload::SchedStatsSummary sched_;
     std::chrono::steady_clock::time_point start_;
 };
 

@@ -32,7 +32,6 @@ main(int argc, char **argv)
                             unsigned cpus, unsigned key_space,
                             bool elision) {
         report.addSimWork(res.elapsedCycles, res.instructions);
-        report.addSched(res.sched);
         if (report.enabled()) {
             Json rec = bench::resultJson(res);
             rec["cpus"] = cpus;

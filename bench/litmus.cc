@@ -11,10 +11,8 @@
  * EnumOptions no longer cover the corpus — both fail the binary, so
  * it doubles as a CI gate (litmus_smoke runs the reduced subset).
  *
- * Verdicts and the whole JSON record are seed-independent and
- * host-thread independent by construction (steered machines force
- * the serial legacy scheduler); tests/test_litmus.cc asserts the
- * byte-identity.
+ * Verdicts and the whole JSON record are seed-independent by
+ * construction; tests/test_litmus.cc asserts the byte-identity.
  *
  * `--smoke` runs the reduced subset; `--only NAME` runs a single
  * corpus test (used by the EXPERIMENTS.md guard-revert demo).

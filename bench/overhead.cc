@@ -38,7 +38,6 @@ main(int argc, char **argv)
         cfg.machine = bench::benchMachine();
         const auto res = runUpdateBench(cfg);
         report.addSimWork(res.elapsedCycles, res.instructions);
-        report.addSched(res.sched);
         if (report.enabled()) {
             Json rec = bench::resultJson(res);
             rec["variant"] = label;

@@ -29,7 +29,6 @@ main(int argc, char **argv)
     const auto record = [&](const QueueBenchResult &res,
                             unsigned cpus, bool constrained) {
         report.addSimWork(res.elapsedCycles, res.instructions);
-        report.addSched(res.sched);
         if (report.enabled()) {
             Json rec = bench::resultJson(res);
             rec["cpus"] = cpus;

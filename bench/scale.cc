@@ -1,70 +1,28 @@
 /**
  * @file
- * Host-side scaling and full-topology speed of the sharded parallel
- * scheduler.
+ * Full-topology simulation speed: the paper's real machine — the
+ * 144-core zEC12 (4 MCMs x 6 chips x 6 cores) — plus a 1024-CPU
+ * stretch point, each running per-CPU private-region transactions
+ * to completion. Every record in BENCH_scale.json carries the host
+ * wall-clock seconds of the run and its sim-MIPS (simulated
+ * instructions per host second); meta.host_cpus records the host.
  *
- * Sections written to BENCH_scale.json:
- *
- *  - "host-scaling": the same simulated machine and workload driven
- *    with 1, 2, and 4 host threads, across a single-chip and a
- *    multi-chip topology and across sub-chip shard counts
- *    (--shards-per-chip, default sweep {1, 2}). Each record carries
- *    the host wall-clock numbers, the scheduler's serial fraction
- *    (steps_deferred / steps_total — the Amdahl ceiling the
- *    shard-local fast path attacks), the speedup versus the
- *    1-thread run of the same partition, and a determinism_ok
- *    verdict: the full stats document of every multi-threaded run
- *    must be byte-identical to its 1-thread reference.
- *
- *  - "fastpath-delta": a miss-heavy workload with the shard-local
- *    fast path disabled and enabled, quantifying how much of the
- *    serial fraction the fast path removes.
- *
- *  - "full-topology": the paper's real machine — the 144-core zEC12
- *    (4 MCMs x 6 chips x 6 cores) — plus a 1024-CPU stretch point,
- *    recording sim-MIPS (simulated instructions per host second),
- *    serial fraction, and the host-side per-phase time breakdown
- *    (parallel phase vs. serial barrier merge, from
- *    Machine::hostPhaseTimes()) under a "phase" object. The 144-core
- *    point sweeps host threads {1, 2, 4} with the byte-identity
- *    determinism check. These are the EXPERIMENTS.md before/after
- *    numbers for the flat-directory / sharded-memory / arena layout
- *    work.
- *
- *  - "autosplit-sweep": a wide single-chip topology swept across
- *    sub-chip shard counts {1, 2, 4, 8, 16}, probing the
- *    min(cores, 4) auto-split cap: serial fraction rises with the
- *    shard count (SC1 home-group misses defer), host barrier
- *    overhead rises with the quantum count.
- *
- *  - "l3-recency": an L3-thrashing workload under sub-chip sharding,
- *    where installShardLocal() skips the shared-L3 LRU touch
- *    (DESIGN.md §5b); comparing shards_per_chip 1 vs. 4 quantifies
- *    the stale-recency cost in L3 evictions and simulated cycles.
- *
- * Results are honest for the machine they ran on: meta.host_cpus
- * records how many host CPUs were available — on a 1-core host no
- * speedup is achievable and the numbers will show that.
- *
- * --smoke restricts the run to a reduced 144-core full-topology
- * point (tiny iteration count, host threads {1, 2}) so CI can
- * exercise the full topology under a wall-time budget.
+ * --smoke runs only a reduced 144-core point (tiny iteration count)
+ * so CI can exercise the full topology under a wall-time budget.
  */
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <sstream>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
-#include "common/prof.hh"
 #include "isa/assembler.hh"
 #include "json_report.hh"
-#include "mem/directory.hh"
-#include "workload/report.hh"
 
 namespace {
 
@@ -73,8 +31,8 @@ using namespace ztx;
 /**
  * Per-CPU private-region transactions: each CPU commits
  * @p iterations transactions of 4 read-modify-writes against its
- * own lines — no cross-chip conflicts, so the parallel phase
- * dominates and host threads can actually help.
+ * own lines — no conflicts, so the run measures the per-step cost
+ * of the simulator.
  */
 isa::Program
 privateTxProgram(Addr base, unsigned iterations)
@@ -100,219 +58,43 @@ privateTxProgram(Addr base, unsigned iterations)
     return as.finish();
 }
 
-/**
- * Miss-heavy sweeps: each CPU walks a private region larger than
- * its L2, so steady-state accesses are chip-local L3 hits — the
- * traffic the shard-local fast path resolves in-phase and the
- * legacy defer rule sent to the serial barrier.
- */
-isa::Program
-missHeavyProgram(Addr base, unsigned lines, unsigned sweeps)
-{
-    isa::Assembler as;
-    as.lhi(7, std::int64_t(sweeps));
-    as.label("sweep");
-    as.lhi(6, std::int64_t(lines));
-    as.la(9, 0, std::int64_t(base));
-    as.label("walk");
-    as.lg(3, 9);
-    as.ahi(3, 1);
-    as.stg(3, 9);
-    as.la(9, 9, 256);
-    as.brct(6, "walk");
-    as.brct(7, "sweep");
-    as.halt();
-    return as.finish();
-}
-
-/**
- * Hot-set + streaming walk for the L3-recency probe: every
- * iteration re-walks a hot region (sized to overflow L2, so its
- * reuse hits the chip's L3) and then walks a fresh, never-reused
- * stream chunk that pressures the L3 rows. With hit recency
- * maintained, the hot lines stay most-recently-used and the stream
- * evicts its own cold tail; with stale recency (sub-chip fast-path
- * installs skip the shared-L3 LRU touch) hot lines age out, miss,
- * and re-install — visible as extra L3 evictions and cycles.
- */
-isa::Program
-hotStreamProgram(Addr hot_base, unsigned hot_lines,
-                 Addr stream_base, unsigned stream_per_iter,
-                 unsigned iters)
-{
-    isa::Assembler as;
-    as.la(10, 0, std::int64_t(stream_base));
-    as.lhi(7, std::int64_t(iters));
-    as.label("iter");
-    as.lhi(6, std::int64_t(hot_lines));
-    as.la(9, 0, std::int64_t(hot_base));
-    as.label("hot");
-    as.lg(3, 9);
-    as.ahi(3, 1);
-    as.stg(3, 9);
-    as.la(9, 9, 256);
-    as.brct(6, "hot");
-    as.lhi(6, std::int64_t(stream_per_iter));
-    as.label("cold");
-    as.lg(3, 10);
-    as.ahi(3, 1);
-    as.stg(3, 10);
-    as.la(10, 10, 256);
-    as.brct(6, "cold");
-    as.brct(7, "iter");
-    as.halt();
-    return as.finish();
-}
-
 struct RunResult
 {
     double hostSeconds = 0.0;
     Cycles simCycles = 0;
     std::uint64_t instructions = 0;
-    workload::SchedStatsSummary sched;
-    sim::HostPhaseTimes phase;
-    std::uint64_t l3Evicts = 0;
-    std::uint64_t fetchMisses = 0;
-    /** Full stats document, for byte-identity comparison. */
-    std::string statsText;
-    /** Phase-profiler snapshot for this run (host-time data; kept
-     *  out of statsText so the determinism compare stays exact). */
-    Json prof;
-};
-
-enum class Workload
-{
-    PrivateTx,
-    MissHeavy,
-    /** Miss-heavy against a halved L3: thrashes the shared LRU. */
-    L3Thrash,
 };
 
 RunResult
-runOnce(const mem::Topology &topo, unsigned host_threads,
-        unsigned shards_per_chip, bool fast_path, Workload wl,
-        unsigned iterations,
-        std::vector<isa::Program> &programs /* keep-alive */,
-        bool trim_geometry = false)
+runOnce(const mem::Topology &topo, unsigned iterations)
 {
-    sim::MachineConfig cfg;
+    // L3/L4 trimmed exactly like bench_util's benchMachine(): the
+    // workload footprints stay far below either size, and
+    // construction stays cheap at hundreds of CPUs.
+    sim::MachineConfig cfg = bench::benchMachine();
     cfg.topology = topo;
     cfg.seed = 17;
-    cfg.hostThreads = host_threads;
-    cfg.hostShardsPerChip = shards_per_chip;
-    cfg.shardLocalFastPath = fast_path;
-    if (wl != Workload::PrivateTx) {
-        // Shrink the private levels so the 64 KB per-CPU region
-        // overflows L2 and steady-state sweeps hit the chip's L3.
-        cfg.geometry.l1 = {4 * 1024, 2};
-        cfg.geometry.l2 = {16 * 1024, 4};
-        cfg.geometry.l3 = {1024 * 1024, 8};
-        cfg.geometry.l4 = {8 * 1024 * 1024, 8};
-    }
-    if (wl == Workload::L3Thrash) {
-        // Quarter the L3: the combined hot sets plus the stream's
-        // resident tail fill it, so the shared LRU must pick
-        // victims well for hot lines to survive.
-        cfg.geometry.l3 = {256 * 1024, 8};
-    }
-    if (trim_geometry) {
-        // Full-topology points: trim L3/L4 exactly like
-        // bench_util's benchMachine() — workload footprints stay
-        // far below either size, construction stays cheap at
-        // hundreds of CPUs.
-        cfg.geometry.l3 = {8ULL << 20, 12};
-        cfg.geometry.l4 = {32ULL << 20, 24};
-    }
     sim::Machine m(cfg);
 
-    programs.clear();
+    std::vector<isa::Program> programs;
     programs.reserve(m.numCpus());
-    for (unsigned i = 0; i < m.numCpus(); ++i) {
-        if (wl == Workload::L3Thrash) {
-            // Disjoint 16 MB arenas: a 32 KB hot region (2x the
-            // trimmed L2) plus a long never-reused stream.
-            const Addr arena =
-                Addr(0x100'0000) + Addr(i) * 0x100'0000;
-            programs.push_back(hotStreamProgram(
-                arena, 128, arena + 0x20'0000, 8,
-                std::max(1u, iterations / 4)));
-            continue;
-        }
-        const Addr base = Addr(0x40'0000) + Addr(i) * 0x1'0000;
-        if (wl == Workload::PrivateTx)
-            programs.push_back(
-                privateTxProgram(base, iterations));
-        else
-            programs.push_back(missHeavyProgram(
-                base, 256, std::max(1u, iterations / 64)));
-    }
+    for (unsigned i = 0; i < m.numCpus(); ++i)
+        programs.push_back(privateTxProgram(
+            Addr(0x40'0000) + Addr(i) * 0x1'0000, iterations));
     for (unsigned i = 0; i < m.numCpus(); ++i)
         m.setProgram(i, &programs[i]);
 
-    prof::reset();
     const auto t0 = std::chrono::steady_clock::now();
     const Cycles elapsed = m.run();
     const auto t1 = std::chrono::steady_clock::now();
 
     RunResult res;
-    res.prof = prof::snapshotJson();
-    res.hostSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
+    res.hostSeconds = std::chrono::duration<double>(t1 - t0).count();
     res.simCycles = elapsed;
     for (unsigned i = 0; i < m.numCpus(); ++i)
         res.instructions +=
-            m.cpu(i).stats().counter("instructions").value();
-    res.sched = workload::collectSchedStats(m);
-    res.phase = m.hostPhaseTimes();
-    res.l3Evicts =
-        m.hierarchy().stats().counter("l3.evict").value();
-    res.fetchMisses =
-        m.hierarchy().stats().counter("fetch.miss").value();
-    std::ostringstream os;
-    m.dumpStatsJson(os);
-    res.statsText = os.str();
+            m.cpu(i).stats().counters().at("instructions").value();
     return res;
-}
-
-double
-mipsOf(const RunResult &res)
-{
-    return res.hostSeconds > 0.0
-               ? double(res.instructions) / res.hostSeconds / 1e6
-               : 0.0;
-}
-
-/** The "phase" object of a full-topology record. */
-Json
-phaseJson(const sim::HostPhaseTimes &pt)
-{
-    Json p = Json::object();
-    p["parallel_seconds"] = pt.parallelSeconds;
-    p["merge_seconds"] = pt.mergeSeconds;
-    p["quanta"] = pt.quanta;
-    const double total = pt.parallelSeconds + pt.mergeSeconds;
-    p["merge_share"] =
-        total > 0.0 ? pt.mergeSeconds / total : 0.0;
-    return p;
-}
-
-/** Value of --shards-per-chip / --shards-per-chip=N; 0 = sweep. */
-unsigned
-shardsPerChipArg(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--shards-per-chip") == 0) {
-            if (i + 1 < argc)
-                return unsigned(std::atoi(argv[i + 1]));
-            std::fprintf(stderr, "scale: --shards-per-chip needs "
-                                 "an operand; ignoring\n");
-            break;
-        }
-        if (std::strncmp(arg, "--shards-per-chip=", 18) == 0)
-            return unsigned(std::atoi(arg + 18));
-    }
-    return 0;
 }
 
 bool
@@ -332,324 +114,58 @@ main(int argc, char **argv)
     using namespace ztx;
 
     const bool smoke = hasFlag(argc, argv, "--smoke");
-    const bool prof_on = prof::enabledFromEnv();
+    const unsigned host_cpus = unsigned(sysconf(_SC_NPROCESSORS_ONLN));
 
     bench::JsonReport report("scale", argc, argv);
-    report.setMachineConfig(sim::MachineConfig{});
+    report.setMachineConfig(bench::benchMachine());
     report.meta()["iterations"] = bench::benchIterations();
-    report.meta()["host_cpus"] =
-        unsigned(std::thread::hardware_concurrency());
+    report.meta()["host_cpus"] = host_cpus;
     report.meta()["smoke"] = smoke;
-    report.meta()["prof_enabled"] = prof_on;
 
     const unsigned iterations =
-        std::getenv("ZTX_BENCH_FAST") ? bench::benchIterations()
-                                      : 4 * bench::benchIterations();
+        smoke ? 8u
+              : std::getenv("ZTX_BENCH_FAST")
+                    ? bench::benchIterations()
+                    : 4 * bench::benchIterations();
 
-    bool determinism_failed = false;
-    std::vector<isa::Program> keep_alive;
-
-    const unsigned spc_arg = shardsPerChipArg(argc, argv);
-    if (!smoke) {
-        const std::vector<unsigned> spc_axis =
-            spc_arg ? std::vector<unsigned>{spc_arg}
-                    : std::vector<unsigned>{1u, 2u};
-        report.meta()["shards_per_chip_axis"] = [&spc_axis] {
-            Json axis = Json::array();
-            for (const unsigned spc : spc_axis)
-                axis.push(spc);
-            return axis;
-        }();
-
-        struct TopoPoint
-        {
-            const char *name;
-            mem::Topology topo;
-        };
-        const std::vector<TopoPoint> topos = {
-            {"1chip", mem::Topology(4, 1, 1)},  // sub-chip shards
-            {"4chips", mem::Topology(4, 4, 1)}, // spc per chip
-        };
-
-        std::printf("# Sharded-scheduler host scaling "
-                    "(host_cpus=%u)\n",
-                    unsigned(
-                        std::thread::hardware_concurrency()));
-        std::printf("# %-8s %4s %8s %12s %10s %10s %10s %5s\n",
-                    "topology", "spc", "threads", "host_sec",
-                    "mips", "speedup", "serial", "det");
-
-        for (const TopoPoint &tp : topos) {
-            for (const unsigned spc : spc_axis) {
-                double base_seconds = 0.0;
-                std::string ref_stats;
-                for (const unsigned threads : {1u, 2u, 4u}) {
-                    const RunResult res = runOnce(
-                        tp.topo, threads, spc, true,
-                        Workload::PrivateTx, iterations,
-                        keep_alive);
-                    if (threads == 1) {
-                        base_seconds = res.hostSeconds;
-                        ref_stats = res.statsText;
-                    }
-                    const bool det = res.statsText == ref_stats;
-                    determinism_failed |= !det;
-                    const double mips = mipsOf(res);
-                    const double speedup =
-                        res.hostSeconds > 0.0
-                            ? base_seconds / res.hostSeconds
-                            : 0.0;
-                    std::printf(
-                        "  %-8s %4u %8u %12.4f %10.2f %10.2f"
-                        " %10.4f %5s\n",
-                        tp.name, spc, threads, res.hostSeconds,
-                        mips, speedup,
-                        res.sched.serialFraction(),
-                        det ? "ok" : "FAIL");
-                    report.addSimWork(res.simCycles,
-                                      res.instructions);
-                    report.addSched(res.sched);
-                    if (report.enabled()) {
-                        Json rec = Json::object();
-                        rec["section"] = "host-scaling";
-                        rec["topology"] = tp.name;
-                        rec["shards_per_chip"] = spc;
-                        rec["host_threads"] = threads;
-                        rec["host_seconds"] = res.hostSeconds;
-                        rec["sim_cycles"] =
-                            std::uint64_t(res.simCycles);
-                        rec["instructions"] = res.instructions;
-                        rec["mips"] = mips;
-                        rec["speedup_vs_1t"] = speedup;
-                        rec["serial_fraction"] =
-                            res.sched.serialFraction();
-                        rec["determinism_ok"] = det;
-                        rec["sched"] =
-                            bench::schedStatsJson(res.sched);
-                        rec["prof"] = res.prof;
-                report.addRecord(std::move(rec));
-                    }
-                }
-            }
-        }
-
-        // Fast-path ablation: the same miss-heavy single-chip run
-        // with the shard-local fast path off, then on, on a
-        // whole-chip shard (every chip-local L3 hit is eligible).
-        // The serial-fraction drop between the two records is the
-        // headline number.
-        const unsigned delta_spc = spc_arg ? spc_arg : 1;
-        std::printf("# %-12s %10s %12s %10s\n", "fastpath",
-                    "serial", "steps_def", "l3_local");
-        for (const bool fast_path : {false, true}) {
-            const RunResult res = runOnce(
-                topos[0].topo, 1, delta_spc, fast_path,
-                Workload::MissHeavy, iterations, keep_alive);
-            std::printf("  %-12s %10.4f %12llu %10llu\n",
-                        fast_path ? "on" : "off",
-                        res.sched.serialFraction(),
-                        (unsigned long long)
-                            res.sched.stepsDeferred,
-                        (unsigned long long)
-                            res.sched.l3LocalHits);
-            report.addSimWork(res.simCycles, res.instructions);
-            report.addSched(res.sched);
-            if (report.enabled()) {
-                Json rec = Json::object();
-                rec["section"] = "fastpath-delta";
-                rec["topology"] = topos[0].name;
-                rec["shards_per_chip"] = delta_spc;
-                rec["host_threads"] = 1;
-                rec["fast_path"] = fast_path;
-                rec["host_seconds"] = res.hostSeconds;
-                rec["sim_cycles"] = std::uint64_t(res.simCycles);
-                rec["instructions"] = res.instructions;
-                rec["speedup_vs_1t"] = 1.0;
-                rec["serial_fraction"] =
-                    res.sched.serialFraction();
-                rec["determinism_ok"] = true;
-                rec["sched"] = bench::schedStatsJson(res.sched);
-                rec["prof"] = res.prof;
-                report.addRecord(std::move(rec));
-            }
-        }
-    }
-
-    // Full-topology campaign: the paper's zEC12 (4 MCMs x 6 chips
-    // x 6 cores = 144 CPUs) end-to-end, plus a 1024-CPU stretch
-    // point when the directory can track that many CPUs. The
-    // 144-core point sweeps host threads with the byte-identity
-    // check; sim-MIPS and the phase breakdown are the layout-work
-    // before/after numbers in EXPERIMENTS.md.
+    struct Point
     {
-        struct FullPoint
-        {
-            const char *name;
-            mem::Topology topo;
-            unsigned iters;
-            std::vector<unsigned> threads;
-        };
-        const unsigned full_iters = smoke ? 8u : iterations;
-        std::vector<FullPoint> points;
-        points.push_back({"zEC12-144", mem::Topology(6, 6, 4),
-                          full_iters,
-                          smoke ? std::vector<unsigned>{1u, 2u}
-                                : std::vector<unsigned>{1u, 2u,
-                                                        4u}});
-        if (!smoke &&
-            mem::maxDirectoryCpus >= 1024 &&
-            mem::maxDirectoryChips >= 32)
-            points.push_back({"stretch-1024",
-                              mem::Topology(32, 8, 4),
-                              std::max(1u, full_iters / 8),
-                              {1u}});
+        const char *name;
+        mem::Topology topo;
+        unsigned iters;
+    };
+    std::vector<Point> points = {
+        {"zEC12-144", mem::Topology(6, 6, 4), iterations}};
+    if (!smoke)
+        points.push_back({"stretch-1024", mem::Topology(32, 8, 4),
+                          std::max(1u, iterations / 8)});
 
-        std::printf("# Full-topology campaign\n");
-        std::printf("# %-12s %5s %8s %12s %10s %10s %10s %5s\n",
-                    "topology", "cpus", "threads", "host_sec",
-                    "mips", "serial", "merge_sh", "det");
-        for (const FullPoint &fp : points) {
-            std::string ref_stats;
-            for (const unsigned threads : fp.threads) {
-                const RunResult res = runOnce(
-                    fp.topo, threads, 0, true,
-                    Workload::PrivateTx, fp.iters, keep_alive,
-                    /*trim_geometry=*/true);
-                if (threads == fp.threads.front())
-                    ref_stats = res.statsText;
-                const bool det = res.statsText == ref_stats;
-                determinism_failed |= !det;
-                const double mips = mipsOf(res);
-                const double total = res.phase.parallelSeconds +
-                                     res.phase.mergeSeconds;
-                std::printf(
-                    "  %-12s %5u %8u %12.4f %10.2f %10.4f"
-                    " %10.4f %5s\n",
-                    fp.name, fp.topo.numCpus(), threads,
-                    res.hostSeconds, mips,
-                    res.sched.serialFraction(),
-                    total > 0.0 ? res.phase.mergeSeconds / total
-                                : 0.0,
-                    det ? "ok" : "FAIL");
-                report.addSimWork(res.simCycles,
-                                  res.instructions);
-                report.addSched(res.sched);
-                if (report.enabled()) {
-                    Json rec = Json::object();
-                    rec["section"] = "full-topology";
-                    rec["topology"] = fp.name;
-                    rec["total_cpus"] = fp.topo.numCpus();
-                    rec["shards_per_chip"] = 1;
-                    rec["host_threads"] = threads;
-                    rec["iterations"] = fp.iters;
-                    rec["host_seconds"] = res.hostSeconds;
-                    rec["sim_cycles"] =
-                        std::uint64_t(res.simCycles);
-                    rec["instructions"] = res.instructions;
-                    rec["mips"] = mips;
-                    rec["serial_fraction"] =
-                        res.sched.serialFraction();
-                    rec["determinism_ok"] = det;
-                    rec["phase"] = phaseJson(res.phase);
-                    rec["sched"] =
-                        bench::schedStatsJson(res.sched);
-                    rec["prof"] = res.prof;
-                report.addRecord(std::move(rec));
-                }
-            }
+    std::printf("# Full-topology simulation speed (host_cpus=%u)\n",
+                host_cpus);
+    std::printf("# %-12s %5s %10s %12s %10s\n", "topology", "cpus",
+                "iters", "host_sec", "mips");
+    for (const Point &pt : points) {
+        const RunResult res = runOnce(pt.topo, pt.iters);
+        const double mips =
+            res.hostSeconds > 0.0
+                ? double(res.instructions) / res.hostSeconds / 1e6
+                : 0.0;
+        std::printf("  %-12s %5u %10u %12.4f %10.2f\n", pt.name,
+                    pt.topo.numCpus(), pt.iters, res.hostSeconds,
+                    mips);
+        report.addSimWork(res.simCycles, res.instructions);
+        if (report.enabled()) {
+            Json rec = Json::object();
+            rec["section"] = "full-topology";
+            rec["topology"] = pt.name;
+            rec["total_cpus"] = pt.topo.numCpus();
+            rec["iterations"] = pt.iters;
+            rec["host_seconds"] = res.hostSeconds;
+            rec["sim_cycles"] = std::uint64_t(res.simCycles);
+            rec["instructions"] = res.instructions;
+            rec["mips"] = mips;
+            report.addRecord(std::move(rec));
         }
     }
-
-    // Auto-split cap probe: a wide single-chip topology swept
-    // across sub-chip shard counts. effectiveShardsPerChip() caps
-    // the automatic split at min(cores, 4); the sweep records what
-    // higher splits would cost (serial fraction from SC1 home-group
-    // deferrals, host time from extra quanta).
-    if (!smoke) {
-        const mem::Topology wide(16, 1, 1);
-        std::printf("# Auto-split sweep (16-core single chip)\n");
-        std::printf("# %-4s %12s %10s %10s %12s\n", "spc",
-                    "host_sec", "mips", "serial", "quanta");
-        for (const unsigned spc : {1u, 2u, 4u, 8u, 16u}) {
-            const RunResult res = runOnce(
-                wide, 1, spc, true, Workload::MissHeavy,
-                iterations, keep_alive);
-            std::printf("  %-4u %12.4f %10.2f %10.4f %12llu\n",
-                        spc, res.hostSeconds, mipsOf(res),
-                        res.sched.serialFraction(),
-                        (unsigned long long)res.phase.quanta);
-            report.addSimWork(res.simCycles, res.instructions);
-            report.addSched(res.sched);
-            if (report.enabled()) {
-                Json rec = Json::object();
-                rec["section"] = "autosplit-sweep";
-                rec["topology"] = "16core-1chip";
-                rec["shards_per_chip"] = spc;
-                rec["host_threads"] = 1;
-                rec["host_seconds"] = res.hostSeconds;
-                rec["sim_cycles"] = std::uint64_t(res.simCycles);
-                rec["instructions"] = res.instructions;
-                rec["mips"] = mipsOf(res);
-                rec["serial_fraction"] =
-                    res.sched.serialFraction();
-                rec["determinism_ok"] = true;
-                rec["phase"] = phaseJson(res.phase);
-                rec["sched"] = bench::schedStatsJson(res.sched);
-                rec["prof"] = res.prof;
-                report.addRecord(std::move(rec));
-            }
-        }
-    }
-
-    // Stale shared-L3 recency: under sub-chip sharding the fast
-    // path installs chip-local L3 hits without touching the shared
-    // L3's LRU (DESIGN.md §5b), so hot lines look cold to the
-    // replacement policy. An L3-thrashing walk shows the cost as
-    // extra L3 evictions and simulated cycles versus the
-    // whole-chip partition that does maintain recency.
-    if (!smoke) {
-        const mem::Topology chip4(4, 1, 1);
-        std::printf("# L3-recency (4-core chip, thrashing L3)\n");
-        std::printf("# %-4s %12s %12s %12s %12s\n", "spc",
-                    "sim_cycles", "l3_evicts", "fetch_miss",
-                    "l3_local");
-        for (const unsigned spc : {1u, 4u}) {
-            const RunResult res = runOnce(
-                chip4, 1, spc, true, Workload::L3Thrash,
-                iterations, keep_alive);
-            std::printf(
-                "  %-4u %12llu %12llu %12llu %12llu\n", spc,
-                (unsigned long long)res.simCycles,
-                (unsigned long long)res.l3Evicts,
-                (unsigned long long)res.fetchMisses,
-                (unsigned long long)res.sched.l3LocalHits);
-            report.addSimWork(res.simCycles, res.instructions);
-            report.addSched(res.sched);
-            if (report.enabled()) {
-                Json rec = Json::object();
-                rec["section"] = "l3-recency";
-                rec["topology"] = "4core-1chip";
-                rec["shards_per_chip"] = spc;
-                rec["host_threads"] = 1;
-                rec["host_seconds"] = res.hostSeconds;
-                rec["sim_cycles"] = std::uint64_t(res.simCycles);
-                rec["instructions"] = res.instructions;
-                rec["l3_evicts"] = res.l3Evicts;
-                rec["fetch_misses"] = res.fetchMisses;
-                rec["serial_fraction"] =
-                    res.sched.serialFraction();
-                rec["determinism_ok"] = true;
-                rec["sched"] = bench::schedStatsJson(res.sched);
-                rec["prof"] = res.prof;
-                report.addRecord(std::move(rec));
-            }
-        }
-    }
-
-    if (determinism_failed)
-        std::fprintf(stderr, "scale: DETERMINISM VIOLATION — "
-                             "stats diverged across host-thread "
-                             "counts\n");
-    const bool wrote = report.write();
-    return (wrote && !determinism_failed) ? 0 : 1;
+    return report.write() ? 0 : 1;
 }

@@ -48,7 +48,6 @@ throughputAt(bench::JsonReport &report, double scale,
     cfg.machine = machine;
     const auto res = runUpdateBench(cfg);
     report.addSimWork(res.elapsedCycles, res.instructions);
-        report.addSched(res.sched);
     if (report.enabled()) {
         Json rec = bench::resultJson(res);
         rec["section"] = "latency-scale";
@@ -109,10 +108,8 @@ main(int argc, char **argv)
         ppa.addRow(cpus, {1000.0 * with_backoff, 1000.0 * without});
         report.addSimWork(backoff_res.elapsedCycles,
                           backoff_res.instructions);
-        report.addSched(backoff_res.sched);
         report.addSimWork(nobackoff_res.elapsedCycles,
                           nobackoff_res.instructions);
-        report.addSched(nobackoff_res.sched);
         if (report.enabled()) {
             for (const bool has_backoff : {true, false}) {
                 Json rec = bench::resultJson(

@@ -46,7 +46,6 @@ runProfile(bench::JsonReport &report, const Profile &profile,
     cfg.machine = ztx::bench::benchMachine();
     const auto res = runUpdateBench(cfg);
     report.addSimWork(res.elapsedCycles, res.instructions);
-        report.addSched(res.sched);
     if (report.enabled()) {
         Json rec = bench::resultJson(res);
         rec["profile"] = profile.name;

@@ -131,19 +131,7 @@ Cpu::accessLines(Addr addr, unsigned size, bool exclusive,
     const Addr first = lineAlign(addr);
     const Addr last = lineAlign(addr + size - 1);
     for (Addr line = first; line <= last; line += lineSizeBytes) {
-        const mem::AccessResult res =
-            hier_.fetch(id_, line, exclusive, localOnly_);
-        if (res.deferred) {
-            // Parallel phase: the access leaves the private L1/L2.
-            // Nothing moved or was charged; the scheduler discards
-            // this step's cost and re-runs it at the barrier. Any
-            // partial L1 touches/marks above are idempotent.
-            deferredStep_ = true;
-            return false;
-        }
-        if (res.shardLocal && !res.rejected &&
-            res.source == mem::DataSource::L3)
-            ++shardL3Hits_;
+        const mem::AccessResult res = hier_.fetch(id_, line, exclusive);
         // Pipelining hides most of an L1 hit's use latency.
         cost += (!res.rejected && res.source == mem::DataSource::L1)
                     ? cfg_.l1HitCharge
@@ -171,17 +159,8 @@ Cpu::accessLines(Addr addr, unsigned size, bool exclusive,
         cfg_.speculativeOvermarkProb > 0.0 &&
         rng_.nextBool(cfg_.speculativeOvermarkProb)) {
         const Addr spec_line = lineAlign(addr) + lineSizeBytes;
-        const mem::AccessResult res =
-            hier_.fetch(id_, spec_line, false, localOnly_);
-        // A deferred speculative fetch is skipped silently (not
-        // retried): whether it defers depends only on cache state,
-        // which is identical across host-thread counts, and the RNG
-        // draw above is consumed either way.
-        if (res.shardLocal && !res.rejected &&
-            res.source == mem::DataSource::L3)
-            ++shardL3Hits_;
-        if (!res.deferred && !res.rejected && !abortedDuringStep_ &&
-            inTx()) {
+        const mem::AccessResult res = hier_.fetch(id_, spec_line, false);
+        if (!res.rejected && !abortedDuringStep_ && inTx()) {
             hier_.markTxRead(id_, spec_line);
             stats_.counter("tx.overmarks").inc();
         }
@@ -288,12 +267,6 @@ void
 Cpu::programException(tx::InterruptCode code, Addr addr,
                       bool instruction_fetch, Cycles &cost)
 {
-    if (localOnly_) {
-        // Interruptions reach the shared OS model; defer the step
-        // before any side effect (counter, abort, OS round trip).
-        deferredStep_ = true;
-        return;
-    }
     stats_.counter("program_exceptions").inc();
     if (inTx()) {
         const bool filtered =
@@ -319,11 +292,6 @@ void
 Cpu::constraintViolation(tx::ConstraintViolationKind kind,
                          Cycles &cost)
 {
-    if (localOnly_) {
-        // Ends in an OS round trip; defer before any side effect.
-        deferredStep_ = true;
-        return;
-    }
     stats_.counter(std::string("constraint_violation.") +
                    tx::constraintViolationName(kind)).inc();
     // Non-filterable program interruption after the abort (§II.D).
@@ -339,12 +307,6 @@ Cpu::constraintViolation(tx::ConstraintViolationKind kind,
 bool
 Cpu::handlePoisonedAccess(Addr line, Cycles &cost)
 {
-    if (localOnly_) {
-        // Recovery reaches the shared OS model (and a scrub touches
-        // other CPUs' L1 flag mirrors); defer before any side effect.
-        deferredStep_ = true;
-        return false;
-    }
     stats_.counter("machine_checks").inc();
     const bool was_tx = inTx();
     if (was_tx) {
@@ -1046,14 +1008,6 @@ Cpu::step()
 {
     if (halted_)
         return 0;
-    deferredStep_ = false;
-    // PER events end in OS round trips (shared OsModel); with any
-    // PER control armed, a local-only step cannot rule them out up
-    // front, so defer the whole step to the serial barrier phase.
-    if (localOnly_ && per_.anyEnabled()) {
-        deferredStep_ = true;
-        return 0;
-    }
     abortedDuringStep_ = false;
     Cycles cost = 0;
 

@@ -186,34 +186,6 @@ class Cpu : public mem::CacheClient
     void addStall(Cycles cycles) { pendingStall_ += cycles; }
     /** @} */
 
-    /** @name Sharded-scheduler interface @{ */
-    /**
-     * Restrict the next step()s to CPU-private work: any access
-     * that would touch the fabric, another CPU, or the OS defers
-     * (deferredStep() turns true, nothing is charged) instead of
-     * executing. The sharded scheduler runs CPUs in this mode
-     * during the parallel phase and re-steps deferred CPUs
-     * serially at the quantum barrier.
-     */
-    void setLocalOnly(bool on) { localOnly_ = on; }
-
-    /** True when the last step() deferred instead of executing. */
-    bool deferredStep() const { return deferredStep_; }
-
-    /**
-     * Fetches the shard-local fast path resolved from the chip's L3
-     * inside the parallel phase since the last call, then clear.
-     * The shard folds these into sched.l3_local_hits.
-     */
-    std::uint64_t
-    consumeShardL3Hits()
-    {
-        const std::uint64_t n = shardL3Hits_;
-        shardL3Hits_ = 0;
-        return n;
-    }
-    /** @} */
-
     /** @name Measurement (MARKB/MARKE pseudo-ops) @{ */
     const Distribution &regionCycles() const { return regionCycles_; }
     void resetMeasurement() { regionCycles_.reset(); }
@@ -384,13 +356,6 @@ class Cpu : public mem::CacheClient
 
     /** Set by any abort that happens inside this CPU's own step. */
     bool abortedDuringStep_ = false;
-
-    /** @name Sharded-scheduler state (see setLocalOnly) @{ */
-    bool localOnly_ = false;
-    bool deferredStep_ = false;
-    /** Fast-path L3 hits since the last consumeShardL3Hits(). */
-    std::uint64_t shardL3Hits_ = 0;
-    /** @} */
 
     /** Commits + region closes + halt; see progressEvents(). */
     std::uint64_t progressEvents_ = 0;

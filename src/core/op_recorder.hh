@@ -7,10 +7,8 @@
  *
  * The CPU records at zero cycle cost so attaching a recorder does
  * not perturb simulated timing; with no recorder attached the
- * pseudo-ops are NOPs. Calls happen inside Cpu::step(), so in the
- * sharded scheduler's parallel phase a recorder may be called from
- * several host threads concurrently — implementations must keep
- * per-CPU state disjoint (each CPU only ever passes its own id).
+ * pseudo-ops are NOPs. Calls happen inside Cpu::step(); each CPU
+ * only ever passes its own id.
  */
 
 #ifndef ZTX_CORE_OP_RECORDER_HH

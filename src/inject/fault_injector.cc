@@ -159,30 +159,25 @@ FaultInjector::attachCpu(core::Cpu &cpu)
                            ((id + 1) * 0x94D049BB133111EBULL));
     poisonRng_.emplace_back(baseSeed_ +
                             (id + 1) * 0xD6E8FEB86659FD93ULL);
-    pendingStorms_.emplace_back();
-    pendingTargeted_.emplace_back();
-    pendingPoison_.emplace_back();
     lastAborts_.push_back(0);
     recent_.emplace_back();
-    hot_.emplace_back();
 }
 
 void
 FaultInjector::beforeStep(CpuId id, Cycles now)
 {
-    // Expire this CPU's capacity squeeze (per-CPU cache state only).
+    // Expire this CPU's capacity squeeze.
     if (squeezeUntil_[id] != 0 && now >= squeezeUntil_[id]) {
         hier_.squeezeCapacity(id, 0, 0);
         squeezeUntil_[id] = 0;
-        ++hot_[id].squeezeRestored;
+        squeezeRestored_.inc();
     }
 
-    // Scheduled faults that came due. The cursor is global, so in
-    // sharded mode the flush consumes it at the barrier instead. A
-    // fault without an explicit target hits the CPU about to step —
-    // except line-addressed kinds, where the directory picks the
-    // victim (the line's holder) inside apply().
-    while (!sharded_ && nextScheduled_ < plan_.schedule.size() &&
+    // Scheduled faults that came due. A fault without an explicit
+    // target hits the CPU about to step — except line-addressed
+    // kinds, where the directory picks the victim (the line's
+    // holder) inside apply().
+    while (nextScheduled_ < plan_.schedule.size() &&
            plan_.schedule[nextScheduled_].at <= now) {
         const ScheduledFault &f = plan_.schedule[nextScheduled_++];
         const CpuId target =
@@ -199,103 +194,25 @@ FaultInjector::beforeStep(CpuId id, Cycles now)
     // Probabilistic faults against the CPU about to step: one draw
     // per *enabled* kind from the CPU's own stream, so a disabled
     // kind costs nothing and a given (plan, seed) pair replays
-    // bit-identically. Spurious aborts, squeezes, and interrupt
-    // bursts act on the target CPU alone and apply immediately; XI
-    // storms attack the shared directory and are deferred to the
-    // barrier in sharded mode.
+    // bit-identically.
     Rng &r = cpuRng_[id];
     if (plan_.spuriousAbortRate > 0 &&
         r.nextBool(plan_.spuriousAbortRate))
         apply(FaultKind::SpuriousAbort, id, now);
-    if (plan_.xiStormRate > 0 && r.nextBool(plan_.xiStormRate)) {
-        if (sharded_)
-            pendingStorms_[id].push_back(now);
-        else
-            apply(FaultKind::XiStorm, id, now);
-    }
+    if (plan_.xiStormRate > 0 && r.nextBool(plan_.xiStormRate))
+        apply(FaultKind::XiStorm, id, now);
     if (plan_.capacitySqueezeRate > 0 &&
         r.nextBool(plan_.capacitySqueezeRate))
         apply(FaultKind::CapacitySqueeze, id, now);
     if (plan_.interruptStormRate > 0 &&
         r.nextBool(plan_.interruptStormRate))
         apply(FaultKind::InterruptStorm, id, now);
-    // The line-addressed kinds attack the shared directory / the
-    // poison map and are serial-only, like XI storms: applied here
-    // in legacy mode, buffered to the barrier in sharded mode.
     if (plan_.targetedConflictRate > 0 &&
-        r.nextBool(plan_.targetedConflictRate)) {
-        if (sharded_)
-            pendingTargeted_[id].push_back(now);
-        else
-            apply(FaultKind::TargetedConflict, invalidCpu, now,
-                  plan_.targetedLine);
-    }
-    if (plan_.poisonRate > 0 && r.nextBool(plan_.poisonRate)) {
-        if (sharded_)
-            pendingPoison_[id].push_back(now);
-        else
-            apply(FaultKind::PoisonLine, id, now);
-    }
-
-    if (!sharded_)
-        evaluateScenario(now);
-}
-
-void
-FaultInjector::flushSharded(Cycles now)
-{
-    // Scheduled faults due in the elapsed quantum; untargeted
-    // entries hit CPU 0 (there is no "CPU about to step" at a
-    // barrier), except line-addressed kinds where the directory
-    // picks the line's holder inside apply(). Fired at their
-    // scheduled cycle.
-    while (nextScheduled_ < plan_.schedule.size() &&
-           plan_.schedule[nextScheduled_].at <= now) {
-        const ScheduledFault &f = plan_.schedule[nextScheduled_++];
-        const CpuId target =
-            f.kind == FaultKind::TargetedConflict
-                ? f.target
-                : (f.target == invalidCpu ? 0 : f.target);
-        if (target != invalidCpu && target >= cpus_.size())
-            ztx_fatal("scheduled fault targets CPU ", target,
-                      " but only ", cpus_.size(), " attached");
-        stats_.counter("scheduled.fired").inc();
-        apply(f.kind, target, f.at, f.line, f.poisonMemory);
-    }
-
-    // Buffered serial-only faults, merged across CPUs in
-    // (cycle, cpu, kind) order — deterministic however the parallel
-    // phase interleaved the drawing CPUs.
-    struct Pending
-    {
-        Cycles at;
-        CpuId cpu;
-        FaultKind kind;
-    };
-    std::vector<Pending> pend;
-    for (CpuId id = 0; id < CpuId(pendingStorms_.size()); ++id) {
-        for (const Cycles at : pendingStorms_[id])
-            pend.push_back({at, id, FaultKind::XiStorm});
-        pendingStorms_[id].clear();
-        for (const Cycles at : pendingTargeted_[id])
-            pend.push_back({at, id, FaultKind::TargetedConflict});
-        pendingTargeted_[id].clear();
-        for (const Cycles at : pendingPoison_[id])
-            pend.push_back({at, id, FaultKind::PoisonLine});
-        pendingPoison_[id].clear();
-    }
-    std::sort(pend.begin(), pend.end(),
-              [](const Pending &a, const Pending &b) {
-                  return std::tie(a.at, a.cpu, a.kind) <
-                         std::tie(b.at, b.cpu, b.kind);
-              });
-    for (const Pending &p : pend) {
-        if (p.kind == FaultKind::TargetedConflict)
-            // Victim comes from the directory, not the drawing CPU.
-            apply(p.kind, invalidCpu, p.at, plan_.targetedLine);
-        else
-            apply(p.kind, p.cpu, p.at);
-    }
+        r.nextBool(plan_.targetedConflictRate))
+        apply(FaultKind::TargetedConflict, invalidCpu, now,
+              plan_.targetedLine);
+    if (plan_.poisonRate > 0 && r.nextBool(plan_.poisonRate))
+        apply(FaultKind::PoisonLine, id, now);
 
     evaluateScenario(now);
 }
@@ -413,33 +330,6 @@ FaultInjector::evaluateScenario(Cycles now)
 }
 
 void
-FaultInjector::foldHotCounters() const
-{
-    HotCounters sum;
-    for (const HotCounters &h : hot_) {
-        sum.spuriousFired += h.spuriousFired;
-        sum.squeezeFired += h.squeezeFired;
-        sum.squeezeRestored += h.squeezeRestored;
-        sum.interruptStormFired += h.interruptStormFired;
-        sum.xiDelayFired += h.xiDelayFired;
-    }
-    // Touch every counter unconditionally: the stat-group shape must
-    // not depend on which faults happened to fire.
-    stats_.counter("spurious_abort.fired")
-        .inc(sum.spuriousFired - hotFolded_.spuriousFired);
-    stats_.counter("squeeze.fired")
-        .inc(sum.squeezeFired - hotFolded_.squeezeFired);
-    stats_.counter("squeeze.restored")
-        .inc(sum.squeezeRestored - hotFolded_.squeezeRestored);
-    stats_.counter("interrupt_storm.fired")
-        .inc(sum.interruptStormFired -
-             hotFolded_.interruptStormFired);
-    stats_.counter("xi_delay.fired")
-        .inc(sum.xiDelayFired - hotFolded_.xiDelayFired);
-    hotFolded_ = sum;
-}
-
-void
 FaultInjector::recordFire(FaultKind kind, CpuId target, Cycles now,
                           Addr line)
 {
@@ -459,15 +349,13 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
         core::Cpu &cpu = *cpus_.at(target);
         if (!cpu.inTx())
             return; // nothing to abort
-        ++hot_[target].spuriousFired;
+        spuriousFired_.inc();
         recordFire(kind, target, now, 0);
         cpu.injectSpuriousAbort();
         return;
       }
 
       case FaultKind::XiStorm: {
-        // Serial-only (legacy beforeStep or the barrier flush): the
-        // storm walks the shared directory.
         if (target == env_.soloHolder()) {
             // Broadcast-stop stopped "all conflicting work"; an
             // adversary is conflicting work too.
@@ -494,7 +382,7 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
       }
 
       case FaultKind::CapacitySqueeze:
-        ++hot_[target].squeezeFired;
+        squeezeFired_.inc();
         recordFire(kind, target, now, 0);
         hier_.squeezeCapacity(target, plan_.squeezeL1Ways,
                               plan_.squeezeL2Ways);
@@ -502,7 +390,7 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
         return;
 
       case FaultKind::InterruptStorm:
-        ++hot_[target].interruptStormFired;
+        interruptStormFired_.inc();
         recordFire(kind, target, now, 0);
         for (unsigned i = 0; i < plan_.interruptBurst; ++i)
             cpus_.at(target)->deliverExternalInterrupt();
@@ -514,8 +402,6 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
         return;
 
       case FaultKind::TargetedConflict: {
-        // Serial-only: resolves victims via the shared directory
-        // and injects against it.
         const Addr l = lineAlign(line);
         CpuId victim = target;
         if (victim == invalidCpu) {
@@ -551,7 +437,6 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
       }
 
       case FaultKind::PoisonLine: {
-        // Serial-only: mutates the shared poison map.
         Addr victim_line = lineAlign(line);
         if (victim_line == 0) {
             // Rate-driven: poison one line of the target's live tx
@@ -581,7 +466,6 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
 Json
 FaultInjector::firedCountsJson() const
 {
-    foldHotCounters();
     std::array<std::uint64_t, faultKindCount> sum{};
     for (const RecentRing &r : recent_)
         for (std::size_t k = 0; k < faultKindCount; ++k)
@@ -589,10 +473,9 @@ FaultInjector::firedCountsJson() const
     Json j = Json::object();
     for (std::size_t k = 0; k < faultKindCount; ++k)
         j[faultKindName(FaultKind(k))] = sum[k];
-    // XI delays never pass through apply(); report the folded
-    // counter (covers the serial fallback stream too).
-    j["delayed_xi"] =
-        stats_.counters().at("xi_delay.fired").value();
+    // XI delays never pass through apply(); report the counter
+    // (covers the unattached-target stream too).
+    j["delayed_xi"] = xiDelayFired_.value();
     return j;
 }
 
@@ -634,21 +517,13 @@ FaultInjector::xiDelay(mem::XiKind kind, CpuId target,
     (void)requester;
     if (plan_.delayedXiRate <= 0)
         return 0;
-    // Per-target streams: a same-shard XI may be probed inside the
-    // parallel phase (shard-local fast path), so the draw must be a
-    // function of the target's own XI sequence only. Unattached
-    // fabric agents (the channel subsystem) are serial-only and use
-    // the shared stream.
-    if (target >= delayRng_.size()) {
-        if (!rng_.nextBool(plan_.delayedXiRate))
-            return 0;
-        stats_.counter("xi_delay.fired").inc();
-        return rng_.nextBounded(plan_.xiDelayMax) + 1;
-    }
-    Rng &r = delayRng_[target];
+    // Per-target streams: the draw is a function of the target's
+    // own XI sequence. Unattached fabric agents (the channel
+    // subsystem) use the shared stream.
+    Rng &r = target < delayRng_.size() ? delayRng_[target] : rng_;
     if (!r.nextBool(plan_.delayedXiRate))
         return 0;
-    ++hot_[target].xiDelayFired;
+    xiDelayFired_.inc();
     return r.nextBounded(plan_.xiDelayMax) + 1;
 }
 

@@ -7,16 +7,8 @@
  * into whatever hostile state was created. All randomness comes
  * from per-CPU ztx::Rng streams derived from the plan/machine seed,
  * so a chaotic run is a pure function of (program, config, seed)
- * just like a benign one — independent of how many host threads the
- * sharded scheduler uses, since CPU i's draws depend only on CPU i's
- * step sequence.
- *
- * Sharded mode (Machine with hostThreads >= 1): beforeStep() runs
- * inside the parallel phase and touches only per-CPU state; faults
- * whose application crosses CPUs (XI storms against the shared
- * directory, scheduled faults consumed from one global cursor) are
- * buffered and applied at the quantum barrier by flushSharded() in
- * deterministic (cycle, cpu) order.
+ * just like a benign one; CPU i's draws depend only on CPU i's step
+ * sequence.
  *
  * The injector also implements mem::XiDelayProbe: when registered
  * with the hierarchy it can stretch individual XI response times,
@@ -67,31 +59,19 @@ class FaultInjector : public mem::XiDelayProbe
     FaultInjector(const FaultPlan &plan, std::uint64_t machine_seed,
                   mem::Hierarchy &hier, const core::CpuEnv &env);
 
+    FaultInjector(const FaultInjector &) = delete;
+    FaultInjector &operator=(const FaultInjector &) = delete;
+
     /** Register a CPU; its id indexes the injector's tables. */
     void attachCpu(core::Cpu &cpu);
 
     /**
      * Called by the scheduler right before CPU @p id steps at
      * global cycle @p now: expires due capacity squeezes, fires due
-     * scheduled faults (legacy mode), and draws the probabilistic
-     * ones. Thread-safe across distinct @p id in sharded mode:
-     * touches only per-CPU state; cross-CPU faults are buffered.
+     * scheduled faults and scenario steps, and draws the
+     * probabilistic ones.
      */
     void beforeStep(CpuId id, Cycles now);
-
-    /**
-     * Select sharded-mode buffering (Machine sets this once at
-     * construction, from MachineConfig::hostThreads > 0).
-     */
-    void setShardedMode(bool on) { sharded_ = on; }
-
-    /**
-     * Quantum-barrier flush (sharded mode, serial): fire scheduled
-     * faults due at or before @p now (untargeted entries hit CPU 0),
-     * then apply buffered XI storms merged across CPUs in
-     * (cycle, cpu) order.
-     */
-    void flushSharded(Cycles now);
 
     /** mem::XiDelayProbe: extra cycles for one XI response. */
     Cycles xiDelay(mem::XiKind kind, CpuId target,
@@ -121,16 +101,7 @@ class FaultInjector : public mem::XiDelayProbe
     Json recentFiresJson() const;
 
     /** Injection activity ("inject.*" counters). */
-    StatGroup &stats()
-    {
-        foldHotCounters();
-        return stats_;
-    }
-    const StatGroup &stats() const
-    {
-        foldHotCounters();
-        return stats_;
-    }
+    const StatGroup &stats() const { return stats_; }
 
   private:
     /**
@@ -138,41 +109,20 @@ class FaultInjector : public mem::XiDelayProbe
      * of the line-addressed kinds (TargetedConflict, PoisonLine);
      * a TargetedConflict with @p target == invalidCpu resolves its
      * victim from the coherence directory (owner, else the lowest-id
-     * sharer). Only the per-CPU kinds (SpuriousAbort,
-     * CapacitySqueeze, InterruptStorm) may be applied from the
-     * parallel phase; everything line- or directory-addressed is
-     * serial-only (legacy beforeStep or the barrier flush).
+     * sharer).
      */
     void apply(FaultKind kind, CpuId target, Cycles now,
                Addr line = 0, bool poison_memory = false);
 
     /**
      * Evaluate every armed scenario step against current machine
-     * state and fire the due ones. Serial-only: runs from the legacy
-     * beforeStep or the sharded barrier flush.
+     * state and fire the due ones.
      */
     void evaluateScenario(Cycles now);
 
     /** Record a fired fault into the target's recent-fire ring. */
     void recordFire(FaultKind kind, CpuId target, Cycles now,
                     Addr line);
-
-    /**
-     * Counters bumped from the parallel phase accumulate in per-CPU
-     * cache-line-sized deltas and are folded into stats_
-     * idempotently when stats() is read. The fold touches every
-     * counter unconditionally so the stat-group shape is identical
-     * across runs and host-thread counts.
-     */
-    struct alignas(64) HotCounters
-    {
-        std::uint64_t spuriousFired = 0;
-        std::uint64_t squeezeFired = 0;
-        std::uint64_t squeezeRestored = 0;
-        std::uint64_t interruptStormFired = 0;
-        std::uint64_t xiDelayFired = 0;
-    };
-    void foldHotCounters() const;
 
     /** One fired fault, for watchdog diagnosis bundles. */
     struct FiredFault
@@ -188,13 +138,8 @@ class FaultInjector : public mem::XiDelayProbe
     /** Fires recorded per ring (watchdog bundles keep this many). */
     static constexpr std::size_t recentDepth = 8;
 
-    /**
-     * Per-CPU recent-fire ring + per-kind fire tallies. In the
-     * parallel phase only self-targeted kinds are applied, so
-     * ring[target] is written by the target's own shard; line-sized
-     * so rings never share cache lines across shards.
-     */
-    struct alignas(64) RecentRing
+    /** Per-CPU recent-fire ring + per-kind fire tallies. */
+    struct RecentRing
     {
         std::array<FiredFault, recentDepth> slots{};
         std::uint64_t n = 0;
@@ -216,7 +161,6 @@ class FaultInjector : public mem::XiDelayProbe
     /** Per-CPU cycle at which a squeeze expires; 0 = not squeezed. */
     std::vector<Cycles> squeezeUntil_;
     std::size_t nextScheduled_ = 0;
-    bool sharded_ = false;
     std::uint64_t baseSeed_;
     /** Per-CPU Bernoulli streams (rates), indexed by CpuId. */
     std::vector<Rng> cpuRng_;
@@ -224,33 +168,29 @@ class FaultInjector : public mem::XiDelayProbe
     std::vector<Rng> stormRng_;
     /**
      * Per-CPU streams for XI response delays, indexed by the XI
-     * target: with the shard-local fast path, same-shard XIs are
-     * delivered inside the parallel phase by the target's shard, so
-     * the delay draw must depend only on the target's own XI
-     * sequence, never on global interleaving. XIs aimed at
-     * unattached fabric agents (the channel subsystem) cannot occur
-     * in-phase and fall back to the serial stream rng_.
+     * target. XIs aimed at unattached fabric agents (the channel
+     * subsystem) draw from rng_ instead.
      */
     std::vector<Rng> delayRng_;
     /** Per-CPU streams for rate-driven poison line picks. */
     std::vector<Rng> poisonRng_;
-    /** Sharded mode: per-CPU storm fire times awaiting the flush. */
-    std::vector<std::vector<Cycles>> pendingStorms_;
-    /** Sharded mode: buffered targeted-conflict fire times. */
-    std::vector<std::vector<Cycles>> pendingTargeted_;
-    /** Sharded mode: buffered rate-driven poison fire times. */
-    std::vector<std::vector<Cycles>> pendingPoison_;
     /** Per-step scenario bookkeeping, parallel to plan_.scenario. */
     std::vector<ScenarioState> scen_;
     /** abortsTotal() snapshots from the last scenario evaluation. */
     std::vector<std::uint64_t> lastAborts_;
     std::uint64_t scenarioAssertFailures_ = 0;
     std::vector<RecentRing> recent_;
-    std::vector<HotCounters> hot_;
-    mutable HotCounters hotFolded_{};
-    /** Serial-only stream: XI delays for unattached targets. */
+    /** XI delays for unattached targets. */
     Rng rng_;
-    mutable StatGroup stats_{"inject"};
+    StatGroup stats_{"inject"};
+    /** @name Per-fault counters, registered at construction @{ */
+    Counter &spuriousFired_ = stats_.counter("spurious_abort.fired");
+    Counter &squeezeFired_ = stats_.counter("squeeze.fired");
+    Counter &squeezeRestored_ = stats_.counter("squeeze.restored");
+    Counter &interruptStormFired_ =
+        stats_.counter("interrupt_storm.fired");
+    Counter &xiDelayFired_ = stats_.counter("xi_delay.fired");
+    /** @} */
 };
 
 } // namespace ztx::inject

@@ -65,18 +65,11 @@ struct ScheduledFault
     Cycles at = 0;
     FaultKind kind = FaultKind::SpuriousAbort;
     /**
-     * Victim CPU. invalidCpu means "no explicit victim", which the
-     * two schedulers resolve differently — pinned behaviour, kept
-     * for replay compatibility (DESIGN.md §5c): the legacy serial
-     * scheduler fires the fault from beforeStep() and the victim is
-     * the CPU about to step; the sharded scheduler consumes the
-     * schedule at the quantum barrier, where no CPU is "about to
-     * step", and the victim is CPU 0 (fired at the scheduled cycle
-     * `at`). Each mode is deterministic in itself — any
-     * hostThreads >= 1 replays bit-identically — but an untargeted
-     * fault is *not* exchangeable between the two modes. Scenario
-     * steps (below) resolve untargeted victims by machine state
-     * instead and do not inherit this quirk.
+     * Victim CPU. invalidCpu means "no explicit victim": the fault
+     * fires from the injector's beforeStep() and the victim is the
+     * CPU about to step (DESIGN.md §5c). Line-addressed kinds
+     * resolve their victim from the directory instead. Scenario
+     * steps (below) resolve untargeted victims by machine state.
      */
     CpuId target = invalidCpu;
     /** Line operand (TargetedConflict, PoisonLine); 0 for others. */
@@ -119,11 +112,9 @@ const char *stepAssertName(StepAssert check);
 /**
  * One step of a scripted fault scenario: a trigger, the fault to
  * apply when it fires, and an optional assertion about machine
- * state at fire time. Scenarios are evaluated at deterministic
- * points (every step in legacy mode, the quantum barrier in sharded
- * mode), so a run replays bit-identically per seed; a trigger
- * condition that arises and vanishes strictly inside one sharded
- * quantum can be missed — triggers are observations, not interrupts.
+ * state at fire time. Scenarios are evaluated before every
+ * scheduler step, so a run replays bit-identically per seed;
+ * triggers are observations, not interrupts.
  */
 struct ScenarioStep
 {

@@ -284,12 +284,11 @@ struct Run
     sim::Machine m;
     TraceRecorder rec;
 
-    Run(const Compiled &c, const EnumOptions &opt,
-        inject::ScheduleSteer *steer, std::uint64_t seed)
+    Run(const Compiled &c, inject::ScheduleSteer *steer,
+        std::uint64_t seed)
         : cfg([&] {
               sim::MachineConfig k = c.config;
               k.seed = seed;
-              k.hostThreads = opt.hostThreads;
               k.steer = steer;
               return k;
           }()),
@@ -309,10 +308,9 @@ struct Run
     {
         if (!m.injector())
             return 0;
-        return m.injector()
-            ->stats()
-            .counter("scenario.fired")
-            .value();
+        const auto &counters = m.injector()->stats().counters();
+        const auto it = counters.find("scenario.fired");
+        return it == counters.end() ? 0 : it->second.value();
     }
 
     void
@@ -354,7 +352,7 @@ enumerate(const Compiled &c, const EnumOptions &opt)
         steer.c = &c;
         steer.prefix = &prefix;
         steer.stepLimit = opt.maxStepsPerRun;
-        Run run(c, opt, &steer, opt.seed);
+        Run run(c, &steer, opt.seed);
         steer.m = &run.m;
         run.m.run();
 
@@ -429,7 +427,7 @@ runRandom(const Compiled &c, unsigned runs, std::uint64_t seed0,
         steer.rng = &rng;
         steer.stepLimit = opt.maxStepsPerRun;
         steer.recordTrace = false;
-        Run run(c, opt, &steer, opt.seed);
+        Run run(c, &steer, opt.seed);
         steer.m = &run.m;
         run.m.run();
         if (steer.capped || !run.m.allHalted()) {

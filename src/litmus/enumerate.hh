@@ -56,10 +56,6 @@ struct EnumOptions
      *  (the corpus avoids the one seed-sensitive trigger,
      *  at_cycle). */
     std::uint64_t seed = 1;
-    /** Requested host threads; steered machines force the legacy
-     *  scheduler, so this must never change a verdict (asserted by
-     *  the directed matrix test). */
-    unsigned hostThreads = 0;
     /** Frontier cap: maximum schedules to explore. */
     std::uint64_t maxSchedules = 200000;
     /** Frontier cap: maximum steps within one schedule. */
@@ -156,9 +152,8 @@ RandomResult runRandom(const Compiled &compiled, unsigned runs,
 /**
  * @p res as a JSON object. Deliberately excludes every
  * seed-dependent quantity (cycle values, the witness trace), so the
- * document is byte-identical across seeds and host-thread counts
- * for any test without at_cycle faults — the directed-matrix
- * contract.
+ * document is byte-identical across seeds for any test without
+ * at_cycle faults — the directed-matrix contract.
  */
 Json enumResultJson(const Compiled &compiled, const EnumResult &res);
 

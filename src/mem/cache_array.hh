@@ -156,9 +156,7 @@ class CacheArray
     /**
      * True if insert(@p line) would displace a victim right now:
      * the congruence class already holds effectiveAssoc() valid
-     * lines. The sharded fast path uses this to defer accesses
-     * whose install would have eviction side effects. O(1) on the
-     * per-set valid mask.
+     * lines. O(1) on the per-set valid mask.
      */
     bool insertWouldEvict(Addr line) const;
 

@@ -7,12 +7,6 @@
 
 namespace ztx::mem {
 
-namespace {
-
-constexpr auto relaxed = std::memory_order_relaxed;
-
-} // namespace
-
 void
 CoherenceDirectory::configure(unsigned num_cpus)
 {
@@ -55,34 +49,27 @@ CoherenceDirectory::rehash(std::size_t new_cap)
 {
     const std::size_t old_cap = capacity_;
     std::vector<Addr> old_keys = std::move(keys_);
-    std::vector<std::atomic<CpuId>> old_owner =
-        std::move(owner_);
-    std::vector<std::atomic<std::uint64_t>> old_sharers =
-        std::move(sharers_);
-    std::vector<std::atomic<std::uint64_t>> old_l3 =
-        std::move(l3Mask_);
+    std::vector<CpuId> old_owner = std::move(owner_);
+    std::vector<std::uint64_t> old_sharers = std::move(sharers_);
+    std::vector<std::uint64_t> old_l3 = std::move(l3Mask_);
 
     capacity_ = new_cap;
     mask_ = new_cap - 1;
     used_ = 0;
     keys_.assign(new_cap, emptyKey);
-    owner_ = std::vector<std::atomic<CpuId>>(new_cap);
-    for (auto &o : owner_)
-        o.store(invalidCpu, relaxed);
-    sharers_ = std::vector<std::atomic<std::uint64_t>>(
-        new_cap * sharerWords_);
-    l3Mask_ = std::vector<std::atomic<std::uint64_t>>(new_cap);
+    owner_.assign(new_cap, invalidCpu);
+    sharers_.assign(new_cap * sharerWords_, 0);
+    l3Mask_.assign(new_cap, 0);
 
     for (std::size_t i = 0; i < old_cap; ++i) {
         if (old_keys[i] == emptyKey)
             continue;
         const std::size_t j = insertKey(old_keys[i]);
-        owner_[j].store(old_owner[i].load(relaxed), relaxed);
+        owner_[j] = old_owner[i];
         for (unsigned w = 0; w < sharerWords_; ++w)
-            sharers_[j * sharerWords_ + w].store(
-                old_sharers[i * sharerWords_ + w].load(relaxed),
-                relaxed);
-        l3Mask_[j].store(old_l3[i].load(relaxed), relaxed);
+            sharers_[j * sharerWords_ + w] =
+                old_sharers[i * sharerWords_ + w];
+        l3Mask_[j] = old_l3[i];
     }
 }
 
@@ -92,12 +79,7 @@ CoherenceDirectory::ensureIndex(Addr line)
     const std::size_t found = findIndex(line);
     if (found != npos)
         return found;
-    if (concurrent_)
-        ztx_panic("directory entry creation during a parallel "
-                  "phase (line 0x", std::hex, line, ")");
-    // Grow at 3/4 load so linear probe runs stay short. Rehashing
-    // here is safe for the same reason creation is: we are at a
-    // serial point, no shard is reading the table.
+    // Grow at 3/4 load so linear probe runs stay short.
     if (capacity_ == 0)
         rehash(initialCapacity);
     else if ((used_ + 1) * 4 > capacity_ * 3)
@@ -112,10 +94,9 @@ CoherenceDirectory::lookup(Addr line) const
     const std::size_t i = findIndex(line);
     if (i == npos)
         return e;
-    e.owner = owner_[i].load(relaxed);
+    e.owner = owner_[i];
     for (unsigned w = 0; w < sharerWords_; ++w) {
-        std::uint64_t word =
-            sharers_[i * sharerWords_ + w].load(relaxed);
+        std::uint64_t word = sharers_[i * sharerWords_ + w];
         while (word) {
             const unsigned bit =
                 unsigned(std::countr_zero(word));
@@ -123,7 +104,7 @@ CoherenceDirectory::lookup(Addr line) const
             word &= word - 1;
         }
     }
-    e.l3Mask = l3Mask_[i].load(relaxed);
+    e.l3Mask = l3Mask_[i];
     return e;
 }
 
@@ -133,11 +114,11 @@ CoherenceDirectory::holds(CpuId cpu, Addr line) const
     const std::size_t i = findIndex(line);
     if (i == npos)
         return false;
-    if (owner_[i].load(relaxed) == cpu)
+    if (owner_[i] == cpu)
         return true;
     if (cpu >= sharerWords_ * 64)
         return false;
-    return sharers_[i * sharerWords_ + cpu / 64].load(relaxed) &
+    return sharers_[i * sharerWords_ + cpu / 64] &
            (std::uint64_t(1) << (cpu % 64));
 }
 
@@ -147,11 +128,10 @@ CoherenceDirectory::setExclusive(Addr line, CpuId cpu)
     if (cpu >= sharerWords_ * 64)
         ztx_panic("directory cannot track cpu ", cpu);
     const std::size_t i = ensureIndex(line);
-    owner_[i].store(cpu, relaxed);
+    owner_[i] = cpu;
     for (unsigned w = 0; w < sharerWords_; ++w)
-        sharers_[i * sharerWords_ + w].store(
-            w == cpu / 64 ? std::uint64_t(1) << (cpu % 64) : 0,
-            relaxed);
+        sharers_[i * sharerWords_ + w] =
+            w == cpu / 64 ? std::uint64_t(1) << (cpu % 64) : 0;
 }
 
 void
@@ -160,24 +140,24 @@ CoherenceDirectory::addSharer(Addr line, CpuId cpu)
     if (cpu >= sharerWords_ * 64)
         ztx_panic("directory cannot track cpu ", cpu);
     const std::size_t i = ensureIndex(line);
-    const CpuId owner = owner_[i].load(relaxed);
+    const CpuId owner = owner_[i];
     if (owner != invalidCpu && owner != cpu)
         ztx_panic("addSharer while another CPU owns the line");
-    owner_[i].store(invalidCpu, relaxed);
-    sharers_[i * sharerWords_ + cpu / 64].fetch_or(
-        std::uint64_t(1) << (cpu % 64), relaxed);
+    owner_[i] = invalidCpu;
+    sharers_[i * sharerWords_ + cpu / 64] |= std::uint64_t(1)
+                                             << (cpu % 64);
 }
 
 void
 CoherenceDirectory::demoteOwner(Addr line)
 {
     const std::size_t i = ensureIndex(line);
-    const CpuId owner = owner_[i].load(relaxed);
+    const CpuId owner = owner_[i];
     if (owner == invalidCpu)
         ztx_panic("demoteOwner on unowned line");
-    sharers_[i * sharerWords_ + owner / 64].fetch_or(
-        std::uint64_t(1) << (owner % 64), relaxed);
-    owner_[i].store(invalidCpu, relaxed);
+    sharers_[i * sharerWords_ + owner / 64] |= std::uint64_t(1)
+                                               << (owner % 64);
+    owner_[i] = invalidCpu;
 }
 
 void
@@ -186,17 +166,13 @@ CoherenceDirectory::remove(Addr line, CpuId cpu)
     const std::size_t i = findIndex(line);
     if (i == npos)
         return;
-    // The owner clear is only reached by the owner's own shard (a
-    // line with an owner has exactly one holder), so the check-then-
-    // store pair cannot race with a concurrent owner claim.
-    if (owner_[i].load(relaxed) == cpu)
-        owner_[i].store(invalidCpu, relaxed);
+    if (owner_[i] == cpu)
+        owner_[i] = invalidCpu;
     if (cpu < sharerWords_ * 64)
-        sharers_[i * sharerWords_ + cpu / 64].fetch_and(
-            ~(std::uint64_t(1) << (cpu % 64)), relaxed);
+        sharers_[i * sharerWords_ + cpu / 64] &=
+            ~(std::uint64_t(1) << (cpu % 64));
     // Idle slots are deliberately kept: the L3-residency mask
-    // outlives the holders, and erasure would mutate the table's
-    // structure under concurrent shard reads.
+    // outlives the holders.
 }
 
 std::vector<CpuId>
@@ -206,10 +182,9 @@ CoherenceDirectory::sharersExcept(Addr line, CpuId except) const
     const std::size_t i = findIndex(line);
     if (i == npos)
         return out;
-    const CpuId owner = owner_[i].load(relaxed);
+    const CpuId owner = owner_[i];
     for (unsigned w = 0; w < sharerWords_; ++w) {
-        std::uint64_t word =
-            sharers_[i * sharerWords_ + w].load(relaxed);
+        std::uint64_t word = sharers_[i * sharerWords_ + w];
         while (word) {
             const unsigned bit =
                 unsigned(std::countr_zero(word));
@@ -229,13 +204,12 @@ CoherenceDirectory::trackedLines() const
     for (std::size_t i = 0; i < capacity_; ++i) {
         if (keys_[i] == emptyKey)
             continue;
-        if (owner_[i].load(relaxed) != invalidCpu) {
+        if (owner_[i] != invalidCpu) {
             ++n;
             continue;
         }
         for (unsigned w = 0; w < sharerWords_; ++w) {
-            if (sharers_[i * sharerWords_ + w].load(relaxed) !=
-                0) {
+            if (sharers_[i * sharerWords_ + w] != 0) {
                 ++n;
                 break;
             }
@@ -249,8 +223,7 @@ CoherenceDirectory::setL3Resident(Addr line, unsigned chip)
 {
     if (chip >= maxDirectoryChips)
         ztx_panic("directory cannot track chip ", chip);
-    l3Mask_[ensureIndex(line)].fetch_or(std::uint64_t(1) << chip,
-                                        relaxed);
+    l3Mask_[ensureIndex(line)] |= std::uint64_t(1) << chip;
 }
 
 void
@@ -260,8 +233,7 @@ CoherenceDirectory::clearL3Resident(Addr line, unsigned chip)
         ztx_panic("directory cannot track chip ", chip);
     const std::size_t i = findIndex(line);
     if (i != npos)
-        l3Mask_[i].fetch_and(~(std::uint64_t(1) << chip),
-                             relaxed);
+        l3Mask_[i] &= ~(std::uint64_t(1) << chip);
 }
 
 } // namespace ztx::mem

@@ -12,35 +12,19 @@
  *
  * Storage (perf): an open-addressed, power-of-two flat table in
  * structure-of-arrays layout — a key array probed linearly, and
- * parallel atomic value arrays (owner / sharer words / L3 mask).
- * Compared to the former @c std::unordered_map<Addr, Slot>, a
+ * parallel value arrays (owner / sharer words / L3 mask). A
  * directory access is one hash, a short linear key scan in a single
  * cache line or two, and indexed loads from the value arrays — no
  * node pointer chase, no bucket list. The sharer-word count per line
  * is sized at configure() time from the machine's CPU count (one
  * 64-bit word per 64 CPUs), so small topologies touch one word where
  * the compile-time worst case (maxDirectoryCpus) would touch 16.
- *
- * Concurrency contract (sharded scheduler, DESIGN.md §5b): during a
- * parallel phase each shard mutates only entries whose holders are
- * confined to that shard, so per-entry writes never contend; the only
- * cross-shard touches are commutative single-bit clears (remove) and
- * relaxed snapshot reads (lookup). Entry storage is therefore atomic
- * words, lookup() returns a plain snapshot by value, and slots are
- * never erased — erasure would mutate the table's structure (and
- * drop the L3-residency mask) while other shards read it. New
- * entries may only be created — and the table only rehashed — at
- * serial points; setConcurrentPhase(true) turns a creating access
- * into a panic to enforce this. The key array is plain (non-atomic)
- * because it is written only at serial points and read during
- * parallel phases; the scheduler's quantum barrier orders those
- * writes before any concurrent reader starts.
+ * Slots are never erased: an idle entry keeps its L3-residency mask.
  */
 
 #ifndef ZTX_MEM_DIRECTORY_HH
 #define ZTX_MEM_DIRECTORY_HH
 
-#include <atomic>
 #include <bitset>
 #include <cstddef>
 #include <cstdint>
@@ -121,22 +105,14 @@ class CoherenceDirectory
     /** Number of lines some CPU currently holds (non-idle entries). */
     std::size_t trackedLines() const;
 
-    /** @name L3-residency mask (maintained at serial points only) @{ */
+    /** @name L3-residency mask @{ */
     void setL3Resident(Addr line, unsigned chip);
     void clearL3Resident(Addr line, unsigned chip);
     /** @} */
 
     /**
-     * Guard for the sharded scheduler's parallel phase: while set,
-     * any operation that would have to create a new entry panics
-     * (entry creation may rehash the table under concurrent
-     * readers).
-     */
-    void setConcurrentPhase(bool on) { concurrent_ = on; }
-
-    /**
      * Invoke @p fn(Addr, const DirectoryEntry &) for every tracked
-     * line, idle ones included (invariant checks; serial use only).
+     * line, idle ones included (invariant checks).
      */
     template <typename Fn>
     void
@@ -181,13 +157,10 @@ class CoherenceDirectory
         return std::size_t(h >> 32) & mask_;
     }
 
-    /** Slot of @p line, or npos when absent (lock-free read). */
+    /** Slot of @p line, or npos when absent. */
     std::size_t findIndex(Addr line) const;
 
-    /**
-     * Slot of @p line, created on demand. Creation (and any rehash
-     * it triggers) is legal at serial points only.
-     */
+    /** Slot of @p line, created on demand (may rehash). */
     std::size_t ensureIndex(Addr line);
 
     /** Grow to @p new_cap slots and migrate every entry. */
@@ -201,11 +174,10 @@ class CoherenceDirectory
     std::size_t mask_ = 0;
     std::size_t used_ = 0;
     std::vector<Addr> keys_;
-    std::vector<std::atomic<CpuId>> owner_;
+    std::vector<CpuId> owner_;
     /** Slot-major: slot i's words at [i*sharerWords_, ...). */
-    std::vector<std::atomic<std::uint64_t>> sharers_;
-    std::vector<std::atomic<std::uint64_t>> l3Mask_;
-    bool concurrent_ = false;
+    std::vector<std::uint64_t> sharers_;
+    std::vector<std::uint64_t> l3Mask_;
 };
 
 } // namespace ztx::mem

@@ -17,8 +17,6 @@
 #ifndef ZTX_MEM_HIERARCHY_HH
 #define ZTX_MEM_HIERARCHY_HH
 
-#include <array>
-#include <bitset>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -43,23 +41,6 @@ struct AccessResult
     /** True if a Demote/Exclusive XI was stiff-armed; retry later. */
     bool rejected = false;
 
-    /**
-     * True when a local-only fetch (sharded parallel phase) would
-     * have had to leave the shard: no state moved, nothing was
-     * charged, and the step must be re-executed at the quantum
-     * barrier. Distinct from `rejected`, which is an architectural
-     * stiff-arm outcome that feeds the TM hang-avoidance ladder.
-     */
-    bool deferred = false;
-
-    /**
-     * True when a local-only fetch was resolved inside the parallel
-     * phase by the shard-local fast path (same-chip L3 hit or
-     * same-shard coherence) instead of deferring. Feeds the
-     * scheduler's sched.l3_local_hits counter.
-     */
-    bool shardLocal = false;
-
     /** CPU that rejected the XI (valid when rejected). */
     CpuId rejecter = invalidCpu;
 
@@ -74,6 +55,9 @@ class Hierarchy
     Hierarchy(const Topology &topo, const LatencyModel &lat,
               const HierarchyGeometry &geo = HierarchyGeometry{});
 
+    Hierarchy(const Hierarchy &) = delete;
+    Hierarchy &operator=(const Hierarchy &) = delete;
+
     /** Register the XI client (the CPU's LSU model) for @p cpu. */
     void setClient(CpuId cpu, CacheClient *client);
 
@@ -84,77 +68,9 @@ class Hierarchy
      * @param cpu Requesting CPU.
      * @param line Line-aligned address.
      * @param exclusive True for store access (needs ownership).
-     * @param local_only When true (sharded parallel phase), the
-     *        access is serviced only if it stays inside the CPU's
-     *        shard: private L1/L2 hits always, and — when a shard
-     *        partition is registered — same-chip L3 hits and
-     *        same-shard coherence actions via the shard-local fast
-     *        path. Anything that would leave the shard returns
-     *        deferred with no state moved and no counters charged.
      * @return latency/rejection outcome; on rejection no state moved.
      */
-    AccessResult fetch(CpuId cpu, Addr line, bool exclusive,
-                       bool local_only = false);
-
-    /**
-     * Register the sharded scheduler's partition so local-only
-     * fetches can use the shard-local fast path (DESIGN.md §5b).
-     * Shards are contiguous CPU id ranges: @p groups_per_chip core
-     * groups per chip, in chip-major order. 0 clears the partition
-     * (every non-private local-only access defers, the pre-fast-path
-     * behaviour). The eligibility decision depends only on this
-     * partition and on cache state that is stable across a parallel
-     * phase — never on host-thread count or interleaving.
-     */
-    void setShardPartition(unsigned groups_per_chip,
-                           unsigned active_cpus);
-
-    /**
-     * Forwarded to the coherence directory: while set, directory
-     * entry creation (only possible via serial-path fetches) panics,
-     * catching any fast-path access that escaped its shard.
-     */
-    void setConcurrentPhase(bool on) { dir_.setConcurrentPhase(on); }
-
-    /**
-     * @name L2 overflow (victim) buffer — DESIGN.md §5b
-     *
-     * Sub-chip shards may not evict from the L2 inside the parallel
-     * phase: the displaced victim's directory entry can be homed to
-     * a sibling group whose eligibility check reads it concurrently.
-     * Instead of deferring every evicting install (the original SC2
-     * rule, which shuts the fast path off entirely once the L2 is
-     * warm), each CPU owns a small bounded overflow buffer that
-     * absorbs the freshly fetched line. Buffered lines are logically
-     * L2-resident — localHit(), eligibility, and the invariant
-     * checker all consult the buffer — and the *real* insert plus
-     * its eviction side effects (directory removal, inclusivity
-     * LRU-XI) run serially at the quantum barrier via
-     * drainL2Overflow(), in cpu-ascending FIFO order. Admission
-     * depends only on own-CPU state, so defer decisions remain
-     * independent of host-thread count; the deferred LRU-XI models a
-     * castout buffer that delays the inclusivity probe to the end of
-     * the quantum.
-     * @{
-     */
-    /** Per-CPU overflow capacity (lines). */
-    static constexpr unsigned l2OverflowCapacity = 8;
-
-    /**
-     * Perform the pending overflow installs for real: serial-phase
-     * only (quantum barrier start, before any deferred step).
-     */
-    void drainL2Overflow();
-
-    /** True if @p line is pending in @p cpu's overflow buffer. */
-    bool inL2Overflow(CpuId cpu, Addr line) const;
-
-    /** Occupied overflow slots of @p cpu (tests). */
-    unsigned l2OverflowUsed(CpuId cpu) const
-    {
-        return l2Overflow_[cpu].n;
-    }
-    /** @} */
+    AccessResult fetch(CpuId cpu, Addr line, bool exclusive);
 
     /**
      * @name Transactional bit plane (paper §III.C)
@@ -206,11 +122,7 @@ class Hierarchy
     const Topology &topology() const { return topo_; }
     const LatencyModel &latencyModel() const { return lat_; }
     const HierarchyGeometry &geometry() const { return geo_; }
-    // Hot-path fetch counters accumulate in per-CPU padded deltas
-    // (no shared-counter contention in the parallel phase) and are
-    // folded into the StatGroup whenever stats are observed.
-    StatGroup &stats() { foldHotCounters(); return stats_; }
-    const StatGroup &stats() const { foldHotCounters(); return stats_; }
+    const StatGroup &stats() const { return stats_; }
     /** @} */
 
     /**
@@ -296,7 +208,7 @@ class Hierarchy
     static constexpr std::uint8_t poisonMemorySide = 0x2;
 
     /**
-     * Inject poison on @p line (serial points only). With
+     * Inject poison on @p line. With
      * @p memory_side the home image is corrupt too: scrubLine()
      * cannot recover it and the OS model kills/restarts instead.
      */
@@ -334,7 +246,7 @@ class Hierarchy
     }
 
     /**
-     * Machine-check recovery, step 1 (serial points only): refresh
+     * Machine-check recovery, step 1: refresh
      * the cached image of @p line from memory.
      * @return True if the scrub succeeded (memory image clean);
      *         false when the memory image is itself poisoned.
@@ -342,8 +254,8 @@ class Hierarchy
     bool scrubLine(Addr line);
 
     /**
-     * Machine-check recovery, step 2 for memory-side poison (serial
-     * points only): the OS reinitializes the frame, clearing all
+     * Machine-check recovery, step 2 for memory-side poison: the OS
+     * reinitializes the frame, clearing all
      * poison on @p line. Pairs with kill-and-restart of the
      * workload item that owned the data.
      */
@@ -352,8 +264,7 @@ class Hierarchy
     /**
      * True if @p line is currently part of @p cpu's transactional
      * footprint (tx-read/tx-dirty latch or evicted-but-tracked LRU
-     * extension). Cheap single-line variant of txFootprintLines();
-     * phase-safe (reads per-CPU state only).
+     * extension). Cheap single-line variant of txFootprintLines().
      */
     bool inTxFootprint(CpuId cpu, Addr line) const;
     /** @} */
@@ -367,82 +278,20 @@ class Hierarchy
     void flushCpuCaches(CpuId cpu);
 
   private:
-    /**
-     * Counters touched by CPU-local fetch paths that may run
-     * concurrently in the sharded scheduler's parallel phase. One
-     * cache-line-padded slot per CPU, written only by that CPU's
-     * host thread; folded idempotently into stats_ on observation.
-     */
-    struct alignas(64) HotCounters
-    {
-        std::uint64_t fetchTotal = 0;
-        std::uint64_t l1Hit = 0;
-        std::uint64_t l2Hit = 0;
-        std::uint64_t l1Evict = 0;
-        std::uint64_t lruExtSet = 0;
-        std::uint64_t txDirtyKilled = 0;
-        std::uint64_t fetchMiss = 0;
-        std::uint64_t l2Evict = 0;
-        /** Evicting fast-path installs absorbed by the buffer. */
-        std::uint64_t l2OverflowAdmit = 0;
-        // XI counters are indexed by the XI *target*, whose shard is
-        // the one acting on its caches in the fast path.
-        std::uint64_t xiReadOnly = 0;
-        std::uint64_t xiDemote = 0;
-        std::uint64_t xiExclusive = 0;
-        std::uint64_t xiLru = 0;
-        std::uint64_t xiRejected = 0;
-        std::uint64_t xiDelayed = 0;
-        // Poison propagation observed on this CPU's access paths.
-        std::uint64_t poisonSpreadFetch = 0;
-        std::uint64_t poisonSpreadCastout = 0;
-        std::uint64_t poisonSpreadXi = 0;
-    };
-
-    void foldHotCounters() const;
-
     AccessResult localHit(CpuId cpu, Addr line);
     DataSource findSource(CpuId cpu, Addr line) const;
     void propagatePoisonOnFill(CpuId cpu, Addr line,
                                const DirectoryEntry &pre,
                                DataSource source);
-    bool shardLocalEligible(CpuId cpu, Addr line,
-                            const DirectoryEntry &e) const;
-    DataSource shardLocalSource(CpuId cpu, Addr line) const;
-    void installShardLocal(CpuId cpu, Addr line);
-
-    /** Shard index of @p cpu under the registered partition. */
-    unsigned
-    shardOf(CpuId cpu) const
-    {
-        return topo_.chipOf(cpu) * shardGroupsPerChip_ +
-               groupOf(cpu);
-    }
-
-    /** Core group of @p cpu within its chip. */
-    unsigned
-    groupOf(CpuId cpu) const
-    {
-        return (cpu % topo_.coresPerChip()) / shardGroupSize_;
-    }
-
-    /**
-     * The core group holding in-phase mutation rights for @p line
-     * within each chip (sub-chip partitions hash lines to groups so
-     * two groups of one chip never race on a directory entry).
-     */
-    unsigned
-    homeGroupOf(Addr line) const
-    {
-        return unsigned((line >> lineSizeLog2) % shardGroupsPerChip_);
-    }
     XiResponse sendXi(XiKind kind, Addr line, CpuId target,
                       CpuId requester);
     Cycles probeDelay(XiKind kind, CpuId target, CpuId requester);
     void removeFromCpu(CpuId cpu, Addr line);
     void installLocal(CpuId cpu, Addr line);
-    void insertL1(CpuId cpu, Addr line);
-    /** insertL1 completing a probeForInsert miss without re-probing. */
+    /**
+     * Insert @p line into @p cpu's L1 at the slot a probeForInsert
+     * miss found, handling the displaced line.
+     */
     void insertL1At(CpuId cpu, Addr line,
                     const CacheArray::Probe &probe);
     void handleL2Evict(CpuId cpu, Addr victim);
@@ -469,45 +318,36 @@ class Hierarchy
     std::vector<std::vector<Addr>> lruExtTracked_;
     bool lruExtEnabled_ = true;
     /**
-     * Shard partition for the local fast path: 0 groups per chip
-     * means no partition is registered (all non-private local-only
-     * accesses defer). shardBits_[s] holds the CPU-id membership of
-     * shard @c s; shardGroupSize_ is the contiguous-id width of one
-     * core group.
-     */
-    unsigned shardGroupsPerChip_ = 0;
-    unsigned shardGroupSize_ = 1;
-    std::vector<std::bitset<maxDirectoryCpus>> shardBits_;
-    /**
-     * Per-CPU L2 overflow buffer (see the public doc block). Only
-     * the owning CPU's shard mutates its buffer during a parallel
-     * phase; the drain runs serially at the barrier.
-     */
-    struct OverflowBuf
-    {
-        std::array<Addr, l2OverflowCapacity> lines{};
-        unsigned n = 0;
-    };
-    std::vector<OverflowBuf> l2Overflow_;
-    /**
      * Whether the directory's L3-residency mask is maintained
-     * (topologies beyond maxDirectoryChips chips cannot use it, and
-     * therefore cannot register a shard partition either).
+     * (topologies beyond maxDirectoryChips chips cannot use it).
      */
     bool l3MaskTracked_ = true;
-    /**
-     * Poison bits per line (poisonCached/poisonMemorySide). Inserts
-     * and erases happen at serial points only; in-phase code performs
-     * lookups and value-only mutations of existing entries, which are
-     * safe under shard confinement (no rehash, disjoint lines).
-     */
+    /** Poison bits per line (poisonCached/poisonMemorySide). */
     std::unordered_map<Addr, std::uint8_t> poison_;
-    /** Fast gate for the common no-poison case (serial writes). */
+    /** Fast gate for the common no-poison case. */
     bool poisonActive_ = false;
     XiDelayProbe *xiProbe_ = nullptr;
-    std::vector<HotCounters> hot_;
-    mutable HotCounters hotFolded_{};
-    mutable StatGroup stats_;
+    StatGroup stats_{"hierarchy"};
+    /** @name Hot-path counters, registered at construction @{ */
+    Counter &fetchTotal_ = stats_.counter("fetch.total");
+    Counter &l1Hit_ = stats_.counter("fetch.l1_hit");
+    Counter &l2Hit_ = stats_.counter("fetch.l2_hit");
+    Counter &fetchMiss_ = stats_.counter("fetch.miss");
+    Counter &l1Evict_ = stats_.counter("l1.evict");
+    Counter &lruExtSet_ = stats_.counter("l1.lru_ext_set");
+    Counter &txDirtyKilled_ = stats_.counter("l1.tx_dirty_killed");
+    Counter &l2Evict_ = stats_.counter("l2.evict");
+    Counter &xiReadOnly_ = stats_.counter("xi.read-only");
+    Counter &xiDemote_ = stats_.counter("xi.demote");
+    Counter &xiExclusive_ = stats_.counter("xi.exclusive");
+    Counter &xiLru_ = stats_.counter("xi.lru");
+    Counter &xiRejected_ = stats_.counter("xi.rejected");
+    Counter &xiDelayed_ = stats_.counter("xi.delayed");
+    Counter &poisonSpreadFetch_ = stats_.counter("poison.spread_fetch");
+    Counter &poisonSpreadCastout_ =
+        stats_.counter("poison.spread_castout");
+    Counter &poisonSpreadXi_ = stats_.counter("poison.spread_xi");
+    /** @} */
 };
 
 } // namespace ztx::mem

@@ -81,60 +81,6 @@ struct LatencyModel
     {
         return intervention(d) / 2 + 8;
     }
-
-    /**
-     * Minimum number of cycles any interaction that stays on a
-     * CPU's own chip but leaves its private L1/L2 can take: the
-     * cheapest of an L3 hit, a same-chip intervention, and a
-     * same-chip reject-retry stall. This bounds how fast one
-     * core group of a chip can affect another, and is therefore
-     * the synchronization quantum of sub-chip shards
-     * (MachineConfig::hostShardsPerChip > 1). Clamped to >= 1 so
-     * degenerate configurations still make progress.
-     */
-    Cycles
-    minIntraChipLatency() const
-    {
-        const Cycles m =
-            std::min({l3Hit, intervention(Distance::SameChip),
-                      rejectRetry(Distance::SameChip)});
-        return std::max<Cycles>(m, 1);
-    }
-
-    /**
-     * Minimum number of cycles any interaction that leaves a CPU's
-     * own chip can take: the cheapest L4/remote/memory fetch,
-     * cross-chip intervention, or cross-chip reject-retry stall.
-     * Whole-chip shards resolve all intra-chip interactions inside
-     * the parallel phase (the shard-local L3 fast path), so their
-     * quantum only has to bound cross-chip visibility — this value.
-     * Clamped to >= 1.
-     */
-    Cycles
-    minCrossChipLatency() const
-    {
-        Cycles m = std::min({l4Hit, remoteMcm, memory});
-        for (const Distance d :
-             {Distance::SameMcm, Distance::CrossMcm}) {
-            m = std::min(m, intervention(d));
-            m = std::min(m, rejectRetry(d));
-        }
-        return std::max<Cycles>(m, 1);
-    }
-
-    /**
-     * Minimum number of cycles any interaction that leaves a CPU's
-     * private L1/L2 can take, at any hierarchical distance: the
-     * smaller of the intra- and cross-chip bounds. The quantum of
-     * sub-chip shards, whose cross-shard traffic includes same-chip
-     * paths.
-     */
-    Cycles
-    minFabricLatency() const
-    {
-        return std::min(minIntraChipLatency(),
-                        minCrossChipLatency());
-    }
 };
 
 } // namespace ztx::mem

@@ -8,108 +8,57 @@
 
 namespace ztx::mem {
 
-namespace {
-
-constexpr auto relaxed = std::memory_order_relaxed;
-constexpr auto acquire = std::memory_order_acquire;
-constexpr auto release = std::memory_order_release;
-
-} // namespace
-
-MainMemory::Table::Table(std::size_t cap)
-    : mask(cap - 1), keys(cap), vals(cap)
+std::size_t
+MainMemory::probe(Addr line) const
 {
-    for (auto &k : keys)
-        k.store(emptyKey, relaxed);
-}
-
-const MainMemory::Line *
-MainMemory::findIn(const Shard &sh, Addr line) const
-{
-    const Table *t = sh.table.load(acquire);
-    if (!t)
-        return nullptr;
-    std::size_t i = probeStart(line, t->mask);
-    while (true) {
-        const Addr k = t->keys[i].load(acquire);
-        if (k == line)
-            return t->vals[i].load(relaxed);
-        if (k == emptyKey)
-            return nullptr;
-        i = (i + 1) & t->mask;
-    }
+    std::size_t i = probeStart(line);
+    while (slots_[i].key != line && slots_[i].key != emptyKey)
+        i = (i + 1) & mask_;
+    return i;
 }
 
 const MainMemory::Line *
 MainMemory::findLine(Addr line) const
 {
-    return findIn(shards_[shardOf(line)], line);
+    if (slots_.empty())
+        return nullptr;
+    return slots_[probe(line)].line;
 }
 
-MainMemory::Table *
-MainMemory::grow(Shard &sh, std::size_t cap)
+void
+MainMemory::grow(std::size_t cap)
 {
-    auto next = std::make_unique<Table>(cap);
-    if (const Table *old = sh.table.load(relaxed)) {
-        for (std::size_t i = 0; i <= old->mask; ++i) {
-            const Addr k = old->keys[i].load(relaxed);
-            if (k == emptyKey)
-                continue;
-            std::size_t j = probeStart(k, next->mask);
-            while (next->keys[j].load(relaxed) != emptyKey)
-                j = (j + 1) & next->mask;
-            next->vals[j].store(old->vals[i].load(relaxed),
-                                relaxed);
-            next->keys[j].store(k, relaxed);
-        }
-    }
-    Table *t = next.get();
-    sh.generations.push_back(std::move(next));
-    // Old generations stay alive for concurrent readers; the new
-    // table is published with every migrated entry visible.
-    sh.table.store(t, release);
-    return t;
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(cap, Slot{});
+    mask_ = cap - 1;
+    for (const Slot &s : old)
+        if (s.key != emptyKey)
+            slots_[probe(s.key)] = s;
 }
 
 MainMemory::Line &
 MainMemory::ensureLine(Addr line)
 {
-    Shard &sh = shards_[shardOf(line)];
-    // Lock-free fast path: the common case is a line that exists.
-    if (const Line *l = findIn(sh, line))
-        return const_cast<Line &>(*l);
+    if (slots_.empty())
+        grow(initialCapacity);
+    std::size_t i = probe(line);
+    if (slots_[i].key == line)
+        return *slots_[i].line;
 
-    std::lock_guard lock(sh.mu);
-    Table *t = sh.table.load(relaxed);
-    if (!t)
-        t = grow(sh, initialCapacity);
-    else if ((sh.used + 1) * 4 > (t->mask + 1) * 3)
-        t = grow(sh, (t->mask + 1) * 2);
-
-    // Re-probe under the lock: another writer may have inserted
-    // the line between the fast path and here.
-    std::size_t i = probeStart(line, t->mask);
-    while (true) {
-        const Addr k = t->keys[i].load(relaxed);
-        if (k == line)
-            return *t->vals[i].load(relaxed);
-        if (k == emptyKey)
-            break;
-        i = (i + 1) & t->mask;
+    // Grow at 3/4 load so linear probe runs stay short.
+    if ((used_ + 1) * 4 > slots_.size() * 3) {
+        grow(slots_.size() * 2);
+        i = probe(line);
     }
-
-    if (sh.chunkNext == chunkLines) {
-        sh.chunks.push_back(
+    if (chunkNext_ == chunkLines) {
+        chunks_.push_back(
             std::make_unique<std::array<Line, chunkLines>>());
-        sh.chunkNext = 0;
+        chunkNext_ = 0;
     }
-    Line &l = (*sh.chunks.back())[sh.chunkNext++];
+    Line &l = (*chunks_.back())[chunkNext_++];
     l.fill(0);
-    // Publish pointer before key: a reader that sees the key must
-    // see the pointer (key release / key acquire pairing).
-    t->vals[i].store(&l, relaxed);
-    t->keys[i].store(line, release);
-    ++sh.used;
+    slots_[i] = {line, &l};
+    ++used_;
     return l;
 }
 
@@ -218,12 +167,7 @@ MainMemory::writeMasked(Addr addr, const std::uint8_t *in,
 std::size_t
 MainMemory::linesAllocated() const
 {
-    std::size_t n = 0;
-    for (Shard &sh : shards_) {
-        std::lock_guard lock(sh.mu);
-        n += sh.used;
-    }
-    return n;
+    return used_;
 }
 
 } // namespace ztx::mem

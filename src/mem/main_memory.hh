@@ -9,37 +9,19 @@
  * are merged into loads there, so nothing speculative ever reaches
  * this object.
  *
- * Storage (perf): the line index is sharded by line number into
- * fixed, independently locked shards, each an open-addressed
- * power-of-two table of (atomic key, atomic Line pointer) pairs.
- * Lookups are lock-free: probe with acquire loads on the keys; a
- * published key orders the pointer store before it (release), and
- * slots are never erased, so a probe can never falsely miss a line
- * that was published before the probe began. Writers (line
- * allocation) take only their shard's mutex; growth builds a new
- * table, migrates the entries, and publishes it with a release
- * store, retiring the old table (not freeing it) so concurrent
- * readers keep a valid view. Line payloads are carved from chunked
- * shard-local storage, so a Line pointer is stable for the lifetime
- * of the machine.
- *
- * Line *contents* are intentionally unguarded — the coherence model
- * guarantees a byte has exactly one writer at a time (exclusive
- * ownership). A reader concurrent with growth may miss a line
- * published *after* its probe began; that is the same guarantee the
- * former shared-mutex map gave (reads serialized before the insert),
- * and the coherence model already forbids reading a line another CPU
- * is concurrently creating.
+ * Storage (perf): one open-addressed, power-of-two table of
+ * (line address, Line pointer) slots, probed linearly from a
+ * multiplicative hash of the line number. Slots are never erased.
+ * Line payloads are carved from fixed-size chunks, so a Line pointer
+ * is stable for the lifetime of the memory even across table growth.
  */
 
 #ifndef ZTX_MEM_MAIN_MEMORY_HH
 #define ZTX_MEM_MAIN_MEMORY_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/types.hh"
@@ -91,11 +73,9 @@ class MainMemory
   private:
     using Line = std::array<std::uint8_t, lineSizeBytes>;
 
-    /** Index shards (line-number low bits); a power of two. */
-    static constexpr std::size_t numShards = 64;
     /** Lines per payload chunk (16 KB chunks). */
     static constexpr std::size_t chunkLines = 64;
-    /** First table allocation per shard. */
+    /** First table allocation. */
     static constexpr std::size_t initialCapacity = 256;
     /**
      * Empty-slot sentinel. Real keys are line-aligned (low
@@ -103,48 +83,23 @@ class MainMemory
      */
     static constexpr Addr emptyKey = ~Addr(0);
 
-    /** One open-addressed (key, Line*) table generation. */
-    struct Table
+    struct Slot
     {
-        explicit Table(std::size_t cap);
-        std::size_t mask;
-        std::vector<std::atomic<Addr>> keys;
-        std::vector<std::atomic<Line *>> vals;
+        Addr key = emptyKey;
+        Line *line = nullptr;
     };
 
-    struct alignas(64) Shard
-    {
-        /** Current table; null until the first line lands. */
-        std::atomic<Table *> table{nullptr};
-        /** Writer lock: allocation and growth only. */
-        std::mutex mu;
-        std::size_t used = 0;
-        /** Current + retired generations (readers keep views). */
-        std::vector<std::unique_ptr<Table>> generations;
-        /** Stable line payload storage. */
-        std::vector<std::unique_ptr<std::array<Line, chunkLines>>>
-            chunks;
-        std::size_t chunkNext = chunkLines;
-    };
-
-    static std::size_t
-    shardOf(Addr line)
-    {
-        return std::size_t(line >> lineSizeLog2) &
-               (numShards - 1);
-    }
-
-    static std::size_t
-    probeStart(Addr line, std::size_t mask)
+    std::size_t
+    probeStart(Addr line) const
     {
         const std::uint64_t h =
             (std::uint64_t(line) >> lineSizeLog2) *
             0x9e3779b97f4a7c15ULL;
-        return std::size_t(h >> 32) & mask;
+        return std::size_t(h >> 32) & mask_;
     }
 
-    /** Lock-free probe of @p sh; nullptr when untouched. */
-    const Line *findIn(const Shard &sh, Addr line) const;
+    /** Slot index of @p line, or of the empty slot ending its probe. */
+    std::size_t probe(Addr line) const;
 
     /** Line lookup without allocation; nullptr when untouched. */
     const Line *findLine(Addr line) const;
@@ -152,10 +107,15 @@ class MainMemory
     /** Line lookup, allocating a zero-filled line when absent. */
     Line &ensureLine(Addr line);
 
-    /** Grow @p sh to @p cap slots (writer lock held). */
-    Table *grow(Shard &sh, std::size_t cap);
+    /** Grow the table to @p cap slots and migrate every entry. */
+    void grow(std::size_t cap);
 
-    mutable std::array<Shard, numShards> shards_;
+    std::vector<Slot> slots_;
+    std::size_t mask_ = 0;
+    std::size_t used_ = 0;
+    /** Stable line payload storage. */
+    std::vector<std::unique_ptr<std::array<Line, chunkLines>>> chunks_;
+    std::size_t chunkNext_ = chunkLines;
 };
 
 } // namespace ztx::mem

@@ -1,18 +1,11 @@
 #include "machine.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <tuple>
 #include <utility>
 
 #include "common/log.hh"
-#include "common/prof.hh"
 #include "inject/steer.hh"
-#include "sim/shard.hh"
 
 namespace ztx::sim {
 
@@ -21,60 +14,17 @@ Machine::Machine(const MachineConfig &config)
       hierarchy_(config.topology, config.latency, config.geometry),
       os_(pageTable_)
 {
-    // Steered (enumeration-mode) execution is exact and serial by
-    // definition: force the legacy scheduler so steered results can
-    // never depend on host parallelism (litmus verdicts must be
-    // byte-identical at any hostThreads setting).
-    if (cfg_.steer)
-        cfg_.hostThreads = 0;
-
     unsigned n = cfg_.activeCpus == 0 ? cfg_.topology.numCpus()
                                       : cfg_.activeCpus;
     if (n > cfg_.topology.numCpus())
         ztx_fatal("activeCpus ", n, " exceeds topology capacity ",
                   cfg_.topology.numCpus());
 
-    // Sharded mode: one event queue per core group (the whole chip
-    // by default), built before the CPUs so each CPU can bind its
-    // shard as its environment. The partition — and hence every
-    // defer decision — is a pure function of the configuration and
-    // topology, never of hostThreads.
-    if (cfg_.hostThreads > 0) {
-        shardOfCpu_.assign(n, nullptr);
-        const unsigned per_chip = cfg_.topology.coresPerChip();
-        const unsigned spc = effectiveShardsPerChip(cfg_);
-        const unsigned group_size = (per_chip + spc - 1) / spc;
-        for (unsigned c = 0; c * per_chip < n; ++c) {
-            for (unsigned g = 0; g < spc; ++g) {
-                std::vector<CpuId> members;
-                const unsigned first =
-                    c * per_chip + g * group_size;
-                const unsigned last = std::min(
-                    {n, first + group_size, (c + 1) * per_chip});
-                for (unsigned i = first; i < last; ++i)
-                    members.push_back(i);
-                if (members.empty())
-                    continue;
-                shards_.push_back(
-                    std::make_unique<Shard>(*this, c, g, members));
-                for (const CpuId id : members)
-                    shardOfCpu_[id] = shards_.back().get();
-            }
-        }
-        if (cfg_.shardLocalFastPath)
-            hierarchy_.setShardPartition(spc, n);
-    }
-
     cpus_.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
-        core::CpuEnv &env =
-            cfg_.hostThreads > 0
-                ? static_cast<core::CpuEnv &>(*shardOfCpu_[i])
-                : static_cast<core::CpuEnv &>(*this);
+    for (unsigned i = 0; i < n; ++i)
         cpus_.push_back(std::make_unique<core::Cpu>(
-            i, hierarchy_, memory_, pageTable_, os_, env, cfg_.tm,
+            i, hierarchy_, memory_, pageTable_, os_, *this, cfg_.tm,
             cfg_.seed * 0x9e3779b97f4a7c15ULL + i + 1));
-    }
     if (cfg_.enableIo) {
         const CpuId agent = cfg_.topology.numCpus() - 1;
         if (n > agent)
@@ -89,11 +39,9 @@ Machine::Machine(const MachineConfig &config)
             cfg_.faults, cfg_.seed, hierarchy_, *this);
         for (auto &c : cpus_)
             injector_->attachCpu(*c);
-        injector_->setShardedMode(cfg_.hostThreads > 0);
         hierarchy_.setXiDelayProbe(injector_.get());
     }
     readyAt_.assign(n, 0);
-    heapKey_.assign(n, ~Cycles(0));
     nextInterrupt_.assign(n, 0);
     if (cfg_.externalInterruptPeriod) {
         // Stagger the timer ticks across CPUs.
@@ -105,30 +53,6 @@ Machine::Machine(const MachineConfig &config)
 }
 
 Machine::~Machine() = default;
-
-unsigned
-effectiveShardsPerChip(const MachineConfig &config)
-{
-    if (config.hostThreads == 0)
-        return 0; // legacy scheduler: no shard partition
-    const unsigned cores = config.topology.coresPerChip();
-    unsigned spc = config.hostShardsPerChip;
-    if (spc == 0) {
-        // Auto: multi-chip topologies already parallelize across
-        // chips; a single-chip topology is split into up to four
-        // core groups so the parallel phase has work to spread.
-        // The cap at four is deliberate: on a 16-core single-chip
-        // topology the measured serial fraction climbs from ~2% at
-        // one group to ~39% at sixteen (BENCH_scale.json,
-        // autosplit-sweep) because each extra group shrinks the
-        // per-line home-group hash's eligible share, converting
-        // fast-path hits into deferred serial steps.
-        spc = config.topology.numChips() > 1
-                  ? 1
-                  : std::min<unsigned>(cores, 4);
-    }
-    return std::min(spc, cores);
-}
 
 void
 Machine::setProgram(CpuId id, const isa::Program *program)
@@ -190,10 +114,49 @@ Machine::releaseSolo(CpuId cpu_id)
 Cycles
 Machine::run(Cycles max_cycles)
 {
-    if (cfg_.steer)
-        return runSteered(max_cycles);
-    return cfg_.hostThreads == 0 ? runLegacy(max_cycles)
-                                 : runSharded(max_cycles);
+    return cfg_.steer ? runSteered(max_cycles) : runLegacy(max_cycles);
+}
+
+void
+Machine::stepCpu(CpuId id)
+{
+    // Channel (I/O) traffic interleaves with CPU steps.
+    while (io_ && !io_->idle() && ioReadyAt_ <= now_) {
+        const Cycles io_cost = io_->pump();
+        ioReadyAt_ =
+            std::max(ioReadyAt_, now_) + std::max<Cycles>(io_cost, 1);
+    }
+
+    if (cfg_.externalInterruptPeriod && now_ >= nextInterrupt_[id]) {
+        cpus_[id]->deliverExternalInterrupt();
+        extDeliveredCounter_.inc();
+        // A CPU parked for many periods (e.g. behind solo mode, or
+        // stalled on a long interrupt-service penalty) must not
+        // receive the missed ticks as a back-to-back burst: skip
+        // past every period boundary already behind us so at most
+        // one interrupt is delivered per period.
+        const Cycles period = cfg_.externalInterruptPeriod;
+        nextInterrupt_[id] += period;
+        if (nextInterrupt_[id] <= now_) {
+            const Cycles missed =
+                (now_ - nextInterrupt_[id]) / period + 1;
+            extSkippedCounter_.inc(missed);
+            nextInterrupt_[id] += missed * period;
+        }
+    }
+
+    // In steered mode this runs before *every* step, so scripted
+    // scenario triggers fire exactly at enumeration decision points
+    // (see inject/steer.hh).
+    if (injector_)
+        injector_->beforeStep(id, now_);
+
+    stepCounter_.inc();
+    Cycles cost = cpus_[id]->step();
+    cost += cpus_[id]->consumePendingStall();
+    // Zero-cost steps model superscalar grouping; the CPU's dispatch
+    // credit bounds how many occur per cycle.
+    readyAt_[id] = now_ + cost;
 }
 
 Cycles
@@ -262,42 +225,7 @@ Machine::runLegacy(Cycles max_cycles)
             break;
         }
 
-        // Channel (I/O) traffic interleaves with CPU steps.
-        while (io_ && !io_->idle() && ioReadyAt_ <= now_) {
-            const Cycles io_cost = io_->pump();
-            ioReadyAt_ =
-                std::max(ioReadyAt_, now_) +
-                std::max<Cycles>(io_cost, 1);
-        }
-
-        if (cfg_.externalInterruptPeriod &&
-            now_ >= nextInterrupt_[id]) {
-            cpus_[id]->deliverExternalInterrupt();
-            extDeliveredCounter_.inc();
-            // A CPU parked for many periods (e.g. behind solo mode,
-            // or stalled on a long interrupt-service penalty) must
-            // not receive the missed ticks as a back-to-back burst:
-            // skip past every period boundary already behind us so
-            // at most one interrupt is delivered per period.
-            const Cycles period = cfg_.externalInterruptPeriod;
-            nextInterrupt_[id] += period;
-            if (nextInterrupt_[id] <= now_) {
-                const Cycles missed =
-                    (now_ - nextInterrupt_[id]) / period + 1;
-                extSkippedCounter_.inc(missed);
-                nextInterrupt_[id] += missed * period;
-            }
-        }
-
-        if (injector_)
-            injector_->beforeStep(id, now_);
-
-        stepCounter_.inc();
-        Cycles cost = cpus_[id]->step();
-        cost += cpus_[id]->consumePendingStall();
-        // Zero-cost steps model superscalar grouping; the CPU's
-        // dispatch credit bounds how many occur per cycle.
-        readyAt_[id] = now_ + cost;
+        stepCpu(id);
         if (!cpus_[id]->halted()) {
             held = {readyAt_[id], id};
             holding = true;
@@ -366,362 +294,9 @@ Machine::runSteered(Cycles max_cycles)
             break;
         }
 
-        while (io_ && !io_->idle() && ioReadyAt_ <= now_) {
-            const Cycles io_cost = io_->pump();
-            ioReadyAt_ = std::max(ioReadyAt_, now_) +
-                         std::max<Cycles>(io_cost, 1);
-        }
-
-        if (cfg_.externalInterruptPeriod &&
-            now_ >= nextInterrupt_[id]) {
-            cpus_[id]->deliverExternalInterrupt();
-            extDeliveredCounter_.inc();
-            const Cycles period = cfg_.externalInterruptPeriod;
-            nextInterrupt_[id] += period;
-            if (nextInterrupt_[id] <= now_) {
-                const Cycles missed =
-                    (now_ - nextInterrupt_[id]) / period + 1;
-                extSkippedCounter_.inc(missed);
-                nextInterrupt_[id] += missed * period;
-            }
-        }
-
-        // Evaluated before *every* steered step, so scripted
-        // scenario triggers fire exactly at enumeration decision
-        // points (see inject/steer.hh).
-        if (injector_)
-            injector_->beforeStep(id, now_);
-
-        stepCounter_.inc();
-        Cycles cost = cpus_[id]->step();
-        cost += cpus_[id]->consumePendingStall();
-        readyAt_[id] = now_ + cost;
+        stepCpu(id);
     }
     return now_ - start;
-}
-
-Cycles
-Machine::runSharded(Cycles max_cycles)
-{
-    const Cycles start = now_;
-    const bool bounded = max_cycles != ~Cycles(0);
-    const Cycles end_cycle =
-        bounded ? start + max_cycles : ~Cycles(0);
-    // Whole-chip shards with the fast path resolve every intra-chip
-    // interaction inside the parallel phase, so their quantum only
-    // has to bound cross-chip visibility. Sub-chip shards (and runs
-    // with the fast path disabled) still defer some same-chip
-    // traffic and keep the tighter all-paths bound.
-    const Cycles quantum =
-        cfg_.shardLocalFastPath && effectiveShardsPerChip(cfg_) == 1
-            ? cfg_.latency.minCrossChipLatency()
-            : cfg_.latency.minFabricLatency();
-
-    for (auto &sh : shards_)
-        sh->beginRun();
-    lastIoAt_ = now_;
-
-    if (cfg_.watchdogCycles != 0) {
-        lastProgressAt_ = now_;
-        lastProgressSum_ = progressSum();
-    }
-
-    // Persistent worker pool for this run call. Only spun up when
-    // more than one host thread can actually be used; the 1-thread
-    // (and 1-shard) case runs the quanta inline, and is the
-    // bit-identical reference for every other thread count.
-    const unsigned workers =
-        std::min<unsigned>(cfg_.hostThreads,
-                           unsigned(shards_.size()));
-    struct Gate
-    {
-        std::mutex m;
-        std::condition_variable cv;
-        unsigned count = 0;
-        std::uint64_t generation = 0;
-        const unsigned parties;
-        explicit Gate(unsigned p) : parties(p) {}
-        void arriveAndWait()
-        {
-            std::unique_lock lock(m);
-            const std::uint64_t gen = generation;
-            if (++count == parties) {
-                count = 0;
-                ++generation;
-                cv.notify_all();
-            } else {
-                cv.wait(lock,
-                        [&] { return generation != gen; });
-            }
-        }
-    };
-    Gate start_gate(workers + 1), end_gate(workers + 1);
-    Cycles pool_q_end = 0;
-    bool pool_stop = false;
-    std::vector<std::thread> pool;
-    if (workers > 1) {
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w) {
-            pool.emplace_back([this, w, workers, &start_gate,
-                               &end_gate, &pool_q_end,
-                               &pool_stop] {
-                while (true) {
-                    start_gate.arriveAndWait();
-                    if (pool_stop)
-                        return;
-                    // Static strided shard assignment: which host
-                    // thread runs a shard never affects results.
-                    for (std::size_t s = w; s < shards_.size();
-                         s += workers)
-                        shards_[s]->runQuantum(pool_q_end);
-                    end_gate.arriveAndWait();
-                }
-            });
-        }
-    }
-
-    enum class Exit { Natural, Bounded, Watchdog };
-    Exit exit_kind = Exit::Natural;
-    Cycles q_start = now_;
-    while (true) {
-        // Earliest pending work across shards and the channel.
-        Cycles next_ev = ~Cycles(0);
-        for (const auto &sh : shards_)
-            next_ev = std::min(next_ev, sh->nextEventTime());
-        if (io_ && !io_->idle())
-            next_ev = std::min(next_ev,
-                               std::max(ioReadyAt_, q_start));
-        if (next_ev == ~Cycles(0))
-            break; // every CPU halted, channel idle
-        if (bounded && next_ev >= end_cycle) {
-            exit_kind = Exit::Bounded;
-            break;
-        }
-        // Skip empty quanta, staying on the quantum grid so the
-        // barrier schedule is a pure function of the event times.
-        if (next_ev > q_start)
-            q_start += ((next_ev - q_start) / quantum) * quantum;
-        const Cycles q_end =
-            std::min(q_start + quantum, end_cycle);
-
-        const auto host_t0 = std::chrono::steady_clock::now();
-        parallelPhase_ = true;
-        // Directory entries may only be created at serial points;
-        // the guard turns a fast-path access that escaped its shard
-        // into a deterministic panic instead of a silent race.
-        hierarchy_.setConcurrentPhase(true);
-        {
-            ZTX_PROF_SCOPE("sched.parallel");
-            if (pool.empty()) {
-                runParallel(q_end);
-            } else {
-                pool_q_end = q_end;
-                start_gate.arriveAndWait();
-                end_gate.arriveAndWait();
-            }
-        }
-        hierarchy_.setConcurrentPhase(false);
-        parallelPhase_ = false;
-        const auto host_t1 = std::chrono::steady_clock::now();
-
-        now_ = q_end;
-        {
-            ZTX_PROF_SCOPE("sched.merge");
-            mergeQuantum(q_start, q_end);
-        }
-
-        const auto host_t2 = std::chrono::steady_clock::now();
-        phaseTimes_.parallelSeconds +=
-            std::chrono::duration<double>(host_t1 - host_t0)
-                .count();
-        phaseTimes_.mergeSeconds +=
-            std::chrono::duration<double>(host_t2 - host_t1)
-                .count();
-        ++phaseTimes_.quanta;
-
-        if (cfg_.watchdogCycles != 0) {
-            const std::uint64_t sum = progressSum();
-            if (sum != lastProgressSum_) {
-                lastProgressSum_ = sum;
-                lastProgressAt_ = q_end;
-            } else if (q_end - lastProgressAt_ >=
-                       cfg_.watchdogCycles) {
-                fireWatchdog();
-                exit_kind = Exit::Watchdog;
-                break;
-            }
-        }
-        q_start = q_end;
-    }
-
-    if (!pool.empty()) {
-        pool_stop = true;
-        start_gate.arriveAndWait();
-        for (auto &t : pool)
-            t.join();
-    }
-
-    if (exit_kind == Exit::Bounded) {
-        now_ = end_cycle;
-    } else if (exit_kind == Exit::Natural) {
-        // Land the clock on the last event actually executed, not
-        // the quantum boundary, to match event-driven time.
-        Cycles final_t = start;
-        for (const auto &sh : shards_)
-            final_t = std::max(final_t, sh->lastEventAt_);
-        final_t = std::max(final_t, lastIoAt_);
-        now_ = std::min(final_t, end_cycle);
-    }
-    return now_ - start;
-}
-
-void
-Machine::runParallel(Cycles q_end)
-{
-    for (auto &sh : shards_)
-        sh->runQuantum(q_end);
-}
-
-void
-Machine::mergeQuantum(Cycles q_start, Cycles q_end)
-{
-    // 0. Complete the L2 installs the sub-chip fast path parked in
-    //    the per-CPU overflow buffers: the real inserts and their
-    //    eviction side effects (directory removal, inclusivity
-    //    LRU-XI) run here, serially, in cpu-ascending FIFO order,
-    //    before any deferred step can observe the caches.
-    hierarchy_.drainL2Overflow();
-
-    // 1. Solo-mode arbitration, ordered by (cycle, chip, group,
-    //    issue sequence). A halted holder releases automatically,
-    //    as in the legacy scheduler.
-    struct TaggedSolo
-    {
-        Cycles at;
-        unsigned chip;
-        unsigned group;
-        std::size_t seq;
-        CpuId cpu;
-        bool request;
-    };
-    // Merge scratch comes from the barrier arena: exact-size bump
-    // allocations, recycled wholesale at the end of this merge.
-    std::size_t n_solo = 0;
-    for (const auto &sh : shards_)
-        n_solo += sh->soloOps_.size();
-    TaggedSolo *solo = mergeArena_.allocArray<TaggedSolo>(n_solo);
-    std::size_t solo_k = 0;
-    for (auto &sh : shards_) {
-        for (std::size_t i = 0; i < sh->soloOps_.size(); ++i) {
-            const Shard::SoloOp &op = sh->soloOps_[i];
-            solo[solo_k++] = {op.at, sh->chip_, sh->group_, i,
-                              op.cpu, op.request};
-        }
-        sh->soloOps_.clear();
-    }
-    std::sort(solo, solo + n_solo,
-              [](const TaggedSolo &a, const TaggedSolo &b) {
-                  return std::tie(a.at, a.chip, a.group, a.seq) <
-                         std::tie(b.at, b.chip, b.group, b.seq);
-              });
-    for (std::size_t i = 0; i < n_solo; ++i) {
-        const TaggedSolo &op = solo[i];
-        if (op.request)
-            requestSolo(op.cpu);
-        else
-            releaseSolo(op.cpu);
-    }
-    while (soloCpu_ != invalidCpu && cpus_[soloCpu_]->halted())
-        releaseSolo(soloCpu_);
-
-    // 2. Buffered injector events (XI storms, scheduled faults),
-    //    merged in (cycle, cpu) order inside the injector.
-    if (injector_)
-        injector_->flushSharded(q_end);
-
-    // 3. Deferred steps, re-executed serially in (cycle, cpu)
-    //    order — equivalent to (cycle, chip, group, cpu) since
-    //    shards own contiguous id ranges in chip-major, group-minor
-    //    order. A CPU parked behind a freshly granted solo holder
-    //    retries next quantum instead.
-    struct TaggedStep
-    {
-        Cycles at;
-        CpuId cpu;
-    };
-    std::size_t n_steps = 0;
-    for (const auto &sh : shards_)
-        n_steps += sh->deferred_.size();
-    TaggedStep *steps = mergeArena_.allocArray<TaggedStep>(n_steps);
-    std::size_t step_k = 0;
-    for (auto &sh : shards_) {
-        for (const Shard::DeferredStep &d : sh->deferred_)
-            steps[step_k++] = {d.at, d.cpu};
-        sh->deferred_.clear();
-    }
-    std::sort(steps, steps + n_steps,
-              [](const TaggedStep &a, const TaggedStep &b) {
-                  return std::tie(a.at, a.cpu) <
-                         std::tie(b.at, b.cpu);
-              });
-    for (std::size_t si = 0; si < n_steps; ++si) {
-        const TaggedStep &d = steps[si];
-        core::Cpu &c = *cpus_[d.cpu];
-        if (c.halted())
-            continue;
-        Shard &sh = *shardOfCpu_[d.cpu];
-        if (soloCpu_ != invalidCpu && d.cpu != soloCpu_) {
-            readyAt_[d.cpu] = q_end;
-            sh.push(q_end, d.cpu);
-            continue;
-        }
-        sh.curTime_ = d.at;
-        sh.lastEventAt_ = std::max(sh.lastEventAt_, d.at);
-        stepCounter_.inc();
-        stepsDeferredCounter_.inc();
-        stepsTotalCounter_.inc();
-        Cycles cost = c.step();
-        cost += c.consumePendingStall();
-        readyAt_[d.cpu] = d.at + cost;
-        if (!c.halted())
-            sh.push(readyAt_[d.cpu], d.cpu);
-    }
-    // Solo grants from re-steps: a halted holder still releases.
-    while (soloCpu_ != invalidCpu && cpus_[soloCpu_]->halted())
-        releaseSolo(soloCpu_);
-
-    // 4. Channel traffic for the window.
-    if (io_ && !io_->idle()) {
-        Cycles io_now = std::max(ioReadyAt_, q_start);
-        while (!io_->idle() && io_now < q_end) {
-            const Cycles cost = io_->pump();
-            io_now += std::max<Cycles>(cost, 1);
-            lastIoAt_ = io_now;
-        }
-        ioReadyAt_ = io_now;
-    }
-
-    // 5. Fold shard deltas into the machine counters, and rewind
-    //    the quantum arenas: every deferred-step / solo record and
-    //    every merge scratch array is dead past this point, so the
-    //    shard arenas and the barrier arena recycle their chunks in
-    //    O(1) (no host allocation in a steady-state quantum).
-    for (auto &sh : shards_) {
-        stepCounter_.inc(sh->steps_);
-        stepsLocalCounter_.inc(sh->steps_);
-        stepsTotalCounter_.inc(sh->steps_);
-        l3LocalHitsCounter_.inc(sh->l3Local_);
-        extDeliveredCounter_.inc(sh->extDelivered_);
-        extSkippedCounter_.inc(sh->extSkipped_);
-        progressTicks_ += sh->progress_;
-        sh->steps_ = sh->extDelivered_ = sh->extSkipped_ = 0;
-        sh->progress_ = sh->l3Local_ = 0;
-        sh->deferred_.release();
-        sh->soloOps_.release();
-        sh->arena_.reset();
-    }
-    mergeArena_.reset();
-    stats_.counter("scheduler.quanta").inc();
 }
 
 void
@@ -841,13 +416,6 @@ machineConfigJson(const MachineConfig &config)
         std::uint64_t(config.externalInterruptPeriod);
     meta["io_enabled"] = config.enableIo;
     meta["watchdog_cycles"] = std::uint64_t(config.watchdogCycles);
-    // hostThreads is deliberately NOT serialized: stat documents
-    // must stay byte-comparable across host-thread counts (the
-    // determinism contract of the sharded scheduler). The shard
-    // partition and fast-path toggle ARE serialized — they change
-    // defer decisions and hence simulated results.
-    meta["shards_per_chip"] = effectiveShardsPerChip(config);
-    meta["shard_local_fast_path"] = config.shardLocalFastPath;
     if (config.faults.enabled())
         meta["faults"] = inject::faultPlanJson(config.faults);
 

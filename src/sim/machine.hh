@@ -41,15 +41,12 @@
 #include "mem/latency_model.hh"
 #include "mem/main_memory.hh"
 #include "mem/topology.hh"
-#include "sim/arena.hh"
 
 namespace ztx::inject {
 class ScheduleSteer;
 }
 
 namespace ztx::sim {
-
-class Shard;
 
 /** Everything configurable about a machine. */
 struct MachineConfig
@@ -96,84 +93,16 @@ struct MachineConfig
     Cycles watchdogCycles = 0;
 
     /**
-     * Scheduler selection. 0 (default): the legacy exact
-     * single-threaded heap scheduler. >= 1: the sharded quantum
-     * scheduler — one event queue per chip, synchronized at fixed
-     * quanta of LatencyModel::minFabricLatency() cycles, run on up
-     * to this many host threads. Any hostThreads >= 1 produces
-     * bit-identical results for a given config and seed (1 is the
-     * determinism reference for 2, 4, ...); hostThreads = 0 may
-     * interleave differently and is compared architecturally, not
-     * statistically. Excluded from machineConfigJson() so stat
-     * documents stay byte-comparable across host-thread counts.
-     */
-    unsigned hostThreads = 0;
-
-    /**
-     * Sub-chip sharding: split each chip of the sharded scheduler
-     * into this many core-group shards (contiguous CPU id ranges).
-     * 0 selects automatically: multi-chip topologies keep one shard
-     * per chip; a single-chip topology splits into up to four
-     * groups so the parallel scheduler still has work to spread.
-     * Clamped to coresPerChip(). The partition is a pure function
-     * of (this value, topology) — never of hostThreads — so every
-     * host-thread count runs the identical partition and stays
-     * bit-identical. Like hostThreads, this is serialized into
-     * machineConfigJson() as the *effective* shards_per_chip value,
-     * because changing the partition changes defer decisions and
-     * hence simulated results.
-     */
-    unsigned hostShardsPerChip = 0;
-
-    /**
-     * Shard-local L3 fast path (DESIGN.md §5b): let a shard resolve
-     * same-chip L3 hits and same-shard coherence entirely inside
-     * the parallel phase instead of deferring them to the barrier,
-     * and widen the quantum of whole-chip shards to the minimum
-     * cross-chip latency. Off reproduces the pre-fast-path
-     * scheduler (every non-private access defers); the toggle
-     * changes simulated timing and is serialized.
-     */
-    bool shardLocalFastPath = true;
-
-    /**
      * Schedule steering hook (enumeration-mode stepping, see
      * inject/steer.hh and src/litmus). When set, run() ignores
      * ready-time ordering and instead asks the steer to pick the
      * next CPU from the runnable set before every step; simulated
      * time still advances monotonically (stepping a CPU drags `now`
-     * up to its ready time). Steered execution is exact and serial
-     * by definition, so the constructor forces the legacy scheduler
-     * — steered results can never depend on hostThreads. Non-owning;
-     * must outlive the machine. Not serialized (a steered run is an
-     * enumeration artifact, not a reproducible configuration).
+     * up to its ready time). Non-owning; must outlive the machine.
+     * Not serialized (a steered run is an enumeration artifact, not
+     * a reproducible configuration).
      */
     inject::ScheduleSteer *steer = nullptr;
-};
-
-/**
- * The shard partition @p config resolves to: core groups per chip
- * for the sharded scheduler, 0 for the legacy scheduler. A pure
- * function of (hostShardsPerChip != 0, topology) — deliberately not
- * of hostThreads beyond its zero test.
- */
-unsigned effectiveShardsPerChip(const MachineConfig &config);
-
-/**
- * Host-side wall-clock breakdown of the sharded scheduler,
- * accumulated across run() calls: time spent inside the parallel
- * phase (shards running concurrently), time spent in the serial
- * barrier merge, and the number of quanta executed. Host timings
- * vary run to run, so this is deliberately NOT part of statsJson()
- * — the stats document must stay byte-comparable across host-thread
- * counts. bench/scale reads it through Machine::hostPhaseTimes()
- * and records it only in the bench JSON.
- */
-struct HostPhaseTimes
-{
-    double parallelSeconds = 0.0;
-    double mergeSeconds = 0.0;
-    std::uint64_t quanta = 0;
 };
 
 /** A complete simulated SMP machine. */
@@ -244,12 +173,6 @@ class Machine : public core::CpuEnv
     /** The configuration this machine was built from. */
     const MachineConfig &config() const { return cfg_; }
 
-    /** Sharded-scheduler host time breakdown (see HostPhaseTimes). */
-    const HostPhaseTimes &hostPhaseTimes() const
-    {
-        return phaseTimes_;
-    }
-
     /** Machine-level stats: scheduler steps, interrupts, solo. */
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
@@ -282,7 +205,6 @@ class Machine : public core::CpuEnv
     /** @} */
 
   private:
-    friend class Shard;
     MachineConfig cfg_;
     mem::MainMemory memory_;
     mem::Hierarchy hierarchy_;
@@ -292,13 +214,6 @@ class Machine : public core::CpuEnv
 
     Cycles now_ = 0;
     std::vector<Cycles> readyAt_;
-    /**
-     * The key each CPU's live shard-heap entry was pushed with
-     * (~Cycles(0) when none). beginRun() carries the heaps across
-     * run() calls and reinserts only CPUs whose ready time moved
-     * while the heap was cold, instead of rebuilding from scratch.
-     */
-    std::vector<Cycles> heapKey_;
     std::vector<Cycles> nextInterrupt_;
     StatGroup stats_{"machine"};
     /** @name Hot-path counters, resolved once @{ */
@@ -308,25 +223,6 @@ class Machine : public core::CpuEnv
     Counter &extSkippedCounter_ =
         stats_.counter("external.periods_skipped");
     Counter &soloRequestCounter_ = stats_.counter("solo.requests");
-    /**
-     * Sharded-scheduler breakdown (all zero under the legacy
-     * scheduler, but always registered so the JSON shape is
-     * stable): steps completed inside the parallel phase, steps
-     * re-executed serially at the barrier, their sum, fast-path L3
-     * hits, and heap entries reinserted by beginRun().
-     * steps_deferred / steps_total is the serial fraction the
-     * fast path exists to shrink.
-     */
-    Counter &stepsLocalCounter_ =
-        stats_.counter("sched.steps_local");
-    Counter &stepsDeferredCounter_ =
-        stats_.counter("sched.steps_deferred");
-    Counter &stepsTotalCounter_ =
-        stats_.counter("sched.steps_total");
-    Counter &l3LocalHitsCounter_ =
-        stats_.counter("sched.l3_local_hits");
-    Counter &heapReinsertsCounter_ =
-        stats_.counter("sched.heap_reinserts");
     /** @} */
     std::unique_ptr<IoSubsystem> io_;
     Cycles ioReadyAt_ = 0;
@@ -340,25 +236,19 @@ class Machine : public core::CpuEnv
 
     void fireWatchdog();
 
-    /** The legacy exact single-threaded scheduler (hostThreads=0). */
+    /** The exact heap scheduler: smallest ready time first. */
     Cycles runLegacy(Cycles max_cycles);
-
-    /** The sharded quantum scheduler (hostThreads >= 1). */
-    Cycles runSharded(Cycles max_cycles);
 
     /** Enumeration-mode stepping (cfg_.steer != nullptr). */
     Cycles runSteered(Cycles max_cycles);
 
-    /** Run every shard's parallel phase up to @p q_end. */
-    void runParallel(Cycles q_end);
-
     /**
-     * Barrier work after a quantum: apply buffered solo operations,
-     * flush buffered injector events, re-execute deferred steps,
-     * pump I/O for the window, and fold shard deltas — all in a
-     * deterministic order (see DESIGN.md).
+     * Step CPU @p id at now_, the body both run loops share: pump
+     * the channel subsystem, deliver a due external interrupt, let
+     * the injector act, then step and set the CPU's next ready time
+     * (step cost plus any pending stall).
      */
-    void mergeQuantum(Cycles q_start, Cycles q_end);
+    void stepCpu(CpuId id);
 
     /** O(1) watchdog progress sum: CPU ticks + I/O completions. */
     std::uint64_t progressSum() const
@@ -374,29 +264,11 @@ class Machine : public core::CpuEnv
     Json watchdogReport_;
     /** @} */
 
-    /** @name Sharded scheduler state (hostThreads >= 1) @{ */
-    std::vector<std::unique_ptr<Shard>> shards_;
-    /** CPU id -> owning shard; nullptr in legacy mode. */
-    std::vector<Shard *> shardOfCpu_;
-    /** True while shards run concurrently (solo ops buffer). */
-    bool parallelPhase_ = false;
     /**
      * Event-driven forward-progress counter (commits, region
-     * closes, halts), bumped via noteProgress() in legacy mode and
-     * folded from shard deltas at each barrier in sharded mode.
+     * closes, halts), bumped via noteProgress().
      */
     std::uint64_t progressTicks_ = 0;
-    /** Completion time of the last barrier-pumped I/O line. */
-    Cycles lastIoAt_ = 0;
-    /** Host wall-clock breakdown, accumulated across run() calls. */
-    HostPhaseTimes phaseTimes_;
-    /**
-     * Barrier merge scratch (sorted deferred-step / solo-op
-     * copies): bump-allocated per quantum, rewound at the end of
-     * every mergeQuantum().
-     */
-    Arena mergeArena_;
-    /** @} */
 };
 
 /**

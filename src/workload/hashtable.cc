@@ -191,7 +191,6 @@ runHashTableBench(const HashTableBenchConfig &cfg)
         region_count += cpu.regionCycles().count();
     }
     const TxStatsSummary tx = collectTxStats(machine);
-    res.sched = collectSchedStats(machine);
     res.ras = collectRasStats(machine);
     res.txCommits = tx.commits;
     res.txAborts = tx.aborts;

@@ -61,9 +61,6 @@ struct HashTableBenchResult
     /** Abort counts keyed by tx::abortReasonName(). */
     std::map<std::string, std::uint64_t> abortsByReason;
 
-    /** Parallel-scheduler activity (zero on the legacy path). */
-    SchedStatsSummary sched;
-
     /** Poison/machine-check activity (zero without RAS faults). */
     RasSummary ras;
 

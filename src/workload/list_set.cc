@@ -231,7 +231,6 @@ runListSetBench(const ListSetBenchConfig &cfg)
         net_inserts += std::int64_t(cpu.gr(14));
     }
     const TxStatsSummary tx = collectTxStats(machine);
-    res.sched = collectSchedStats(machine);
     res.ras = collectRasStats(machine);
     res.txCommits = tx.commits;
     res.txAborts = tx.aborts;

@@ -54,7 +54,6 @@ OpLog::opCommit(CpuId cpu, Cycles now,
         return;
     }
     OpRecord &rec = pc.ring.back();
-    const std::lock_guard<std::mutex> guard(versionMutex_);
     for (std::size_t i = 0; i < n; ++i) {
         std::uint64_t &ver = lineVersions_[acc[i].line];
         if (acc[i].write)

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -124,11 +123,7 @@ class OpLog : public core::OpRecorder
                                  inject::LinOp &)> &decode) const;
 
   private:
-    /**
-     * All mutable state is per-CPU: each CPU appends only to its own
-     * slot, so recording is safe under the sharded scheduler's
-     * parallel phase without any locking.
-     */
+    /** Each CPU appends only to its own slot. */
     struct PerCpu
     {
         std::deque<OpRecord> ring;
@@ -139,16 +134,7 @@ class OpLog : public core::OpRecorder
     std::size_t capacity_;
     std::vector<PerCpu> cpus_;
 
-    /**
-     * Per-line version table, shared across CPUs. Unlike the rings
-     * this is cross-CPU state, so commits guard it with a mutex;
-     * the result is still deterministic under the sharded
-     * scheduler because conflicting commits (same line, at least
-     * one write) cannot race across host threads — coherence
-     * defers cross-shard conflicts to the serial barrier — and
-     * racing read-read commits assign the same version either way.
-     */
-    std::mutex versionMutex_;
+    /** Per-line version table, shared across CPUs. */
     std::unordered_map<Addr, std::uint64_t> lineVersions_;
 };
 

@@ -160,7 +160,6 @@ runQueueBench(const QueueBenchConfig &cfg)
         res.dequeuedNonEmpty += cpu.gr(14);
     }
     const TxStatsSummary tx = collectTxStats(machine);
-    res.sched = collectSchedStats(machine);
     res.ras = collectRasStats(machine);
     res.txCommits = tx.commits;
     res.txAborts = tx.aborts;

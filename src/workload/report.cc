@@ -33,26 +33,8 @@ collectTxStats(const sim::Machine &machine)
     return sum;
 }
 
-SchedStatsSummary
-collectSchedStats(const sim::Machine &machine)
-{
-    const auto &counters = machine.stats().counters();
-    const auto get = [&counters](const char *stat) {
-        const auto it = counters.find(stat);
-        return it == counters.end() ? std::uint64_t(0)
-                                    : it->second.value();
-    };
-    SchedStatsSummary sum;
-    sum.stepsLocal = get("sched.steps_local");
-    sum.stepsDeferred = get("sched.steps_deferred");
-    sum.stepsTotal = get("sched.steps_total");
-    sum.l3LocalHits = get("sched.l3_local_hits");
-    sum.heapReinserts = get("sched.heap_reinserts");
-    return sum;
-}
-
 RasSummary
-collectRasStats(sim::Machine &machine)
+collectRasStats(const sim::Machine &machine)
 {
     RasSummary sum;
     const auto &hier = machine.hierarchy().stats().counters();

@@ -72,35 +72,6 @@ struct TxStatsSummary
 TxStatsSummary collectTxStats(const sim::Machine &machine);
 
 /**
- * Parallel-scheduler activity of one run: how much work the sharded
- * scheduler resolved inside the parallel phase (steps_local) versus
- * re-executed serially at the quantum barrier (steps_deferred), plus
- * the shard-local L3 hits that the fast path kept off the serial
- * path and the event-heap rebuild traffic saved by carrying heaps
- * across quanta. All zero under the legacy serial scheduler.
- */
-struct SchedStatsSummary
-{
-    std::uint64_t stepsLocal = 0;
-    std::uint64_t stepsDeferred = 0;
-    std::uint64_t stepsTotal = 0;
-    std::uint64_t l3LocalHits = 0;
-    std::uint64_t heapReinserts = 0;
-
-    /** Fraction of steps resolved at the serial barrier. */
-    double
-    serialFraction() const
-    {
-        return stepsTotal
-                   ? double(stepsDeferred) / double(stepsTotal)
-                   : 0.0;
-    }
-};
-
-/** Collect the machine-level "sched.*" counters. */
-SchedStatsSummary collectSchedStats(const sim::Machine &machine);
-
-/**
  * RAS (line-poisoning) activity of one run: how often lines were
  * poisoned, how the poison moved, and what the recovery ladder did
  * about it (scrub on a clean copy, workload restart otherwise).
@@ -122,11 +93,8 @@ struct RasSummary
     std::uint64_t poisonAborts = 0;
 };
 
-/**
- * Collect the poison/machine-check counters. Non-const: reading the
- * hierarchy's stats folds its hot counters.
- */
-RasSummary collectRasStats(sim::Machine &machine);
+/** Collect the poison/machine-check counters. */
+RasSummary collectRasStats(const sim::Machine &machine);
 
 /**
  * First hot-path index-consistency violation across the machine —

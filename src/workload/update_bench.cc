@@ -156,7 +156,6 @@ runUpdateBench(const UpdateBenchConfig &cfg)
         region_count += cpu.regionCycles().count();
     }
     const TxStatsSummary tx = collectTxStats(machine);
-    res.sched = collectSchedStats(machine);
     res.ras = collectRasStats(machine);
     res.txCommits = tx.commits;
     res.txAborts = tx.aborts;

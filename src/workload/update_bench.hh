@@ -67,9 +67,6 @@ struct UpdateBenchResult
     /** Abort counts keyed by tx::abortReasonName(). */
     std::map<std::string, std::uint64_t> abortsByReason;
 
-    /** Parallel-scheduler activity (zero on the legacy path). */
-    SchedStatsSummary sched;
-
     /** Poison/machine-check activity (zero without RAS faults). */
     RasSummary ras;
 

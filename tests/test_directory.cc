@@ -75,9 +75,9 @@ TEST(Directory, RemoveOwnerAndSharers)
 
 TEST(Directory, RemoveLeavesIdleEntriesUntracked)
 {
-    // Never-erase contract: remove() leaves the slot in place (the
-    // sharded scheduler reads entries concurrently), but idle
-    // entries stop counting as tracked lines.
+    // Never-erase contract: remove() leaves the slot in place (an
+    // idle entry keeps its L3-residency mask), but idle entries stop
+    // counting as tracked lines.
     CoherenceDirectory d;
     d.addSharer(lineA, 0);
     d.addSharer(lineB, 0);
@@ -104,8 +104,7 @@ TEST(Directory, L3ResidencyMaskTracksChips)
 TEST(Directory, L3MaskSurvivesHolderRemoval)
 {
     // The residency mask outlives the holders: an L3 line with no
-    // current CPU holder is exactly the case the shard-local fast
-    // path resolves in-phase.
+    // current CPU holder is still resident on its chip.
     CoherenceDirectory d;
     d.addSharer(lineA, 2);
     d.setL3Resident(lineA, 1);
@@ -114,17 +113,19 @@ TEST(Directory, L3MaskSurvivesHolderRemoval)
     EXPECT_EQ(d.lookup(lineA).l3Mask, 0b10u);
 }
 
-TEST(Directory, ConcurrentPhaseMutatesExistingSlots)
+TEST(Directory, MutatingExistingEntryCreatesNoSlot)
 {
-    // During a parallel phase existing entries may be mutated, only
-    // entry *creation* is forbidden (it would rehash the map under
-    // concurrent readers).
+    // Mutating an existing entry reuses its slot: the table size
+    // stays fixed (no hidden insert path).
     CoherenceDirectory d;
     d.addSharer(lineA, 1);
-    d.setConcurrentPhase(true);
+    const std::size_t sz = d.size();
     d.addSharer(lineA, 2);
     d.remove(lineA, 1);
-    d.setConcurrentPhase(false);
+    d.setExclusive(lineA, 3);
+    d.remove(lineA, 3);
+    EXPECT_EQ(d.size(), sz);
+    d.addSharer(lineA, 2);
     EXPECT_TRUE(d.holds(2, lineA));
     EXPECT_FALSE(d.holds(1, lineA));
 }
@@ -183,24 +184,6 @@ TEST(Directory, RehashMigratesSlotsIntact)
     }
     // Growth keeps the table under its 3/4 load bound.
     EXPECT_LE(d.size() * 4, d.capacity() * 3);
-}
-
-TEST(Directory, ConcurrentPhaseEntryCreationPanics)
-{
-    // Entry creation rehashes under concurrent readers; the guard
-    // must turn a fast-path access that escaped its shard into a
-    // deterministic panic, and mutation of existing entries must
-    // keep the table size fixed (no hidden insert path).
-    CoherenceDirectory d;
-    d.addSharer(lineA, 1);
-    d.setConcurrentPhase(true);
-    const std::size_t sz = d.size();
-    d.setExclusive(lineA, 2);
-    d.remove(lineA, 2);
-    EXPECT_EQ(d.size(), sz);
-    EXPECT_DEATH(d.addSharer(lineB, 1), "parallel phase");
-    EXPECT_DEATH(d.setExclusive(lineB, 1), "parallel phase");
-    EXPECT_DEATH(d.setL3Resident(lineB, 0), "parallel phase");
 }
 
 TEST(Directory, ConfigureSizesSharerWords)

@@ -84,7 +84,8 @@ TEST(Footprint, LruExtensionCarriesBeyondL1Associativity)
                   .value(),
               0u);
     EXPECT_GT(
-        m.hierarchy().stats().counter("l1.lru_ext_set").value(), 0u);
+        m.hierarchy().stats().counters().at("l1.lru_ext_set").value(),
+        0u);
 }
 
 TEST(Footprint, WithoutLruExtensionL1OverflowAborts)

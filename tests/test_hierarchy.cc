@@ -338,183 +338,9 @@ TEST(Hierarchy, FetchCountsAppearInStats)
     Rig rig;
     rig.hier.fetch(0, lineA, false);
     rig.hier.fetch(0, lineA, false);
-    EXPECT_EQ(rig.hier.stats().counter("fetch.total").value(), 2u);
-    EXPECT_EQ(rig.hier.stats().counter("fetch.l1_hit").value(), 1u);
-}
-
-// ---------------------------------------------------------------
-// L2 overflow (victim) buffer: sub-chip fast-path installs whose
-// real insert would evict park in a bounded per-CPU buffer and
-// complete serially at the barrier drain.
-// ---------------------------------------------------------------
-
-/** One-line L1, two-line single-set L2: every install evicts. */
-HierarchyGeometry
-overflowGeometry()
-{
-    HierarchyGeometry geo;
-    geo.l1 = {lineSizeBytes, 1};
-    geo.l2 = {2 * lineSizeBytes, 2};
-    geo.l3 = {64 * 1024, 8};
-    geo.l4 = {1024 * 1024, 8};
-    return geo;
-}
-
-/** Rig on one 4-core chip split into 2 core groups of 2 CPUs. */
-struct OverflowRig : Rig
-{
-    OverflowRig() : Rig(overflowGeometry(), Topology(4, 1, 1))
-    {
-        hier.setShardPartition(2, 4);
-    }
-
-    /** The i-th line homed to core group 0 ((line>>8) even). */
-    static Addr
-    groupZeroLine(unsigned i)
-    {
-        return Addr(0x10000) + Addr(i) * 2 * lineSizeBytes;
-    }
-
-    /**
-     * Make @p line L3-resident on the chip without leaving it in
-     * any L2: cpu1 (group 0) fetches it serially, then drops it.
-     */
-    void
-    seedL3(Addr line)
-    {
-        hier.fetch(1, line, false);
-        hier.flushCpuCaches(1);
-    }
-};
-
-TEST(Hierarchy, OverflowBufferAbsorbsEvictingFastPathInstall)
-{
-    OverflowRig rig;
-    const Addr a = OverflowRig::groupZeroLine(0);
-    const Addr b = OverflowRig::groupZeroLine(1);
-    const Addr c = OverflowRig::groupZeroLine(2);
-    for (const Addr l : {a, b, c})
-        rig.seedL3(l);
-    // Fill cpu0's two-way L2 serially; the third line would evict.
-    rig.hier.fetch(0, a, false);
-    rig.hier.fetch(0, b, false);
-
-    rig.hier.setConcurrentPhase(true);
-    const auto res = rig.hier.fetch(0, c, false, true);
-    rig.hier.setConcurrentPhase(false);
-    EXPECT_FALSE(res.deferred)
-        << "evicting install deferred despite buffer room";
-    EXPECT_TRUE(res.shardLocal);
-    EXPECT_TRUE(rig.hier.inL2Overflow(0, c));
-    EXPECT_FALSE(rig.hier.inL2(0, c));
-    EXPECT_TRUE(rig.hier.inL1(0, c));
-    EXPECT_TRUE(rig.hier.directory().holds(0, c));
-    EXPECT_EQ(rig.hier.l2OverflowUsed(0), 1u);
-    rig.hier.checkInvariants();
-
-    // A buffered line services repeat hits as an L2 hit: displace
-    // it from the one-line L1 first, then re-fetch.
-    rig.hier.fetch(0, a, false, true);
-    const auto again = rig.hier.fetch(0, c, false, true);
-    EXPECT_EQ(again.latency, LatencyModel{}.l2Hit);
-    EXPECT_FALSE(again.deferred);
-
-    // The barrier drain performs the real insert: the line moves
-    // into the L2 array and the displaced LRU way (b: a was just
-    // touched) leaves through the normal eviction protocol.
-    rig.hier.drainL2Overflow();
-    EXPECT_EQ(rig.hier.l2OverflowUsed(0), 0u);
-    EXPECT_TRUE(rig.hier.inL2(0, c));
-    EXPECT_FALSE(rig.hier.inL2(0, b));
-    EXPECT_FALSE(rig.hier.directory().holds(0, b));
-    bool saw_lru = false;
-    for (const auto &ctx : rig.clients[0]->received)
-        if (ctx.kind == XiKind::Lru && ctx.line == b)
-            saw_lru = true;
-    EXPECT_TRUE(saw_lru) << "drain eviction skipped the LRU XI";
-    rig.hier.checkInvariants();
-    EXPECT_EQ(rig.hier.stats()
-                  .counter("l2.overflow_admit")
-                  .value(),
-              1u);
-}
-
-TEST(Hierarchy, OverflowBufferFullDefersFetch)
-{
-    OverflowRig rig;
-    // Two lines fill the L2; capacity + 1 further lines probe the
-    // buffer bound.
-    std::vector<Addr> lines;
-    for (unsigned i = 0;
-         i < 2 + Hierarchy::l2OverflowCapacity + 1; ++i)
-        lines.push_back(OverflowRig::groupZeroLine(i));
-    for (const Addr l : lines)
-        rig.seedL3(l);
-    rig.hier.fetch(0, lines[0], false);
-    rig.hier.fetch(0, lines[1], false);
-
-    rig.hier.setConcurrentPhase(true);
-    for (unsigned i = 2; i < 2 + Hierarchy::l2OverflowCapacity;
-         ++i) {
-        const auto res = rig.hier.fetch(0, lines[i], false, true);
-        EXPECT_FALSE(res.deferred) << "slot " << i;
-    }
-    EXPECT_EQ(rig.hier.l2OverflowUsed(0),
-              Hierarchy::l2OverflowCapacity);
-    // Buffer full: the next evicting install must defer with no
-    // state moved...
-    const auto full =
-        rig.hier.fetch(0, lines.back(), false, true);
-    EXPECT_TRUE(full.deferred);
-    EXPECT_FALSE(rig.hier.directory().holds(0, lines.back()));
-    // ... while a line already buffered stays serviceable.
-    const auto rehit =
-        rig.hier.fetch(0, lines[2], false, true);
-    EXPECT_FALSE(rehit.deferred);
-    rig.hier.setConcurrentPhase(false);
-    rig.hier.checkInvariants();
-
-    rig.hier.drainL2Overflow();
-    EXPECT_EQ(rig.hier.l2OverflowUsed(0), 0u);
-    rig.hier.checkInvariants();
-    // Drained in FIFO order into a two-way set: the last two
-    // admitted lines survive in the array.
-    EXPECT_TRUE(rig.hier.inL2(
-        0, lines[2 + Hierarchy::l2OverflowCapacity - 1]));
-}
-
-TEST(Hierarchy, SameShardXiCancelsPendingOverflowInstall)
-{
-    OverflowRig rig;
-    const Addr a = OverflowRig::groupZeroLine(0);
-    const Addr b = OverflowRig::groupZeroLine(1);
-    const Addr c = OverflowRig::groupZeroLine(2);
-    for (const Addr l : {a, b, c})
-        rig.seedL3(l);
-    rig.hier.fetch(0, a, false);
-    rig.hier.fetch(0, b, false);
-    // cpu1 (same group) holds c so its exclusive upgrade stays
-    // shard-local.
-    rig.hier.fetch(1, c, false);
-
-    rig.hier.setConcurrentPhase(true);
-    const auto res = rig.hier.fetch(0, c, false, true);
-    EXPECT_FALSE(res.deferred);
-    EXPECT_TRUE(rig.hier.inL2Overflow(0, c));
-    // cpu1 claims c exclusively: the ReadOnly XI to cpu0 must
-    // cancel the pending overflow install, not just the L1 copy.
-    const auto claim = rig.hier.fetch(1, c, true, true);
-    rig.hier.setConcurrentPhase(false);
-    EXPECT_FALSE(claim.deferred);
-    EXPECT_FALSE(rig.hier.inL2Overflow(0, c));
-    EXPECT_EQ(rig.hier.l2OverflowUsed(0), 0u);
-    EXPECT_FALSE(rig.hier.directory().holds(0, c));
-    EXPECT_EQ(rig.hier.directory().lookup(c).owner, CpuId(1));
-    rig.hier.checkInvariants();
-    // Nothing left to drain for cpu0.
-    rig.hier.drainL2Overflow();
-    EXPECT_FALSE(rig.hier.inL2(0, c));
-    rig.hier.checkInvariants();
+    const auto &counters = rig.hier.stats().counters();
+    EXPECT_EQ(counters.at("fetch.total").value(), 2u);
+    EXPECT_EQ(counters.at("fetch.l1_hit").value(), 1u);
 }
 
 } // namespace

@@ -501,8 +501,8 @@ TEST(Inject, CapacitySqueezeForcesCacheAborts)
     auto &st = m.cpu(0).stats();
     EXPECT_GT(st.counter("tx.abort.cache-fetch").value(), 0u);
     ASSERT_NE(m.injector(), nullptr);
-    EXPECT_EQ(
-        m.injector()->stats().counter("squeeze.fired").value(), 1u);
+    EXPECT_EQ(m.injector()->stats().counters().at("squeeze.fired").value(),
+              1u);
 }
 
 TEST(Inject, CapacitySqueezeExpiresAndRestoresWays)
@@ -525,10 +525,9 @@ TEST(Inject, CapacitySqueezeExpiresAndRestoresWays)
     EXPECT_TRUE(m.allHalted());
     EXPECT_EQ(m.peekMem(dataBase, 8), 80u);
     ASSERT_NE(m.injector(), nullptr);
-    auto &st = m.injector()->stats();
-    const std::uint64_t fired = st.counter("squeeze.fired").value();
-    const std::uint64_t restored =
-        st.counter("squeeze.restored").value();
+    const auto &st = m.injector()->stats().counters();
+    const std::uint64_t fired = st.at("squeeze.fired").value();
+    const std::uint64_t restored = st.at("squeeze.restored").value();
     EXPECT_GT(fired, 0u);
     EXPECT_GT(restored, 0u); // at least one squeeze ran its course
     // A squeeze still pending at halt is never restored; at most
@@ -557,7 +556,8 @@ TEST(Inject, DelayedXiSlowsConflictsWithoutChangingResults)
         if (rate > 0) {
             EXPECT_GT(m.injector()
                           ->stats()
-                          .counter("xi_delay.fired")
+                          .counters()
+                          .at("xi_delay.fired")
                           .value(),
                       0u);
         }

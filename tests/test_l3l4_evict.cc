@@ -75,7 +75,7 @@ TEST(SharedEviction, NeighborPressureAbortsTransaction)
                   .counter("tx.abort.cache-fetch")
                   .value(),
               1u);
-    EXPECT_GT(m.hierarchy().stats().counter("l3.evict").value(),
+    EXPECT_GT(m.hierarchy().stats().counters().at("l3.evict").value(),
               0u);
 }
 
@@ -145,7 +145,7 @@ TEST(SharedEviction, L4EvictionCascadesThroughL3)
     m.setProgram(0, &streamer);
     m.run();
     EXPECT_TRUE(m.cpu(0).halted());
-    EXPECT_GT(m.hierarchy().stats().counter("l4.evict").value(),
+    EXPECT_GT(m.hierarchy().stats().counters().at("l4.evict").value(),
               0u);
     m.hierarchy().checkInvariants();
 }

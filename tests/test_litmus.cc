@@ -2,9 +2,8 @@
  * @file
  * Litmus subsystem tests: DSL parsing and validation, compilation
  * to programs/fault plans, the exhaustive enumerator's verdicts on
- * the whole corpus, byte-identity of results across host-thread
- * counts and seeds (steered machines force the serial scheduler),
- * the randomized-steer subset property, the OnFootprint-inside-
+ * the whole corpus, byte-identity of results across seeds, the
+ * randomized-steer subset property, the OnFootprint-inside-
  * enumeration regression, the frontier-cap contract (a capped
  * enumeration never reports "ok"), and witness rendering for a
  * deliberately wrong spec.
@@ -192,12 +191,11 @@ TEST(LitmusCorpus, EveryTestEnumeratesToOk)
 }
 
 // ---------------------------------------------------------------
-// Directed matrix: byte-identical verdicts across host threads and
-// seeds. Steered machines force the serial legacy scheduler, so
-// hostThreads must be a no-op; seeds move cycle values only, and
-// enumResultJson excludes every cycle-valued quantity.
+// Directed matrix: byte-identical verdicts across seeds. Seeds move
+// cycle values only, and enumResultJson excludes every cycle-valued
+// quantity.
 
-TEST(LitmusMatrix, ResultJsonByteIdenticalAcrossHostThreadsAndSeeds)
+TEST(LitmusMatrix, ResultJsonByteIdenticalAcrossSeeds)
 {
     const std::vector<std::string> names = {
         "sb", "sb_tx", "inc_ctx", "mp_tx_both",
@@ -211,21 +209,15 @@ TEST(LitmusMatrix, ResultJsonByteIdenticalAcrossHostThreadsAndSeeds)
         const std::string golden =
             litmus::enumResultJson(c, litmus::enumerate(c, base))
                 .dump();
-        for (const unsigned hostThreads : {0u, 1u, 2u, 4u}) {
-            for (const std::uint64_t seed :
-                 {std::uint64_t(1), std::uint64_t(7),
-                  std::uint64_t(12345)}) {
-                litmus::EnumOptions opt;
-                opt.hostThreads = hostThreads;
-                opt.seed = seed;
-                const std::string got =
-                    litmus::enumResultJson(
-                        c, litmus::enumerate(c, opt))
-                        .dump();
-                EXPECT_EQ(got, golden)
-                    << ct.name << " hostThreads=" << hostThreads
-                    << " seed=" << seed;
-            }
+        for (const std::uint64_t seed :
+             {std::uint64_t(1), std::uint64_t(7),
+              std::uint64_t(12345)}) {
+            litmus::EnumOptions opt;
+            opt.seed = seed;
+            const std::string got =
+                litmus::enumResultJson(c, litmus::enumerate(c, opt))
+                    .dump();
+            EXPECT_EQ(got, golden) << ct.name << " seed=" << seed;
         }
     }
 }

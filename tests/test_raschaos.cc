@@ -7,7 +7,7 @@
  * trigger grammar and step assertions, targeted conflict injection
  * driving the millicode escalation ladder, the pinned semantics of
  * untargeted scheduled faults, and bit-identical replay of full RAS
- * chaos plans across host-thread counts.
+ * chaos plans.
  */
 
 #include <gtest/gtest.h>
@@ -467,17 +467,14 @@ TEST(Watchdog, BundleReportsInjectorFires)
 }
 
 // ---------------------------------------------------------------
-// Pinned semantics: untargeted scheduled faults per scheduler.
+// Pinned semantics: untargeted scheduled faults.
 // ---------------------------------------------------------------
 
-TEST(Sharded, UntargetedScheduledFaultPinnedSemantics)
+TEST(ScheduledFault, UntargetedFaultReplaysIdentically)
 {
-    // ScheduledFault with target == invalidCpu resolves differently
-    // per scheduler mode (documented in fault_plan.hh): the legacy
-    // scheduler hits the CPU about to step; the sharded scheduler
-    // consumes the schedule at the quantum barrier and hits CPU 0.
-    // Each mode must be deterministic in itself, and every sharded
-    // host-thread count must agree bit-for-bit.
+    // ScheduledFault with target == invalidCpu hits the CPU about to
+    // step when the fault comes due (documented in fault_plan.hh).
+    // The run must be deterministic: two replays agree bit-for-bit.
     inject::FaultPlan plan;
     inject::ScheduledFault f;
     f.at = 500;
@@ -485,10 +482,9 @@ TEST(Sharded, UntargetedScheduledFaultPinnedSemantics)
     plan.schedule.push_back(f);
 
     const Program p = constrainedIncrementProgram(25);
-    const auto dump = [&](unsigned host_threads) {
+    const auto dump = [&] {
         sim::MachineConfig cfg = smallConfig(2);
         cfg.faults = plan;
-        cfg.hostThreads = host_threads;
         cfg.watchdogCycles = 2'000'000;
         sim::Machine m(cfg);
         m.setProgram(0, &p);
@@ -502,25 +498,19 @@ TEST(Sharded, UntargetedScheduledFaultPinnedSemantics)
         return out.str();
     };
 
-    const std::string legacy_a = dump(0);
-    const std::string legacy_b = dump(0);
-    EXPECT_EQ(legacy_a, legacy_b); // legacy self-consistent
-
-    const std::string sharded_1 = dump(1);
-    EXPECT_EQ(sharded_1, dump(2));
-    EXPECT_EQ(sharded_1, dump(4)); // hostThreads-invariant
+    EXPECT_EQ(dump(), dump());
 }
 
 // ---------------------------------------------------------------
-// Full RAS chaos plan: deterministic across host threads.
+// Full RAS chaos plan: deterministic replay.
 // ---------------------------------------------------------------
 
-TEST(RasChaos, FullPlanBitIdenticalAcrossHostThreads)
+TEST(RasChaos, FullPlanReplaysBitIdentically)
 {
     // Poison, targeted conflicts, spurious aborts, and a scripted
     // scenario all at once: the acceptance bar is zero watchdog
-    // halts and bit-identical stats for every sharded host-thread
-    // count (legacy mode is its own reference, replayed twice).
+    // halts, no lost increments, and bit-identical stats when the
+    // run is replayed.
     inject::FaultPlan plan;
     plan.spuriousAbortRate = 0.01;
     plan.targetedConflictRate = 0.05;
@@ -542,10 +532,9 @@ TEST(RasChaos, FullPlanBitIdenticalAcrossHostThreads)
     plan.scenario.push_back(conflict);
 
     const Program p = constrainedIncrementProgram(20);
-    const auto dump = [&](unsigned host_threads) {
+    const auto dump = [&] {
         sim::MachineConfig cfg = smallConfig(4);
         cfg.faults = plan;
-        cfg.hostThreads = host_threads;
         cfg.watchdogCycles = 2'000'000;
         sim::Machine m(cfg);
         for (unsigned i = 0; i < 4; ++i)
@@ -559,16 +548,12 @@ TEST(RasChaos, FullPlanBitIdenticalAcrossHostThreads)
         return out.str();
     };
 
-    const std::string legacy_a = dump(0);
-    EXPECT_EQ(legacy_a, dump(0));
+    const std::string first = dump();
+    EXPECT_EQ(first, dump());
 
-    const std::string sharded_1 = dump(1);
-    EXPECT_EQ(sharded_1, dump(2));
-    EXPECT_EQ(sharded_1, dump(4));
-
-    // The plan actually did RAS work (visible in either mode).
-    EXPECT_NE(legacy_a.find("data-poisoned"), std::string::npos);
-    EXPECT_NE(sharded_1.find("poison.injected"), std::string::npos);
+    // The plan actually did RAS work.
+    EXPECT_NE(first.find("data-poisoned"), std::string::npos);
+    EXPECT_NE(first.find("poison.injected"), std::string::npos);
 }
 
 } // namespace
