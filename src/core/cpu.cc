@@ -138,7 +138,7 @@ Cpu::accessLines(Addr addr, unsigned size, bool exclusive,
                     : res.latency;
         if (res.rejected) {
             stalledOnReject_ = true;
-            stats_.counter("fetch.rejected").inc();
+            fetchRejected_.inc();
             return false;
         }
         if (abortedDuringStep_) {
@@ -162,7 +162,7 @@ Cpu::accessLines(Addr addr, unsigned size, bool exclusive,
         const mem::AccessResult res = hier_.fetch(id_, spec_line, false);
         if (!res.rejected && !abortedDuringStep_ && inTx()) {
             hier_.markTxRead(id_, spec_line);
-            stats_.counter("tx.overmarks").inc();
+            txOvermarks_.inc();
         }
         if (abortedDuringStep_)
             return false;
@@ -420,9 +420,9 @@ Cpu::diagnosticJson() const
 mem::XiResponse
 Cpu::incomingXi(const mem::XiContext &ctx)
 {
-    stats_.counter("xi.received").inc();
+    xiReceived_.inc();
     if (ctx.poisoned)
-        stats_.counter("xi.poisoned_seen").inc();
+        xiPoisonedSeen_.inc();
     const bool sc_tx = storeCache_.hasTransactionalLine(ctx.line);
     const bool tx_write = inTx() && (ctx.txDirty || sc_tx);
     const bool tx_read = inTx() && (ctx.txRead || ctx.lruExtHit);
@@ -456,7 +456,7 @@ Cpu::incomingXi(const mem::XiContext &ctx)
                 ctx.requester == env_.soloHolder();
             if (cfg_.stiffArmEnabled && !over_threshold &&
                 !yield_to_solo) {
-                stats_.counter("xi.rejects_sent").inc();
+                xiRejectsSent_.inc();
                 ztx_trace(trace::Category::Xi, "cpu", id_,
                           " rejects ", mem::xiKindName(ctx.kind),
                           " XI line=0x", std::hex, ctx.line);
@@ -507,7 +507,7 @@ Cpu::l1Evicted(Addr line, std::uint8_t flags)
 {
     (void)line;
     if (flags & mem::line_flag::txRead)
-        stats_.counter("l1.tx_read_evicted").inc();
+        txReadEvicted_.inc();
 }
 
 Cpu::ExecResult

@@ -18,6 +18,7 @@
 #ifndef ZTX_CORE_CPU_HH
 #define ZTX_CORE_CPU_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -401,11 +402,31 @@ class Cpu : public mem::CacheClient
     bool versionArmed_ = false;
 
     StatGroup stats_;
-    /** @name Per-step and per-transaction counters of stats_ @{ */
+    /** @name Per-step, per-transaction and XI counters of stats_ @{ */
     CounterHandle instructions_{stats_, "instructions"};
     CounterHandle txBegins_{stats_, "tx.begins"};
     CounterHandle txCommits_{stats_, "tx.commits"};
     CounterHandle txAborts_{stats_, "tx.aborts"};
+    CounterHandle txOvermarks_{stats_, "tx.overmarks"};
+    CounterHandle fetchRejected_{stats_, "fetch.rejected"};
+    CounterHandle xiReceived_{stats_, "xi.received"};
+    CounterHandle xiPoisonedSeen_{stats_, "xi.poisoned_seen"};
+    CounterHandle xiRejectsSent_{stats_, "xi.rejects_sent"};
+    CounterHandle txReadEvicted_{stats_, "l1.tx_read_evicted"};
+    /** @} */
+    /** @name Millicode abort-path counters of stats_ @{ */
+    CounterHandle constrainedDelays_{stats_,
+                                     "millicode.constrained_delays"};
+    CounterHandle speculationReductions_{
+        stats_, "millicode.speculation_reduced"};
+    CounterHandle soloRequests_{stats_, "millicode.solo_requests"};
+    CounterHandle soloReleases_{stats_, "millicode.solo_releases"};
+    CounterHandle ppaDelays_{stats_, "millicode.ppa"};
+    /**
+     * "tx.abort.<reason>" by tx::abortReasonSlot(), each registered
+     * on that reason's first abort (as a CounterHandle would be).
+     */
+    std::array<Counter *, tx::abortReasonSlots> abortsByReason_{};
     /** @} */
 };
 

@@ -298,33 +298,37 @@ GatheringStoreCache::overlay(Addr addr, unsigned len,
 {
     if (live_ == 0 || len == 0)
         return;
-    // Collect intersecting live entries (via the block index) and
-    // apply them oldest first so newer stores win.
-    std::vector<const Entry *> hits;
+    // Apply the intersecting live entries (found via the block
+    // index) oldest first so newer stores win. Each pass applies the
+    // oldest entry newer than the last one applied; sequence numbers
+    // are unique and start at 1, so no list is built or sorted.
+    const Addr first_block = storeCacheBlockAlign(addr);
     const Addr last_block = storeCacheBlockAlign(addr + len - 1);
-    for (Addr block = storeCacheBlockAlign(addr);;
-         block += storeCacheBlockBytes) {
-        const std::size_t slot = mapFind(block);
-        if (slot != noSlot)
-            for (std::uint16_t i = map_[slot].head; i != npos;
-                 i = next_[i])
-                hits.push_back(&entries_[i]);
-        if (block == last_block)
-            break;
-    }
-    std::sort(hits.begin(), hits.end(),
-              [](const Entry *a, const Entry *b) {
-                  return a->seq < b->seq;
-              });
-    for (const Entry *e : hits) {
-        const Addr lo = std::max(addr, e->block);
-        const Addr hi =
-            std::min(addr + len, e->block + storeCacheBlockBytes);
-        for (Addr b = lo; b < hi; ++b) {
-            const std::uint64_t in_entry = b - e->block;
-            if (e->validByte(in_entry))
-                buf[b - addr] = e->data[in_entry];
+    for (std::uint64_t applied = 0;;) {
+        const Entry *next = nullptr;
+        for (Addr block = first_block;; block += storeCacheBlockBytes) {
+            const std::size_t slot = mapFind(block);
+            if (slot != noSlot)
+                for (std::uint16_t i = map_[slot].head; i != npos;
+                     i = next_[i]) {
+                    const Entry &e = entries_[i];
+                    if (e.seq > applied && (!next || e.seq < next->seq))
+                        next = &e;
+                }
+            if (block == last_block)
+                break;
         }
+        if (!next)
+            return;
+        const Addr lo = std::max(addr, next->block);
+        const Addr hi =
+            std::min(addr + len, next->block + storeCacheBlockBytes);
+        for (Addr b = lo; b < hi; ++b) {
+            const std::uint64_t in_entry = b - next->block;
+            if (next->validByte(in_entry))
+                buf[b - addr] = next->data[in_entry];
+        }
+        applied = next->seq;
     }
 }
 

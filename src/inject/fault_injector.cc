@@ -405,16 +405,8 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
         const Addr l = lineAlign(line);
         CpuId victim = target;
         if (victim == invalidCpu) {
-            const mem::DirectoryEntry e =
-                hier_.directory().lookup(l);
-            victim = e.owner;
-            if (victim == invalidCpu)
-                for (CpuId id = 0; id < CpuId(cpus_.size()); ++id)
-                    if (id < mem::maxDirectoryCpus &&
-                        e.sharers.test(id)) {
-                        victim = id;
-                        break;
-                    }
+            // The owner, else the lowest-numbered sharer.
+            victim = hier_.directory().firstHolder(l);
         }
         if (victim == invalidCpu || victim >= cpus_.size()) {
             // Nobody caches the line; a conflict XI has no victim.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <sstream>
 
 #include "common/log.hh"
 
@@ -15,22 +16,6 @@ CoherenceDirectory::configure(unsigned num_cpus)
     if (num_cpus > maxDirectoryCpus)
         ztx_panic("directory cannot track ", num_cpus, " cpus");
     sharerWords_ = std::max(1u, (num_cpus + 63) / 64);
-}
-
-std::size_t
-CoherenceDirectory::findIndex(Addr line) const
-{
-    if (capacity_ == 0)
-        return npos;
-    std::size_t i = probeStart(line);
-    while (true) {
-        const Addr k = keys_[i];
-        if (k == line)
-            return i;
-        if (k == emptyKey)
-            return npos;
-        i = (i + 1) & mask_;
-    }
 }
 
 std::size_t
@@ -51,7 +36,6 @@ CoherenceDirectory::rehash(std::size_t new_cap)
     std::vector<Addr> old_keys = std::move(keys_);
     std::vector<CpuId> old_owner = std::move(owner_);
     std::vector<std::uint64_t> old_sharers = std::move(sharers_);
-    std::vector<std::uint64_t> old_l3 = std::move(l3Mask_);
 
     capacity_ = new_cap;
     mask_ = new_cap - 1;
@@ -59,7 +43,6 @@ CoherenceDirectory::rehash(std::size_t new_cap)
     keys_.assign(new_cap, emptyKey);
     owner_.assign(new_cap, invalidCpu);
     sharers_.assign(new_cap * sharerWords_, 0);
-    l3Mask_.assign(new_cap, 0);
 
     for (std::size_t i = 0; i < old_cap; ++i) {
         if (old_keys[i] == emptyKey)
@@ -69,7 +52,6 @@ CoherenceDirectory::rehash(std::size_t new_cap)
         for (unsigned w = 0; w < sharerWords_; ++w)
             sharers_[j * sharerWords_ + w] =
                 old_sharers[i * sharerWords_ + w];
-        l3Mask_[j] = old_l3[i];
     }
 }
 
@@ -87,39 +69,38 @@ CoherenceDirectory::ensureIndex(Addr line)
     return insertKey(line);
 }
 
-DirectoryEntry
-CoherenceDirectory::lookup(Addr line) const
+bool
+CoherenceDirectory::anyHolderIn(Slot slot, CpuId lo, CpuId hi,
+                                CpuId except) const
 {
-    DirectoryEntry e;
-    const std::size_t i = findIndex(line);
-    if (i == npos)
-        return e;
-    e.owner = owner_[i];
-    for (unsigned w = 0; w < sharerWords_; ++w) {
-        std::uint64_t word = sharers_[i * sharerWords_ + w];
-        while (word) {
-            const unsigned bit =
-                unsigned(std::countr_zero(word));
-            e.sharers.set(w * 64 + bit);
-            word &= word - 1;
-        }
+    if (slot.index == npos || lo >= hi)
+        return false;
+    const std::uint64_t *words = &sharers_[slot.index * sharerWords_];
+    for (unsigned w = lo / 64; w * 64 < hi && w < sharerWords_; ++w) {
+        const CpuId base = CpuId(w * 64);
+        std::uint64_t bits = words[w];
+        if (lo > base)
+            bits &= ~std::uint64_t(0) << (lo - base);
+        if (hi - base < 64)
+            bits &= (std::uint64_t(1) << (hi - base)) - 1;
+        if (except / 64 == w)
+            bits &= ~(std::uint64_t(1) << (except % 64));
+        if (bits)
+            return true;
     }
-    e.l3Mask = l3Mask_[i];
-    return e;
+    return false;
 }
 
-bool
-CoherenceDirectory::holds(CpuId cpu, Addr line) const
+CpuId
+CoherenceDirectory::firstHolder(Addr line) const
 {
     const std::size_t i = findIndex(line);
     if (i == npos)
-        return false;
-    if (owner_[i] == cpu)
-        return true;
-    if (cpu >= sharerWords_ * 64)
-        return false;
-    return sharers_[i * sharerWords_ + cpu / 64] &
-           (std::uint64_t(1) << (cpu % 64));
+        return invalidCpu;
+    for (unsigned w = 0; w < sharerWords_; ++w)
+        if (const std::uint64_t word = sharers_[i * sharerWords_ + w])
+            return CpuId(w * 64 + unsigned(std::countr_zero(word)));
+    return invalidCpu;
 }
 
 void
@@ -171,30 +152,6 @@ CoherenceDirectory::remove(Addr line, CpuId cpu)
     if (cpu < sharerWords_ * 64)
         sharers_[i * sharerWords_ + cpu / 64] &=
             ~(std::uint64_t(1) << (cpu % 64));
-    // Idle slots are deliberately kept: the L3-residency mask
-    // outlives the holders.
-}
-
-std::vector<CpuId>
-CoherenceDirectory::sharersExcept(Addr line, CpuId except) const
-{
-    std::vector<CpuId> out;
-    const std::size_t i = findIndex(line);
-    if (i == npos)
-        return out;
-    const CpuId owner = owner_[i];
-    for (unsigned w = 0; w < sharerWords_; ++w) {
-        std::uint64_t word = sharers_[i * sharerWords_ + w];
-        while (word) {
-            const unsigned bit =
-                unsigned(std::countr_zero(word));
-            const CpuId cpu = CpuId(w * 64 + bit);
-            if (cpu != except && cpu != owner)
-                out.push_back(cpu);
-            word &= word - 1;
-        }
-    }
-    return out;
 }
 
 std::size_t
@@ -218,22 +175,26 @@ CoherenceDirectory::trackedLines() const
     return n;
 }
 
-void
-CoherenceDirectory::setL3Resident(Addr line, unsigned chip)
+std::string
+CoherenceDirectory::ownershipCheck() const
 {
-    if (chip >= maxDirectoryChips)
-        ztx_panic("directory cannot track chip ", chip);
-    l3Mask_[ensureIndex(line)] |= std::uint64_t(1) << chip;
-}
-
-void
-CoherenceDirectory::clearL3Resident(Addr line, unsigned chip)
-{
-    if (chip >= maxDirectoryChips)
-        ztx_panic("directory cannot track chip ", chip);
-    const std::size_t i = findIndex(line);
-    if (i != npos)
-        l3Mask_[i] &= ~(std::uint64_t(1) << chip);
+    for (std::size_t i = 0; i < capacity_; ++i) {
+        const CpuId owner = owner_[i];
+        if (keys_[i] == emptyKey || owner == invalidCpu)
+            continue;
+        for (unsigned w = 0; w < sharerWords_; ++w) {
+            const std::uint64_t expect =
+                w == owner / 64 ? std::uint64_t(1) << (owner % 64) : 0;
+            if (sharers_[i * sharerWords_ + w] != expect) {
+                std::ostringstream os;
+                os << "owned line 0x" << std::hex << keys_[i]
+                   << std::dec << " (owner cpu " << owner
+                   << ") has sharer bits other than the owner's";
+                return os.str();
+            }
+        }
+    }
+    return "";
 }
 
 } // namespace ztx::mem

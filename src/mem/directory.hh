@@ -1,8 +1,7 @@
 /**
  * @file
  * Global coherence directory: which CPUs hold each line and in what
- * state (one exclusive owner, or a set of read-only sharers), plus a
- * per-line mask of the chips whose L3 the line is resident in.
+ * state (one exclusive owner, or a set of read-only sharers).
  *
  * The real machine distributes this state across the inclusive L3/L4
  * directories; a single logical directory is an exact functional model
@@ -12,22 +11,31 @@
  *
  * Storage (perf): an open-addressed, power-of-two flat table in
  * structure-of-arrays layout — a key array probed linearly, and
- * parallel value arrays (owner / sharer words / L3 mask). A
- * directory access is one hash, a short linear key scan in a single
- * cache line or two, and indexed loads from the value arrays — no
- * node pointer chase, no bucket list. The sharer-word count per line
- * is sized at configure() time from the machine's CPU count (one
- * 64-bit word per 64 CPUs), so small topologies touch one word where
- * the compile-time worst case (maxDirectoryCpus) would touch 16.
- * Slots are never erased: an idle entry keeps its L3-residency mask.
+ * parallel value arrays (owner / sharer words). A directory access
+ * is one hash, a short linear key scan in a single cache line or
+ * two, and indexed loads from the value arrays — no node pointer
+ * chase, no bucket list. The sharer-word count per line is sized at
+ * configure() time from the machine's CPU count (one 64-bit word per
+ * 64 CPUs), so small topologies touch one word where the
+ * compile-time worst case (maxDirectoryCpus) would touch 16.
+ *
+ * Every holder has its bit in the sharer words, the owner included:
+ * an owned line's words hold exactly the owner's bit. "Does anyone
+ * in CPUs [lo, hi) other than me hold it" is therefore a masked test
+ * of one or two words, which is how the hierarchy finds the nearest
+ * supplier of a line (chip, then MCM, then machine; CPU numbers of a
+ * chip and of an MCM are contiguous).
+ *
+ * Slots are never erased: an idle entry keeps its slot and is reused
+ * when the line is held again.
  */
 
 #ifndef ZTX_MEM_DIRECTORY_HH
 #define ZTX_MEM_DIRECTORY_HH
 
-#include <bitset>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -36,29 +44,6 @@ namespace ztx::mem {
 
 /** Upper bound on CPUs a directory entry can track. */
 inline constexpr unsigned maxDirectoryCpus = 1024;
-
-/** Upper bound on chips the L3-residency mask can track. */
-inline constexpr unsigned maxDirectoryChips = 64;
-
-/** Point-in-time coherence state of one line (a plain snapshot). */
-struct DirectoryEntry
-{
-    /** Exclusive owner, or invalidCpu when held read-only/not held. */
-    CpuId owner = invalidCpu;
-
-    /** Read-only holders (meaningful when owner == invalidCpu). */
-    std::bitset<maxDirectoryCpus> sharers;
-
-    /** Bit @c c set: the line is resident in chip @c c's L3. */
-    std::uint64_t l3Mask = 0;
-
-    /** True if no CPU holds the line in any state. */
-    bool
-    idle() const
-    {
-        return owner == invalidCpu && sharers.none();
-    }
-};
 
 /** Map from line address to global coherence state. */
 class CoherenceDirectory
@@ -78,11 +63,59 @@ class CoherenceDirectory
      */
     void configure(unsigned num_cpus);
 
-    /** Snapshot of @p line's state (absent lines read as idle). */
-    DirectoryEntry lookup(Addr line) const;
+    /**
+     * Handle to one line's state for repeated queries without
+     * re-probing the table. It stays valid until the next call that
+     * adds a line (setExclusive/addSharer/demoteOwner may rehash).
+     */
+    struct Slot
+    {
+        std::size_t index;
+    };
+
+    /** Slot of @p line (an untracked line reads as idle). */
+    Slot find(Addr line) const { return {findIndex(line)}; }
+
+    /** Exclusive owner at @p slot, or invalidCpu. */
+    CpuId
+    ownerAt(Slot slot) const
+    {
+        return slot.index == npos ? invalidCpu : owner_[slot.index];
+    }
+
+    /** True if @p cpu holds the line at @p slot in any state. */
+    bool
+    holdsAt(Slot slot, CpuId cpu) const
+    {
+        if (slot.index == npos || cpu >= sharerWords_ * 64)
+            return false;
+        const std::uint64_t word =
+            sharers_[slot.index * sharerWords_ + cpu / 64];
+        return (word >> (cpu % 64)) & 1;
+    }
+
+    /**
+     * True if some CPU in [@p lo, @p hi) other than @p except holds
+     * the line at @p slot (in any state).
+     */
+    bool anyHolderIn(Slot slot, CpuId lo, CpuId hi,
+                     CpuId except) const;
 
     /** True if @p cpu holds @p line in any state. */
-    bool holds(CpuId cpu, Addr line) const;
+    bool
+    holds(CpuId cpu, Addr line) const
+    {
+        return holdsAt(find(line), cpu);
+    }
+
+    /** Exclusive owner of @p line, or invalidCpu. */
+    CpuId owner(Addr line) const { return ownerAt(find(line)); }
+
+    /**
+     * Lowest-numbered CPU holding @p line in any state (its owner
+     * when owned), or invalidCpu when the line is idle.
+     */
+    CpuId firstHolder(Addr line) const;
 
     /** Record @p cpu as the sole exclusive owner. */
     void setExclusive(Addr line, CpuId cpu);
@@ -99,29 +132,42 @@ class CoherenceDirectory
     /** Remove @p cpu from the holders of @p line (any state). */
     void remove(Addr line, CpuId cpu);
 
-    /** Sharers of @p line other than @p except. */
-    std::vector<CpuId> sharersExcept(Addr line, CpuId except) const;
+    /**
+     * Invoke @p fn(CpuId) for every holder of @p line other than
+     * @p except, lowest CPU first. @p fn may remove() the CPU it is
+     * given from @p line; it must not add lines.
+     */
+    template <typename Fn>
+    void
+    forEachHolderExcept(Addr line, CpuId except, Fn &&fn) const
+    {
+        const std::size_t i = findIndex(line);
+        if (i == npos)
+            return;
+        for (unsigned w = 0; w < sharerWords_; ++w) {
+            // One word at a time: fn clears only bits already read.
+            std::uint64_t word = sharers_[i * sharerWords_ + w];
+            while (word) {
+                // The builtin, not std::countr_zero: perfbench's
+                // harness includes this header as C++17.
+                const CpuId cpu =
+                    CpuId(w * 64 + unsigned(__builtin_ctzll(word)));
+                word &= word - 1;
+                if (cpu != except)
+                    fn(cpu);
+            }
+        }
+    }
 
     /** Number of lines some CPU currently holds (non-idle entries). */
     std::size_t trackedLines() const;
 
-    /** @name L3-residency mask @{ */
-    void setL3Resident(Addr line, unsigned chip);
-    void clearL3Resident(Addr line, unsigned chip);
-    /** @} */
-
     /**
-     * Invoke @p fn(Addr, const DirectoryEntry &) for every tracked
-     * line, idle ones included (invariant checks).
+     * Verify that every owned line's sharer words hold exactly the
+     * owner's bit (what anyHolderIn() and holdsAt() rely on).
+     * @return Empty string when consistent, else the first violation.
      */
-    template <typename Fn>
-    void
-    forEachEntry(Fn &&fn) const
-    {
-        for (std::size_t i = 0; i < capacity_; ++i)
-            if (keys_[i] != emptyKey)
-                fn(keys_[i], lookup(keys_[i]));
-    }
+    std::string ownershipCheck() const;
 
     /** @name Flat-table introspection (tests, stats) @{ */
     /** Allocated slot count (a power of two, 0 before first use). */
@@ -158,7 +204,21 @@ class CoherenceDirectory
     }
 
     /** Slot of @p line, or npos when absent. */
-    std::size_t findIndex(Addr line) const;
+    std::size_t
+    findIndex(Addr line) const
+    {
+        if (capacity_ == 0)
+            return npos;
+        std::size_t i = probeStart(line);
+        while (true) {
+            const Addr k = keys_[i];
+            if (k == line)
+                return i;
+            if (k == emptyKey)
+                return npos;
+            i = (i + 1) & mask_;
+        }
+    }
 
     /** Slot of @p line, created on demand (may rehash). */
     std::size_t ensureIndex(Addr line);
@@ -177,7 +237,6 @@ class CoherenceDirectory
     std::vector<CpuId> owner_;
     /** Slot-major: slot i's words at [i*sharerWords_, ...). */
     std::vector<std::uint64_t> sharers_;
-    std::vector<std::uint64_t> l3Mask_;
 };
 
 } // namespace ztx::mem

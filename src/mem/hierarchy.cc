@@ -1,7 +1,6 @@
 #include "hierarchy.hh"
 
 #include <algorithm>
-#include <bit>
 #include <string>
 
 #include "common/log.hh"
@@ -42,7 +41,18 @@ Hierarchy::Hierarchy(const Topology &topo, const LatencyModel &lat,
         lruExt_.emplace_back(geo_.l1.rows(), false);
     }
     lruExtTracked_.resize(n);
-    l3MaskTracked_ = topo_.numChips() <= maxDirectoryChips;
+    near_.reserve(n);
+    for (unsigned i = 0; i < n; ++i) {
+        // chipOf/mcmOf divide the CPU number, so a chip's and an
+        // MCM's CPUs are contiguous ranges.
+        const CpuId chip_lo = topo_.chipOf(i) * topo_.coresPerChip();
+        const CpuId mcm_lo = topo_.mcmOf(i) * topo_.chipsPerMcm() *
+                             topo_.coresPerChip();
+        near_.push_back({chip_lo, chip_lo + topo_.coresPerChip(),
+                         mcm_lo,
+                         mcm_lo + topo_.chipsPerMcm() *
+                                      topo_.coresPerChip()});
+    }
     for (unsigned c = 0; c < topo_.numChips(); ++c)
         l3_.emplace_back(geo_.l3, "l3." + std::to_string(c));
     for (unsigned m = 0; m < topo_.numMcms(); ++m)
@@ -89,35 +99,37 @@ Hierarchy::localHit(CpuId cpu, Addr line)
     return res;
 }
 
-DataSource
-Hierarchy::findSource(CpuId cpu, Addr line) const
+Distance
+Hierarchy::distance(CpuId cpu, CpuId other) const
 {
-    if (l1_[cpu].contains(line))
-        return DataSource::L1;
-    if (l2_[cpu].contains(line))
-        return DataSource::L2;
+    const Neighbourhood &near = near_[cpu];
+    if (other == cpu)
+        return Distance::SameCpu;
+    if (other >= near.chipLo && other < near.chipHi)
+        return Distance::SameChip;
+    if (other >= near.mcmLo && other < near.mcmHi)
+        return Distance::SameMcm;
+    return Distance::CrossMcm;
+}
 
-    // Nearest other holder supplies the line (cache intervention).
-    const DirectoryEntry e = dir_.lookup(line);
-    Distance best = Distance::CrossMcm;
-    bool found = false;
-    for (unsigned h = 0; h < topo_.numCpus(); ++h) {
-        if (CpuId(h) == cpu)
-            continue;
-        if (e.owner == CpuId(h) || e.sharers[h]) {
-            const Distance d = topo_.distance(cpu, h);
-            if (!found || d < best)
-                best = d;
-            found = true;
-        }
-    }
-    if (found) {
-        switch (best) {
-          case Distance::SameChip: return DataSource::L3;
-          case Distance::SameMcm: return DataSource::L4;
-          default: return DataSource::RemoteMcm;
-        }
-    }
+DataSource
+Hierarchy::findSource(CpuId cpu, Addr line,
+                      CoherenceDirectory::Slot slot) const
+{
+    // Inclusivity: a line the requester holds is in its L2, and one
+    // it does not hold is in neither its L2 nor its L1.
+    if (dir_.holdsAt(slot, cpu))
+        return l1_[cpu].contains(line) ? DataSource::L1 : DataSource::L2;
+
+    // Nearest other holder supplies the line (cache intervention):
+    // look in the requester's chip, then its MCM, then everywhere.
+    const Neighbourhood &near = near_[cpu];
+    if (dir_.anyHolderIn(slot, near.chipLo, near.chipHi, cpu))
+        return DataSource::L3;
+    if (dir_.anyHolderIn(slot, near.mcmLo, near.mcmHi, cpu))
+        return DataSource::L4;
+    if (dir_.anyHolderIn(slot, 0, CpuId(topo_.numCpus()), cpu))
+        return DataSource::RemoteMcm;
 
     if (l3_[topo_.chipOf(cpu)].contains(line))
         return DataSource::L3;
@@ -184,24 +196,26 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive)
     if (lineOffset(line) != 0)
         ztx_panic("fetch of non-line-aligned address");
 
-    const DirectoryEntry e = dir_.lookup(line);
-    const bool holds_it =
-        e.owner == cpu ||
-        (cpu < maxDirectoryCpus && e.sharers[cpu]);
+    const CoherenceDirectory::Slot slot = dir_.find(line);
+    const CpuId owner = dir_.ownerAt(slot);
     fetchTotal_.inc();
-    if (holds_it && (!exclusive || e.owner == cpu))
+    if (dir_.holdsAt(slot, cpu) && (!exclusive || owner == cpu))
         return localHit(cpu, line);
 
     AccessResult res;
-    res.source = findSource(cpu, line);
+    res.source = findSource(cpu, line, slot);
+    // Whether another CPU held the line before the fill (poison
+    // propagation only); read now, before any state moves.
+    const bool other_holder =
+        poisonActive_ &&
+        dir_.anyHolderIn(slot, 0, CpuId(topo_.numCpus()), cpu);
 
     Cycles xi_cost = 0;
-    if (e.owner != invalidCpu && e.owner != cpu) {
+    if (owner != invalidCpu && owner != cpu) {
         // Another CPU owns the line exclusively.
-        const CpuId owner = e.owner;
         const XiKind kind =
             exclusive ? XiKind::Exclusive : XiKind::Demote;
-        const Distance d = topo_.distance(cpu, owner);
+        const Distance d = distance(cpu, owner);
         const Cycles delay = probeDelay(kind, owner, cpu);
         if (sendXi(kind, line, owner, cpu) == XiResponse::Reject) {
             res.rejected = true;
@@ -216,15 +230,15 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive)
             dir_.demoteOwner(line); // owner keeps a read-only copy
     } else if (exclusive) {
         // Invalidate all other read-only copies.
-        for (const CpuId s : dir_.sharersExcept(line, cpu)) {
+        dir_.forEachHolderExcept(line, cpu, [&](CpuId s) {
             const Cycles delay =
                 probeDelay(XiKind::ReadOnly, s, cpu);
             sendXi(XiKind::ReadOnly, line, s, cpu);
             removeFromCpu(s, line);
             xi_cost = std::max(
                 xi_cost,
-                lat_.intervention(topo_.distance(cpu, s)) + delay);
-        }
+                lat_.intervention(distance(cpu, s)) + delay);
+        });
     }
 
     if (exclusive)
@@ -234,7 +248,7 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive)
 
     installLocal(cpu, line);
     if (poisonActive_)
-        propagatePoisonOnFill(cpu, line, e, res.source);
+        propagatePoisonOnFill(cpu, line, other_holder, res.source);
     res.latency = std::max(lat_.fetch(res.source), xi_cost);
     fetchMiss_.inc();
     return res;
@@ -242,8 +256,7 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive)
 
 void
 Hierarchy::propagatePoisonOnFill(CpuId cpu, Addr line,
-                                 const DirectoryEntry &pre,
-                                 DataSource source)
+                                 bool other_holder, DataSource source)
 {
     const auto it = poison_.find(line);
     if (it == poison_.end())
@@ -252,14 +265,6 @@ Hierarchy::propagatePoisonOnFill(CpuId cpu, Addr line,
         // A corrupt cached image supplied the fill: holder
         // intervention carries poison over the XI data transfer,
         // a shared-cache hit carries it on the fetch itself.
-        bool other_holder =
-            pre.owner != invalidCpu && pre.owner != cpu;
-        if (!other_holder) {
-            auto sharers = pre.sharers;
-            if (cpu < maxDirectoryCpus)
-                sharers.reset(cpu);
-            other_holder = sharers.any();
-        }
         if (other_holder)
             poisonSpreadXi_.inc();
         else
@@ -299,8 +304,6 @@ Hierarchy::installLocal(CpuId cpu, Addr line)
         const auto victim = l3_[chip].insertAt(p3, line);
         if (victim.valid)
             handleL3Evict(chip, victim.line);
-        if (l3MaskTracked_)
-            dir_.setL3Resident(line, chip);
     }
     const auto p2 = l2_[cpu].probeForInsert(line);
     if (p2.hit) {
@@ -374,12 +377,10 @@ void
 Hierarchy::handleL3Evict(unsigned chip, Addr victim)
 {
     stats_.counter("l3.evict").inc();
-    if (l3MaskTracked_)
-        dir_.clearL3Resident(victim, chip);
     const unsigned first = chip * topo_.coresPerChip();
     for (unsigned i = 0; i < topo_.coresPerChip(); ++i) {
         const CpuId cpu = first + i;
-        if (l2_[cpu].contains(victim))
+        if (l2_[cpu].invalidate(victim))
             handleL2Evict(cpu, victim);
     }
 }
@@ -531,8 +532,7 @@ Hierarchy::txFootprintLines(CpuId cpu) const
 bool
 Hierarchy::injectAdversarialXi(CpuId target, Addr line)
 {
-    const DirectoryEntry e = dir_.lookup(line);
-    if (e.owner == target) {
+    if (dir_.owner(line) == target) {
         // Rejectable: an owner defending its footprint stiff-arms
         // exactly as it would against a real remote claimant.
         if (sendXi(XiKind::Exclusive, line, target, invalidCpu) ==
@@ -569,12 +569,10 @@ Hierarchy::poisonLine(Addr line, bool memory_side)
     stats_.counter("poison.injected").inc();
     // Best-effort flag mirror on the L1s of current holders, so
     // XiContext and introspection see the poison without a map walk.
-    const DirectoryEntry e = dir_.lookup(line);
-    for (unsigned h = 0; h < topo_.numCpus(); ++h)
-        if ((e.owner == CpuId(h) ||
-             (h < maxDirectoryCpus && e.sharers[h])) &&
-            l1_[h].contains(line))
+    dir_.forEachHolderExcept(line, invalidCpu, [&](CpuId h) {
+        if (l1_[h].contains(line))
             l1_[h].setFlags(line, line_flag::poison);
+    });
 }
 
 bool
@@ -658,29 +656,10 @@ Hierarchy::checkInvariants() const
                 ztx_panic("L2 line not in directory (cpu ", cpu, ")");
         });
     }
-    if (!l3MaskTracked_)
-        return;
-    // The L3-residency mask must agree with the actual arrays in
-    // both directions: every resident line has its chip bit set, and
-    // every set bit corresponds to a resident line.
-    for (unsigned chip = 0; chip < topo_.numChips(); ++chip) {
-        l3_[chip].forEachValid([&](const CacheArray::Entry &e) {
-            if (!(dir_.lookup(e.line).l3Mask &
-                  (std::uint64_t(1) << chip)))
-                ztx_panic("L3-resident line missing its residency "
-                          "mask bit (chip ", chip, ")");
-        });
-    }
-    dir_.forEachEntry([&](Addr line, const DirectoryEntry &e) {
-        for (std::uint64_t mask = e.l3Mask; mask;
-             mask &= mask - 1) {
-            const unsigned chip =
-                unsigned(std::countr_zero(mask));
-            if (!l3_[chip].contains(line))
-                ztx_panic("residency mask bit set for a line not "
-                          "in chip ", chip, "'s L3");
-        }
-    });
+    // An owned line's sharer words hold exactly the owner's bit:
+    // findSource's range queries count the owner through it.
+    if (const std::string err = dir_.ownershipCheck(); !err.empty())
+        ztx_panic(err);
 }
 
 } // namespace ztx::mem

@@ -279,9 +279,18 @@ class Hierarchy
 
   private:
     AccessResult localHit(CpuId cpu, Addr line);
-    DataSource findSource(CpuId cpu, Addr line) const;
-    void propagatePoisonOnFill(CpuId cpu, Addr line,
-                               const DirectoryEntry &pre,
+    /** Topology::distance from the precomputed ranges (no division). */
+    Distance distance(CpuId cpu, CpuId other) const;
+    /**
+     * Where a miss of @p cpu on @p line is supplied from; @p slot is
+     * the line's directory slot, read before any state moves.
+     */
+    DataSource findSource(CpuId cpu, Addr line,
+                          CoherenceDirectory::Slot slot) const;
+    /**
+     * @param other_holder Another CPU held @p line before the fill.
+     */
+    void propagatePoisonOnFill(CpuId cpu, Addr line, bool other_holder,
                                DataSource source);
     XiResponse sendXi(XiKind kind, Addr line, CpuId target,
                       CpuId requester);
@@ -317,11 +326,14 @@ class Hierarchy
      */
     std::vector<std::vector<Addr>> lruExtTracked_;
     bool lruExtEnabled_ = true;
-    /**
-     * Whether the directory's L3-residency mask is maintained
-     * (topologies beyond maxDirectoryChips chips cannot use it).
-     */
-    bool l3MaskTracked_ = true;
+    /** A CPU's chip and MCM as CPU-number ranges [lo, hi). */
+    struct Neighbourhood
+    {
+        CpuId chipLo, chipHi;
+        CpuId mcmLo, mcmHi;
+    };
+    /** Per CPU, precomputed for findSource and distance(). */
+    std::vector<Neighbourhood> near_;
     /** Poison bits per line (poisonCached/poisonMemorySide). */
     std::unordered_map<Addr, std::uint8_t> poison_;
     /** Fast gate for the common no-poison case. */

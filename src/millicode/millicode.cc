@@ -45,8 +45,12 @@ MillicodeEngine::transactionAbort(core::Cpu &cpu,
 
     cpu.txAborts_.inc();
     ++cpu.abortsTotal_;
-    cpu.stats_.counter(std::string("tx.abort.") +
-                       tx::abortReasonName(ctx.reason)).inc();
+    Counter *&by_reason =
+        cpu.abortsByReason_[tx::abortReasonSlot(ctx.reason)];
+    if (!by_reason) [[unlikely]]
+        by_reason = &cpu.stats_.counter(
+            std::string("tx.abort.") + tx::abortReasonName(ctx.reason));
+    by_reason->inc();
     ztx_trace(trace::Category::Millicode, "cpu", cpu.id_, " abort ",
               tx::abortReasonName(ctx.reason), " code=", ctx.code,
               " ia=0x", std::hex, cpu.psw_.ia);
@@ -133,9 +137,7 @@ MillicodeEngine::transactionAbort(core::Cpu &cpu,
                     cfg.constrainedDelayBase, shift);
                 if (window != 0) {
                     cost += cpu.rng_.nextBounded(window) + 1;
-                    cpu.stats_
-                        .counter("millicode.constrained_delays")
-                        .inc();
+                    cpu.constrainedDelays_.inc();
                 }
             }
             if (count >= cfg.constrainedSpeculationThreshold &&
@@ -145,8 +147,7 @@ MillicodeEngine::transactionAbort(core::Cpu &cpu,
                 // accesses to data that the transaction is not
                 // actually using" (paper §III.E).
                 cpu.speculationReduced_ = true;
-                cpu.stats_.counter("millicode.speculation_reduced")
-                    .inc();
+                cpu.speculationReductions_.inc();
             }
             if (count >= cfg.constrainedSoloThreshold &&
                 !cpu.soloHeld_) {
@@ -154,7 +155,7 @@ MillicodeEngine::transactionAbort(core::Cpu &cpu,
                 // conflicting work until this transaction retires.
                 cpu.env_.requestSolo(cpu.id_);
                 cpu.soloHeld_ = true;
-                cpu.stats_.counter("millicode.solo_requests").inc();
+                cpu.soloRequests_.inc();
             }
         }
     }
@@ -170,7 +171,7 @@ MillicodeEngine::ppaDelay(core::Cpu &cpu, std::uint64_t abort_count)
         abort_count, cfg.ppaMaxShift));
     const Cycles window =
         boundedShiftWindow(cfg.ppaBaseDelay, shift);
-    cpu.stats_.counter("millicode.ppa").inc();
+    cpu.ppaDelays_.inc();
     if (window == 0)
         return 0; // assist configured away (ppaBaseDelay == 0)
     return cpu.rng_.nextBounded(window) + cfg.ppaBaseDelay;
@@ -184,7 +185,7 @@ MillicodeEngine::constrainedSuccess(core::Cpu &cpu)
     if (cpu.soloHeld_) {
         cpu.env_.releaseSolo(cpu.id_);
         cpu.soloHeld_ = false;
-        cpu.stats_.counter("millicode.solo_releases").inc();
+        cpu.soloReleases_.inc();
     }
 }
 

@@ -78,6 +78,25 @@ abortCc(AbortReason reason, std::uint64_t abort_code)
 /** Human-readable reason name. */
 const char *abortReasonName(AbortReason reason);
 
+/** Number of distinct abortReasonSlot() values. */
+inline constexpr unsigned abortReasonSlots = 22;
+
+/**
+ * Dense index of @p reason, for per-reason tables: TDB codes 0-17
+ * map to themselves, 254-256 to 18-20, any other value to 21.
+ */
+constexpr unsigned
+abortReasonSlot(AbortReason reason)
+{
+    const unsigned code = unsigned(reason);
+    if (code <= unsigned(AbortReason::DataPoisoned))
+        return code;
+    if (code >= unsigned(AbortReason::DiagnosticAbort) &&
+        code <= unsigned(AbortReason::TAbortBase))
+        return code - unsigned(AbortReason::DiagnosticAbort) + 18;
+    return abortReasonSlots - 1;
+}
+
 /** Program-interruption codes the simulator models. */
 enum class InterruptCode : std::uint8_t
 {

@@ -1,7 +1,7 @@
 /** @file Unit tests for the global coherence directory. */
 
 #include <cstddef>
-#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,8 @@ constexpr Addr lineB = 0x2000;
 TEST(Directory, UnknownLineIsIdle)
 {
     CoherenceDirectory d;
-    EXPECT_TRUE(d.lookup(lineA).idle());
+    EXPECT_EQ(d.firstHolder(lineA), invalidCpu);
+    EXPECT_EQ(d.owner(lineA), invalidCpu);
     EXPECT_FALSE(d.holds(0, lineA));
 }
 
@@ -28,7 +29,7 @@ TEST(Directory, ExclusiveOwnership)
 {
     CoherenceDirectory d;
     d.setExclusive(lineA, 3);
-    EXPECT_EQ(d.lookup(lineA).owner, CpuId(3));
+    EXPECT_EQ(d.owner(lineA), CpuId(3));
     EXPECT_TRUE(d.holds(3, lineA));
     EXPECT_FALSE(d.holds(2, lineA));
 }
@@ -40,7 +41,7 @@ TEST(Directory, SharersAccumulate)
     d.addSharer(lineA, 2);
     EXPECT_TRUE(d.holds(1, lineA));
     EXPECT_TRUE(d.holds(2, lineA));
-    EXPECT_EQ(d.lookup(lineA).owner, invalidCpu);
+    EXPECT_EQ(d.owner(lineA), invalidCpu);
 }
 
 TEST(Directory, DemoteOwnerBecomesSharer)
@@ -48,7 +49,7 @@ TEST(Directory, DemoteOwnerBecomesSharer)
     CoherenceDirectory d;
     d.setExclusive(lineA, 5);
     d.demoteOwner(lineA);
-    EXPECT_EQ(d.lookup(lineA).owner, invalidCpu);
+    EXPECT_EQ(d.owner(lineA), invalidCpu);
     EXPECT_TRUE(d.holds(5, lineA));
     d.addSharer(lineA, 6);
     EXPECT_TRUE(d.holds(6, lineA));
@@ -70,47 +71,21 @@ TEST(Directory, RemoveOwnerAndSharers)
     CoherenceDirectory d;
     d.setExclusive(lineA, 4);
     d.remove(lineA, 4);
-    EXPECT_TRUE(d.lookup(lineA).idle());
+    EXPECT_EQ(d.firstHolder(lineA), invalidCpu);
 }
 
 TEST(Directory, RemoveLeavesIdleEntriesUntracked)
 {
-    // Never-erase contract: remove() leaves the slot in place (an
-    // idle entry keeps its L3-residency mask), but idle entries stop
-    // counting as tracked lines.
+    // Never-erase contract: remove() leaves the slot in place, but
+    // idle entries stop counting as tracked lines.
     CoherenceDirectory d;
     d.addSharer(lineA, 0);
     d.addSharer(lineB, 0);
     EXPECT_EQ(d.trackedLines(), 2u);
     d.remove(lineA, 0);
     EXPECT_EQ(d.trackedLines(), 1u);
-    EXPECT_TRUE(d.lookup(lineA).idle());
-}
-
-TEST(Directory, L3ResidencyMaskTracksChips)
-{
-    CoherenceDirectory d;
-    d.setL3Resident(lineA, 0);
-    d.setL3Resident(lineA, 3);
-    EXPECT_EQ(d.lookup(lineA).l3Mask, 0b1001u);
-    d.clearL3Resident(lineA, 0);
-    EXPECT_EQ(d.lookup(lineA).l3Mask, 0b1000u);
-    d.clearL3Resident(lineA, 3);
-    EXPECT_EQ(d.lookup(lineA).l3Mask, 0u);
-    // Lines the mask never saw read as not resident anywhere.
-    EXPECT_EQ(d.lookup(lineB).l3Mask, 0u);
-}
-
-TEST(Directory, L3MaskSurvivesHolderRemoval)
-{
-    // The residency mask outlives the holders: an L3 line with no
-    // current CPU holder is still resident on its chip.
-    CoherenceDirectory d;
-    d.addSharer(lineA, 2);
-    d.setL3Resident(lineA, 1);
-    d.remove(lineA, 2);
-    EXPECT_TRUE(d.lookup(lineA).idle());
-    EXPECT_EQ(d.lookup(lineA).l3Mask, 0b10u);
+    EXPECT_EQ(d.firstHolder(lineA), invalidCpu);
+    EXPECT_EQ(d.size(), 2u);
 }
 
 TEST(Directory, MutatingExistingEntryCreatesNoSlot)
@@ -136,10 +111,96 @@ TEST(Directory, SharersExceptSkipsSelfAndOwner)
     d.addSharer(lineA, 1);
     d.addSharer(lineA, 2);
     d.addSharer(lineA, 3);
-    const auto others = d.sharersExcept(lineA, 2);
-    EXPECT_EQ(others.size(), 2u);
-    EXPECT_EQ(others[0], CpuId(1));
-    EXPECT_EQ(others[1], CpuId(3));
+    std::vector<CpuId> others;
+    d.forEachHolderExcept(lineA, 2,
+                          [&](CpuId c) { others.push_back(c); });
+    EXPECT_EQ(others, (std::vector<CpuId>{1, 3}));
+
+    // An owned line's only holder is its owner.
+    d.setExclusive(lineB, 5);
+    others.clear();
+    d.forEachHolderExcept(lineB, 5,
+                          [&](CpuId c) { others.push_back(c); });
+    EXPECT_TRUE(others.empty());
+    d.forEachHolderExcept(lineB, 2,
+                          [&](CpuId c) { others.push_back(c); });
+    EXPECT_EQ(others, (std::vector<CpuId>{5}));
+}
+
+TEST(Directory, HolderWalkMayRemoveVisitedCpus)
+{
+    // The exclusive-fetch path invalidates each sharer as it visits
+    // it; the walk must still see every holder exactly once.
+    CoherenceDirectory d;
+    d.configure(128);
+    for (const CpuId c : {0u, 63u, 64u, 100u, 127u})
+        d.addSharer(lineA, c);
+    std::vector<CpuId> seen;
+    d.forEachHolderExcept(lineA, 64, [&](CpuId c) {
+        seen.push_back(c);
+        d.remove(lineA, c);
+    });
+    EXPECT_EQ(seen, (std::vector<CpuId>{0, 63, 100, 127}));
+    EXPECT_EQ(d.firstHolder(lineA), CpuId(64));
+}
+
+TEST(Directory, AnyHolderInMasksRangeAndSelf)
+{
+    // Two sharer words; the range [60, 66) straddles the boundary.
+    CoherenceDirectory d;
+    d.configure(72);
+    ASSERT_EQ(d.sharerWords(), 2u);
+    d.addSharer(lineA, 61);
+    d.addSharer(lineA, 65);
+    const auto slot = d.find(lineA);
+    EXPECT_TRUE(d.anyHolderIn(slot, 60, 66, invalidCpu));
+    EXPECT_TRUE(d.anyHolderIn(slot, 60, 66, 61));
+    EXPECT_TRUE(d.anyHolderIn(slot, 64, 72, 61));
+    EXPECT_FALSE(d.anyHolderIn(slot, 64, 72, 65));
+    EXPECT_FALSE(d.anyHolderIn(slot, 0, 61, invalidCpu));
+    EXPECT_FALSE(d.anyHolderIn(slot, 62, 65, invalidCpu));
+    EXPECT_TRUE(d.anyHolderIn(slot, 62, 66, invalidCpu));
+    EXPECT_FALSE(d.anyHolderIn(slot, 66, 72, invalidCpu));
+
+    // The owner counts as a holder; an untracked line has none.
+    d.setExclusive(lineB, 70);
+    EXPECT_TRUE(d.anyHolderIn(d.find(lineB), 66, 72, 0));
+    EXPECT_FALSE(d.anyHolderIn(d.find(lineB), 66, 72, 70));
+    EXPECT_FALSE(d.anyHolderIn(d.find(0x3000), 0, 72, invalidCpu));
+    EXPECT_FALSE(d.holdsAt(d.find(0x3000), 0));
+    EXPECT_EQ(d.ownerAt(d.find(0x3000)), invalidCpu);
+}
+
+TEST(Directory, FirstHolderIsOwnerElseLowestSharer)
+{
+    CoherenceDirectory d;
+    d.configure(128);
+    d.addSharer(lineA, 90);
+    d.addSharer(lineA, 70);
+    EXPECT_EQ(d.firstHolder(lineA), CpuId(70));
+    d.setExclusive(lineA, 120);
+    EXPECT_EQ(d.firstHolder(lineA), CpuId(120));
+    d.demoteOwner(lineA);
+    d.addSharer(lineA, 3);
+    EXPECT_EQ(d.firstHolder(lineA), CpuId(3));
+}
+
+TEST(Directory, OwnedLineHoldsOnlyTheOwnersBit)
+{
+    // Every transition keeps the invariant ownershipCheck() tests.
+    CoherenceDirectory d;
+    d.configure(128);
+    d.addSharer(lineA, 1);
+    d.addSharer(lineA, 80);
+    d.setExclusive(lineA, 100);
+    d.setExclusive(lineB, 5);
+    d.demoteOwner(lineB);
+    d.addSharer(lineB, 99);
+    d.remove(lineB, 5);
+    EXPECT_EQ(d.ownershipCheck(), "");
+    EXPECT_FALSE(d.holds(1, lineA));
+    EXPECT_FALSE(d.holds(80, lineA));
+    EXPECT_TRUE(d.holds(100, lineA));
 }
 
 TEST(Directory, IndependentLines)
@@ -154,8 +215,8 @@ TEST(Directory, IndependentLines)
 TEST(Directory, RehashMigratesSlotsIntact)
 {
     // Push far past the initial capacity so the flat table grows
-    // several times; every entry's owner, sharers, and residency
-    // mask must survive each slot migration.
+    // several times; every entry's owner and sharers must survive
+    // each slot migration.
     CoherenceDirectory d;
     const std::size_t cap0 = d.capacity();
     constexpr unsigned n = 3000;
@@ -167,20 +228,14 @@ TEST(Directory, RehashMigratesSlotsIntact)
             d.setExclusive(lineOf(i), CpuId(i % 64));
         else
             d.addSharer(lineOf(i), CpuId(i % 64));
-        if (i % 2 == 0)
-            d.setL3Resident(lineOf(i), i % 8);
     }
     EXPECT_GT(d.capacity(), cap0);
     EXPECT_EQ(d.size(), std::size_t(n)); // never-erase: all keys live
     for (unsigned i = 0; i < n; ++i) {
-        const auto e = d.lookup(lineOf(i));
-        if (i % 3 == 0)
-            EXPECT_EQ(e.owner, CpuId(i % 64)) << i;
-        else
-            EXPECT_TRUE(e.sharers[i % 64]) << i;
-        EXPECT_EQ(e.l3Mask,
-                  i % 2 == 0 ? std::uint64_t(1) << (i % 8) : 0u)
+        EXPECT_EQ(d.owner(lineOf(i)),
+                  i % 3 == 0 ? CpuId(i % 64) : invalidCpu)
             << i;
+        EXPECT_EQ(d.firstHolder(lineOf(i)), CpuId(i % 64)) << i;
     }
     // Growth keeps the table under its 3/4 load bound.
     EXPECT_LE(d.size() * 4, d.capacity() * 3);
@@ -203,7 +258,7 @@ TEST(Directory, ConfigureSizesSharerWords)
     EXPECT_EQ(wide.sharerWords(), 16u);
     wide.setExclusive(lineA, 1023);
     EXPECT_TRUE(wide.holds(1023, lineA));
-    EXPECT_TRUE(wide.lookup(lineA).owner == CpuId(1023));
+    EXPECT_TRUE(wide.owner(lineA) == CpuId(1023));
 }
 
 } // namespace

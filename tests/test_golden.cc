@@ -142,17 +142,34 @@ TEST(GoldenDigest, PrivateRegionTxLegacy)
     EXPECT_EQ(image.value(), 0x0546299d5d6be2beULL);
 }
 
-/** An update bench on twoChipConfig(): 8 CPUs across two chips. */
+/**
+ * 6 cores x 4 chips x 3 MCMs = 72 CPUs with trimmed L3/L4: two
+ * sharer words per directory line (chip 10, CPUs 60-65, straddles
+ * the word boundary) and remote-MCM interventions.
+ */
+sim::MachineConfig
+wideConfig()
+{
+    sim::MachineConfig cfg;
+    cfg.topology = mem::Topology(6, 4, 3);
+    cfg.geometry.l3 = {8ULL << 20, 12};
+    cfg.geometry.l4 = {32ULL << 20, 24};
+    cfg.seed = 7;
+    return cfg;
+}
+
+/** An update bench on every CPU of @p machine. */
 std::uint64_t
-contendedHash(workload::SyncMethod method)
+contendedHash(workload::SyncMethod method,
+              const sim::MachineConfig &machine, unsigned iterations)
 {
     workload::UpdateBenchConfig cfg;
-    cfg.cpus = 8;
+    cfg.cpus = machine.topology.numCpus();
     cfg.poolSize = 2;
     cfg.varsPerOp = 2;
     cfg.method = method;
-    cfg.iterations = 150;
-    cfg.machine = twoChipConfig();
+    cfg.iterations = iterations;
+    cfg.machine = machine;
     cfg.machine.activeCpus = cfg.cpus;
     cfg.machine.seed = cfg.seed;
     sim::Machine m(cfg.machine);
@@ -165,14 +182,26 @@ contendedHash(workload::SyncMethod method)
 
 TEST(GoldenDigest, ContendedTBeginLegacy)
 {
-    EXPECT_EQ(contendedHash(workload::SyncMethod::TBegin),
+    EXPECT_EQ(contendedHash(workload::SyncMethod::TBegin,
+                            twoChipConfig(), 150),
               0x8dfa7a0353c8ac27ULL);
 }
 
 TEST(GoldenDigest, ContendedCoarseLockLegacy)
 {
-    EXPECT_EQ(contendedHash(workload::SyncMethod::CoarseLock),
+    EXPECT_EQ(contendedHash(workload::SyncMethod::CoarseLock,
+                            twoChipConfig(), 150),
               0x445f1a12d5434a5dULL);
+}
+
+TEST(GoldenDigest, ContendedWideCrossMcmLegacy)
+{
+    EXPECT_EQ(contendedHash(workload::SyncMethod::TBegin, wideConfig(),
+                            20),
+              0xc35d09eeb6ebc6dbULL);
+    EXPECT_EQ(contendedHash(workload::SyncMethod::CoarseLock,
+                            wideConfig(), 20),
+              0x56314d10eec95ca6ULL);
 }
 
 } // namespace

@@ -96,7 +96,7 @@ TEST(Hierarchy, ReadOfExclusiveLineSendsDemoteXi)
 {
     Rig rig;
     rig.hier.fetch(0, lineA, true);
-    EXPECT_EQ(rig.hier.directory().lookup(lineA).owner, CpuId(0));
+    EXPECT_EQ(rig.hier.directory().owner(lineA), CpuId(0));
     const auto res = rig.hier.fetch(1, lineA, false);
     EXPECT_FALSE(res.rejected);
     ASSERT_EQ(rig.clients[0]->received.size(), 1u);
@@ -104,7 +104,7 @@ TEST(Hierarchy, ReadOfExclusiveLineSendsDemoteXi)
     // Previous owner keeps a read-only copy.
     EXPECT_TRUE(rig.hier.inL1(0, lineA));
     EXPECT_TRUE(rig.hier.directory().holds(0, lineA));
-    EXPECT_EQ(rig.hier.directory().lookup(lineA).owner, invalidCpu);
+    EXPECT_EQ(rig.hier.directory().owner(lineA), invalidCpu);
 }
 
 TEST(Hierarchy, WriteOfSharedLineInvalidatesSharers)
@@ -120,7 +120,7 @@ TEST(Hierarchy, WriteOfSharedLineInvalidatesSharers)
     EXPECT_FALSE(rig.hier.inL1(0, lineA));
     EXPECT_FALSE(rig.hier.inL2(0, lineA));
     EXPECT_FALSE(rig.hier.directory().holds(0, lineA));
-    EXPECT_EQ(rig.hier.directory().lookup(lineA).owner, CpuId(2));
+    EXPECT_EQ(rig.hier.directory().owner(lineA), CpuId(2));
     rig.hier.checkInvariants();
 }
 
@@ -132,7 +132,7 @@ TEST(Hierarchy, WriteOfExclusiveLineSendsExclusiveXi)
     ASSERT_EQ(rig.clients[0]->received.size(), 1u);
     EXPECT_EQ(rig.clients[0]->received[0].kind, XiKind::Exclusive);
     EXPECT_FALSE(rig.hier.inL2(0, lineA));
-    EXPECT_EQ(rig.hier.directory().lookup(lineA).owner, CpuId(1));
+    EXPECT_EQ(rig.hier.directory().owner(lineA), CpuId(1));
 }
 
 TEST(Hierarchy, RejectedXiLeavesStateUntouched)
@@ -144,12 +144,12 @@ TEST(Hierarchy, RejectedXiLeavesStateUntouched)
     EXPECT_TRUE(res.rejected);
     EXPECT_EQ(res.rejecter, CpuId(0));
     EXPECT_GT(res.latency, 0u);
-    EXPECT_EQ(rig.hier.directory().lookup(lineA).owner, CpuId(0));
+    EXPECT_EQ(rig.hier.directory().owner(lineA), CpuId(0));
     EXPECT_FALSE(rig.hier.inL2(1, lineA));
     // Retry after the owner stops rejecting succeeds.
     const auto res2 = rig.hier.fetch(1, lineA, true);
     EXPECT_FALSE(res2.rejected);
-    EXPECT_EQ(rig.hier.directory().lookup(lineA).owner, CpuId(1));
+    EXPECT_EQ(rig.hier.directory().owner(lineA), CpuId(1));
 }
 
 TEST(Hierarchy, UpgradeFromSharedToExclusive)
@@ -159,7 +159,7 @@ TEST(Hierarchy, UpgradeFromSharedToExclusive)
     rig.hier.fetch(1, lineA, false);
     const auto res = rig.hier.fetch(0, lineA, true);
     EXPECT_FALSE(res.rejected);
-    EXPECT_EQ(rig.hier.directory().lookup(lineA).owner, CpuId(0));
+    EXPECT_EQ(rig.hier.directory().owner(lineA), CpuId(0));
     EXPECT_FALSE(rig.hier.directory().holds(1, lineA));
     // Local data: upgrade is served from the local caches.
     EXPECT_TRUE(res.source == DataSource::L1 ||
@@ -297,6 +297,33 @@ TEST(Hierarchy, L2EvictionInvalidatesL1AndDirectory)
     rig.hier.checkInvariants();
 }
 
+TEST(Hierarchy, L3EvictionInvalidatesTheChipsL2Copies)
+{
+    // A 2-row x 2-way L3: CPU 0 (same chip as CPU 1) pushes two
+    // more lines through L3 row 0 and evicts the line CPU 1 holds.
+    HierarchyGeometry geo = tinyL1Geometry();
+    geo.l3 = CacheGeometry{2 * 2 * lineSizeBytes, 2};
+    Rig rig(geo);
+    const auto l3Row0 = [](unsigned k) {
+        return Addr(2 * k) * lineSizeBytes;
+    };
+    rig.hier.fetch(1, l3Row0(0), false);
+    rig.hier.fetch(0, l3Row0(1), false);
+    rig.hier.fetch(0, l3Row0(2), false);
+    EXPECT_FALSE(rig.hier.inL3(0, l3Row0(0)));
+    EXPECT_FALSE(rig.hier.inL2(1, l3Row0(0)));
+    EXPECT_FALSE(rig.hier.inL1(1, l3Row0(0)));
+    EXPECT_FALSE(rig.hier.directory().holds(1, l3Row0(0)));
+    bool saw_lru = false;
+    for (const auto &ctx : rig.clients[1]->received)
+        saw_lru |= ctx.kind == XiKind::Lru && ctx.line == l3Row0(0);
+    EXPECT_TRUE(saw_lru);
+    rig.hier.checkInvariants();
+    // The refetch misses the L2 and finds the line in the L4.
+    EXPECT_EQ(rig.hier.fetch(1, l3Row0(0), false).source,
+              DataSource::L4);
+}
+
 TEST(Hierarchy, RandomTrafficKeepsInvariants)
 {
     Rig rig(tinyL1Geometry());
@@ -321,11 +348,11 @@ TEST(Hierarchy, SingleWriterInvariantUnderRandomTraffic)
         const CpuId cpu = CpuId(rng.nextBounded(8));
         const Addr line = rng.nextBounded(16) * lineSizeBytes;
         rig.hier.fetch(cpu, line, rng.nextBool(0.5));
-        const auto &e = rig.hier.directory().lookup(line);
-        if (e.owner != invalidCpu) {
+        const CpuId owner = rig.hier.directory().owner(line);
+        if (owner != invalidCpu) {
             // Exclusive owner implies no other holder.
             for (unsigned other = 0; other < 8; ++other) {
-                if (CpuId(other) != e.owner) {
+                if (CpuId(other) != owner) {
                     EXPECT_FALSE(rig.hier.inL2(other, line));
                 }
             }

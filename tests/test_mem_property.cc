@@ -212,4 +212,105 @@ TEST_P(HierarchyFuzz, InvariantsHoldWithRejectingClients)
 INSTANTIATE_TEST_SUITE_P(Seeds, HierarchyFuzz,
                          ::testing::Values(11u, 22u, 33u));
 
+// ---------------------------------------------------------------
+// AccessResult::source versus a brute-force nearest-holder walk.
+// ---------------------------------------------------------------
+
+/** The source of a fetch, from the state before it, by brute force. */
+DataSource
+referenceSource(const Hierarchy &hier, CpuId cpu, Addr line)
+{
+    const Topology &topo = hier.topology();
+    if (hier.inL1(cpu, line))
+        return DataSource::L1;
+    if (hier.inL2(cpu, line))
+        return DataSource::L2;
+    const CoherenceDirectory &dir = hier.directory();
+    bool found = false;
+    Distance best = Distance::CrossMcm;
+    for (CpuId h = 0; h < topo.numCpus(); ++h) {
+        if (h == cpu || (dir.owner(line) != h && !dir.holds(h, line)))
+            continue;
+        const Distance d = topo.distance(cpu, h);
+        if (!found || d < best)
+            best = d;
+        found = true;
+    }
+    if (found)
+        return best == Distance::SameChip  ? DataSource::L3
+               : best == Distance::SameMcm ? DataSource::L4
+                                           : DataSource::RemoteMcm;
+    if (hier.inL3(topo.chipOf(cpu), line))
+        return DataSource::L3;
+    if (hier.inL4(topo.mcmOf(cpu), line))
+        return DataSource::L4;
+    for (unsigned m = 0; m < topo.numMcms(); ++m)
+        if (m != topo.mcmOf(cpu) && hier.inL4(m, line))
+            return DataSource::RemoteMcm;
+    return DataSource::Memory;
+}
+
+class FindSourceFuzz : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(FindSourceFuzz, MatchesBruteForceNearestHolder)
+{
+    // 6 cores x 4 chips x 3 MCMs = 72 CPUs: two sharer words, and
+    // chip 10 (CPUs 60-65) straddles the word boundary. Small L3/L4
+    // so lines also come from caches no CPU holds them in.
+    HierarchyGeometry geo;
+    geo.l1 = CacheGeometry{2 * 2 * lineSizeBytes, 2};
+    geo.l2 = CacheGeometry{4 * 4 * lineSizeBytes, 4};
+    geo.l3 = CacheGeometry{8 * 4 * lineSizeBytes, 4};
+    geo.l4 = CacheGeometry{16 * 4 * lineSizeBytes, 4};
+    const Topology topo(6, 4, 3);
+    Hierarchy hier(topo, LatencyModel{}, geo);
+
+    std::vector<std::unique_ptr<FlakyClient>> clients;
+    for (unsigned i = 0; i < topo.numCpus(); ++i) {
+        clients.push_back(
+            std::make_unique<FlakyClient>(GetParam() * 100 + i, 0.1));
+        hier.setClient(i, clients.back().get());
+    }
+
+    Rng rng(GetParam());
+    std::map<DataSource, unsigned> seen;
+    unsigned cross_word_hits = 0;
+    for (int step = 0; step < 20000; ++step) {
+        // Half the requests come from CPUs 56-71, around the
+        // word-straddling chip.
+        const CpuId cpu =
+            rng.nextBool(0.5) ? CpuId(56 + rng.nextBounded(16))
+                              : CpuId(rng.nextBounded(topo.numCpus()));
+        const Addr line = rng.nextBounded(40) * lineSizeBytes;
+        const DataSource expect = referenceSource(hier, cpu, line);
+        // A same-chip supplier on the other side of the word
+        // boundary from the requester.
+        bool cross_word = false;
+        if (expect == DataSource::L3 && topo.chipOf(cpu) == 10)
+            for (CpuId h = 60; h < 66; ++h)
+                cross_word |= h / 64 != cpu / 64 &&
+                              hier.directory().holds(h, line);
+        const auto res = hier.fetch(cpu, line, rng.nextBool(0.3));
+        if (res.rejected)
+            continue;
+        ASSERT_EQ(res.source, expect)
+            << "step " << step << " cpu " << cpu << " line " << line;
+        ++seen[res.source];
+        cross_word_hits += cross_word ? 1 : 0;
+        if (step % 2000 == 0)
+            hier.checkInvariants();
+    }
+    hier.checkInvariants();
+    for (const DataSource src :
+         {DataSource::L1, DataSource::L2, DataSource::L3,
+          DataSource::L4, DataSource::RemoteMcm, DataSource::Memory})
+        EXPECT_GT(seen[src], 0u) << "source " << int(src);
+    EXPECT_GT(cross_word_hits, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FindSourceFuzz,
+                         ::testing::Values(5u, 6u, 7u));
+
 } // namespace

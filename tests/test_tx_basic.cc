@@ -9,6 +9,8 @@
 
 #include <functional>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "tx/tdb.hh"
 #include "ztx_test_util.hh"
@@ -30,6 +32,21 @@ runProgram(const Program &program,
     m->setProgram(0, &program);
     m->run();
     return m;
+}
+
+TEST(TxBasic, AbortReasonSlotsAreDistinct)
+{
+    // The per-reason abort counters are indexed by these slots: two
+    // named reasons sharing one would merge their counters.
+    std::set<unsigned> slots;
+    for (unsigned code = 0; code <= 300; ++code) {
+        const auto reason = tx::AbortReason(code);
+        if (std::string(tx::abortReasonName(reason)) == "?")
+            continue;
+        const unsigned slot = tx::abortReasonSlot(reason);
+        EXPECT_LT(slot, tx::abortReasonSlots) << code;
+        EXPECT_TRUE(slots.insert(slot).second) << code;
+    }
 }
 
 TEST(TxBasic, CommitMakesStoresVisible)
