@@ -130,36 +130,80 @@ hotLineOf(const std::string &wl)
 /** Watchdog window: generous against backoff, tiny against hangs. */
 constexpr Cycles watchdogWindow = 2'000'000;
 
-struct Outcome
+/**
+ * Run workload @p wl for @p iterations per CPU with op logging on
+ * under @p mcfg. @p structure_ok gets the full structural verdict:
+ * the oracle plus, for the list set, its sortedness and length.
+ */
+workload::RunSummary
+runWorkload(const std::string &wl, unsigned iterations,
+            const sim::MachineConfig &mcfg, bool &structure_ok)
 {
-    double throughput = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    bool oracleOk = false;
-    bool watchdogFired = false;
-    std::string oracleSummary;
-    inject::LinVerdict lincheck;
-    inject::OrderInferReport orderInfer;
-};
+    using namespace ztx::workload;
+    if (wl == "list_set") {
+        ListSetBenchConfig cfg;
+        cfg.cpus = 4;
+        cfg.useElision = true;
+        cfg.iterations = iterations;
+        cfg.opLog = true;
+        cfg.machine = mcfg;
+        const auto res = runListSetBench(cfg);
+        structure_ok =
+            res.oracle.ok && res.sorted && res.lengthConsistent;
+        return res;
+    }
+    if (wl == "hashtable") {
+        HashTableBenchConfig cfg;
+        cfg.cpus = 4;
+        cfg.useElision = true;
+        cfg.iterations = iterations;
+        cfg.opLog = true;
+        cfg.machine = mcfg;
+        const auto res = runHashTableBench(cfg);
+        structure_ok = res.oracle.ok;
+        return res;
+    }
+    QueueBenchConfig cfg;
+    cfg.cpus = 4;
+    cfg.useConstrainedTx = true;
+    cfg.iterations = iterations;
+    cfg.opLog = true;
+    cfg.machine = mcfg;
+    const auto res = runQueueBench(cfg);
+    structure_ok = res.oracle.ok;
+    return res;
+}
 
 /**
- * Emit the history-checker section of a chaos record: exactly one
- * of `order_infer` (the O(n log n) oracle inferred the order) or
- * `lincheck` (DFS fallback / truncated / protocol error), never
- * both — json_check enforces this shape.
+ * Append the chaos record of one point: the shared result fields,
+ * the point's identity and verdicts, its fault plan, and exactly one
+ * history-checker section — `order_infer` (the O(n log n) oracle
+ * inferred the order) or `lincheck` (DFS fallback / truncated /
+ * protocol error), never both; json_check enforces this shape.
  */
 void
-addCheckerSection(Json &rec, const Outcome &out)
+addPoint(bench::JsonReport &report, const workload::RunSummary &res,
+         bool oracle_ok, const std::string &wl, const char *mix,
+         double rate_scale, const inject::FaultPlan &plan)
 {
+    Json rec = Json::object();
+    rec["workload"] = wl;
+    rec["mix"] = mix;
+    rec["rate_scale"] = rate_scale;
+    rec["oracle_ok"] = oracle_ok;
+    rec["watchdog_fired"] = res.watchdogFired;
+    rec["oracle_summary"] = res.oracle.summary();
     rec["op_log"] = true;
-    if (out.orderInfer.inferred) {
-        rec["order_infer"] = inject::orderInferJson(out.orderInfer);
+    if (res.orderInfer.inferred) {
+        rec["order_infer"] = inject::orderInferJson(res.orderInfer);
     } else {
-        Json lc = inject::linVerdictJson(out.lincheck);
-        if (!out.orderInfer.fallbackReason.empty())
-            lc["fallback_reason"] = out.orderInfer.fallbackReason;
+        Json lc = inject::linVerdictJson(res.lincheck);
+        if (!res.orderInfer.fallbackReason.empty())
+            lc["fallback_reason"] = res.orderInfer.fallbackReason;
         rec["lincheck"] = std::move(lc);
     }
+    rec["fault_plan"] = inject::faultPlanJson(plan);
+    report.addResult(res, std::move(rec));
 }
 
 } // namespace
@@ -204,55 +248,8 @@ main(int argc, char **argv)
             mcfg.faults = plan;
             mcfg.watchdogCycles = watchdogWindow;
 
-            Outcome out;
-            Json rec = Json::object();
-            if (wl == "list_set") {
-                ListSetBenchConfig cfg;
-                cfg.cpus = 4;
-                cfg.useElision = true;
-                cfg.iterations = iters;
-                cfg.opLog = true;
-                cfg.machine = mcfg;
-                const auto res = runListSetBench(cfg);
-                out = {res.throughput, res.txCommits, res.txAborts,
-                       res.oracle.ok && res.sorted &&
-                           res.lengthConsistent,
-                       res.watchdogFired, res.oracle.summary(),
-                       res.lincheck, res.orderInfer};
-                report.addSimWork(res.elapsedCycles,
-                                  res.instructions);
-                rec = bench::resultJson(res);
-            } else if (wl == "hashtable") {
-                HashTableBenchConfig cfg;
-                cfg.cpus = 4;
-                cfg.useElision = true;
-                cfg.iterations = iters;
-                cfg.opLog = true;
-                cfg.machine = mcfg;
-                const auto res = runHashTableBench(cfg);
-                out = {res.throughput, res.txCommits, res.txAborts,
-                       res.oracle.ok, res.watchdogFired,
-                       res.oracle.summary(),
-                       res.lincheck, res.orderInfer};
-                report.addSimWork(res.elapsedCycles,
-                                  res.instructions);
-                rec = bench::resultJson(res);
-            } else {
-                QueueBenchConfig cfg;
-                cfg.cpus = 4;
-                cfg.useConstrainedTx = true;
-                cfg.iterations = iters;
-                cfg.opLog = true;
-                cfg.machine = mcfg;
-                const auto res = runQueueBench(cfg);
-                out = {res.throughput, res.txCommits, res.txAborts,
-                       res.oracle.ok, res.watchdogFired,
-                       res.oracle.summary(),
-                       res.lincheck, res.orderInfer};
-                report.addSimWork(res.elapsedCycles,
-                                  res.instructions);
-                rec = bench::resultJson(res);
-            }
+            bool oracle_ok = false;
+            const auto res = runWorkload(wl, iters, mcfg, oracle_ok);
 
             // A non-linearizable history already failed the oracle
             // (the runner folds it in); an *unchecked* one on a run
@@ -261,32 +258,22 @@ main(int argc, char **argv)
             // *truncated* log is an explicit, expected verdict (the
             // ring overflowed), not a violation: the point passes
             // so long as the structure oracle is clean.
-            const bool lincheck_ok = out.lincheck.checked ||
-                                     out.lincheck.truncated ||
-                                     out.watchdogFired;
-            const bool point_ok = out.oracleOk &&
-                                  !out.watchdogFired && lincheck_ok;
+            const bool lincheck_ok = res.lincheck.checked ||
+                                     res.lincheck.truncated ||
+                                     res.watchdogFired;
+            const bool point_ok = oracle_ok && !res.watchdogFired &&
+                                  lincheck_ok;
             all_ok = all_ok && point_ok;
             std::printf("  %-10s %-10s %-5.2g %10.5f %8llu %8llu  "
                         "%s%s\n",
                         wl.c_str(), mix.name, mix.scale,
-                        out.throughput,
-                        (unsigned long long)out.commits,
-                        (unsigned long long)out.aborts,
-                        out.watchdogFired ? "WATCHDOG " : "",
-                        out.oracleSummary.c_str());
-
-            if (report.enabled()) {
-                rec["workload"] = wl;
-                rec["mix"] = mix.name;
-                rec["rate_scale"] = mix.scale;
-                rec["oracle_ok"] = out.oracleOk;
-                rec["watchdog_fired"] = out.watchdogFired;
-                rec["oracle_summary"] = out.oracleSummary;
-                addCheckerSection(rec, out);
-                rec["fault_plan"] = inject::faultPlanJson(plan);
-                report.addRecord(std::move(rec));
-            }
+                        res.throughput,
+                        (unsigned long long)res.txCommits,
+                        (unsigned long long)res.txAborts,
+                        res.watchdogFired ? "WATCHDOG " : "",
+                        res.oracle.summary().c_str());
+            addPoint(report, res, oracle_ok, wl, mix.name, mix.scale,
+                     plan);
         }
     }
 
@@ -302,83 +289,32 @@ main(int argc, char **argv)
         mcfg.faults = plan;
         mcfg.watchdogCycles = watchdogWindow;
 
-        Outcome out;
-        Json rec = Json::object();
-        if (wl == "list_set") {
-            ListSetBenchConfig cfg;
-            cfg.cpus = 4;
-            cfg.useElision = true;
-            cfg.iterations = 25000; // 4 CPUs -> 100k ops
-            cfg.opLog = true;
-            cfg.machine = mcfg;
-            const auto res = runListSetBench(cfg);
-            out = {res.throughput, res.txCommits, res.txAborts,
-                   res.oracle.ok && res.sorted &&
-                       res.lengthConsistent,
-                   res.watchdogFired, res.oracle.summary(),
-                   res.lincheck, res.orderInfer};
-            report.addSimWork(res.elapsedCycles, res.instructions);
-            rec = bench::resultJson(res);
-        } else if (wl == "hashtable") {
-            HashTableBenchConfig cfg;
-            cfg.cpus = 4;
-            cfg.useElision = true;
-            cfg.iterations = 25000; // 4 CPUs -> 100k ops
-            cfg.opLog = true;
-            cfg.machine = mcfg;
-            const auto res = runHashTableBench(cfg);
-            out = {res.throughput, res.txCommits, res.txAborts,
-                   res.oracle.ok, res.watchdogFired,
-                   res.oracle.summary(),
-                   res.lincheck, res.orderInfer};
-            report.addSimWork(res.elapsedCycles, res.instructions);
-            rec = bench::resultJson(res);
-        } else {
-            QueueBenchConfig cfg;
-            cfg.cpus = 4;
-            cfg.useConstrainedTx = true;
-            cfg.iterations = 12500; // enq+deq x 4 CPUs -> 100k ops
-            cfg.opLog = true;
-            cfg.machine = mcfg;
-            const auto res = runQueueBench(cfg);
-            out = {res.throughput, res.txCommits, res.txAborts,
-                   res.oracle.ok, res.watchdogFired,
-                   res.oracle.summary(),
-                   res.lincheck, res.orderInfer};
-            report.addSimWork(res.elapsedCycles, res.instructions);
-            rec = bench::resultJson(res);
-        }
+        // 4 CPUs x 25000 operations, or x 12500 queue iterations
+        // of an enqueue plus a dequeue: ~100k operations each.
+        bool oracle_ok = false;
+        const auto res = runWorkload(wl, wl == "queue" ? 12500 : 25000,
+                                     mcfg, oracle_ok);
 
         // The whole point of the scale: a definitive verdict from
         // the inferred order. A fallback here (pending ops, version
         // gaps) or an unchecked verdict fails the point.
-        const bool point_ok = out.oracleOk && !out.watchdogFired &&
-                              out.lincheck.checked &&
-                              out.orderInfer.inferred;
+        const bool point_ok = oracle_ok && !res.watchdogFired &&
+                              res.lincheck.checked &&
+                              res.orderInfer.inferred;
         all_ok = all_ok && point_ok;
         std::printf("  %-10s %-10s %-5s %10.5f %8llu %8llu  "
                     "%s%s [order_infer: %llu ops, %llu edges%s]\n",
-                    wl.c_str(), "large", "0.25", out.throughput,
-                    (unsigned long long)out.commits,
-                    (unsigned long long)out.aborts,
-                    out.watchdogFired ? "WATCHDOG " : "",
-                    out.oracleSummary.c_str(),
-                    (unsigned long long)out.orderInfer.orderLength,
-                    (unsigned long long)(out.orderInfer.versionEdges +
-                                         out.orderInfer.programEdges),
-                    out.orderInfer.inferred ? "" : " FALLBACK");
-
-        if (report.enabled()) {
-            rec["workload"] = wl;
-            rec["mix"] = "large_history";
-            rec["rate_scale"] = 0.25;
-            rec["oracle_ok"] = out.oracleOk;
-            rec["watchdog_fired"] = out.watchdogFired;
-            rec["oracle_summary"] = out.oracleSummary;
-            addCheckerSection(rec, out);
-            rec["fault_plan"] = inject::faultPlanJson(plan);
-            report.addRecord(std::move(rec));
-        }
+                    wl.c_str(), "large", "0.25", res.throughput,
+                    (unsigned long long)res.txCommits,
+                    (unsigned long long)res.txAborts,
+                    res.watchdogFired ? "WATCHDOG " : "",
+                    res.oracle.summary().c_str(),
+                    (unsigned long long)res.orderInfer.orderLength,
+                    (unsigned long long)(res.orderInfer.versionEdges +
+                                         res.orderInfer.programEdges),
+                    res.orderInfer.inferred ? "" : " FALLBACK");
+        addPoint(report, res, oracle_ok, wl, "large_history", 0.25,
+                 plan);
     }
 
     if (!report.write())

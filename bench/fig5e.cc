@@ -41,14 +41,11 @@ main(int argc, char **argv)
             if (!elide && threads == 2)
                 lock2 = res.throughput;
             row.push_back(res.throughput);
-            report.addSimWork(res.elapsedCycles, res.instructions);
-            if (report.enabled()) {
-                Json rec = bench::resultJson(res);
-                rec["cpus"] = threads;
-                rec["variant"] = elide ? "tbegin" : "lock";
-                rec["occupied_buckets"] = res.occupiedBuckets;
-                report.addRecord(std::move(rec));
-            }
+            Json rec = Json::object();
+            rec["cpus"] = threads;
+            rec["variant"] = elide ? "tbegin" : "lock";
+            rec["occupied_buckets"] = res.occupiedBuckets;
+            report.addResult(res, std::move(rec));
         }
         table.addRow(threads,
                      {100.0 * row[0] / lock2, 100.0 * row[1] / lock2});

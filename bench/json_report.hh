@@ -49,28 +49,10 @@ Json rasStatsJson(const workload::RasSummary &ras);
 
 /**
  * The shared result fields of one sweep-point record: throughput,
- * commit/abort counts, the abort-reason breakdown, and the
- * simulated work (cycles, instructions) behind the point. Works
- * with every workload *BenchResult.
+ * commit/abort counts, the abort-reason breakdown, the RAS summary
+ * and the simulated work (cycles, instructions) behind the point.
  */
-template <typename Result>
-Json
-resultJson(const Result &res)
-{
-    Json r = Json::object();
-    r["throughput"] = res.throughput;
-    r["mean_region_cycles"] = res.meanRegionCycles;
-    r["commits"] = res.txCommits;
-    r["aborts"] = res.txAborts;
-    const double attempts = double(res.txCommits + res.txAborts);
-    r["abort_rate"] =
-        attempts > 0.0 ? double(res.txAborts) / attempts : 0.0;
-    r["aborts_by_reason"] = abortBreakdownJson(res.abortsByReason);
-    r["sim_cycles"] = std::uint64_t(res.elapsedCycles);
-    r["instructions"] = res.instructions;
-    r["ras"] = rasStatsJson(res.ras);
-    return r;
-}
+Json resultJson(const workload::RunSummary &res);
 
 /** Collects sweep-point records and writes the bench document. */
 class JsonReport
@@ -101,6 +83,18 @@ class JsonReport
 
     /** Account simulated work for the sim-speed self-meter. */
     void addSimWork(Cycles cycles, std::uint64_t instructions);
+
+    /**
+     * Account @p res's simulated work and, when enabled, append the
+     * record resultJson(@p res) with @p fields merged over it.
+     */
+    void addResult(const workload::RunSummary &res, Json fields);
+
+    /** @name What has been accounted so far @{ */
+    std::uint64_t simCycles() const { return simCycles_; }
+    std::uint64_t simInstructions() const { return instructions_; }
+    const Json &records() const { return records_; }
+    /** @} */
 
     /**
      * Write the document (no-op success when disabled).

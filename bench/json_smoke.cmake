@@ -1,6 +1,6 @@
 # Runs a bench binary with JSON reporting enabled and validates the
 # resulting BENCH_<name>.json with the json_check binary. Invoked by
-# the bench_json_smoke ctest target:
+# the chaos, scale and litmus smoke ctest targets:
 #   cmake -DBENCH_BIN=... -DCHECK_BIN=... -DOUT_DIR=...
 #         -DBENCH_NAME=... [-DBENCH_ARGS=...] -P json_smoke.cmake
 # BENCH_ARGS is an optional semicolon-separated argument list

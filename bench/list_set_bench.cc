@@ -31,14 +31,11 @@ main(int argc, char **argv)
     const auto record = [&](const ListSetBenchResult &res,
                             unsigned cpus, unsigned key_space,
                             bool elision) {
-        report.addSimWork(res.elapsedCycles, res.instructions);
-        if (report.enabled()) {
-            Json rec = bench::resultJson(res);
-            rec["cpus"] = cpus;
-            rec["key_space"] = key_space;
-            rec["variant"] = elision ? "elision" : "lock";
-            report.addRecord(std::move(rec));
-        }
+        Json rec = Json::object();
+        rec["cpus"] = cpus;
+        rec["key_space"] = key_space;
+        rec["variant"] = elision ? "elision" : "lock";
+        report.addResult(res, std::move(rec));
     };
 
     for (const unsigned key_space : {32u, 256u}) {

@@ -37,16 +37,13 @@ main(int argc, char **argv)
         cfg.iterations = iters;
         cfg.machine = bench::benchMachine();
         const auto res = runUpdateBench(cfg);
-        report.addSimWork(res.elapsedCycles, res.instructions);
-        if (report.enabled()) {
-            Json rec = bench::resultJson(res);
-            rec["variant"] = label;
-            rec["method"] = syncMethodName(method);
-            rec["cpus"] = cpus;
-            rec["pool"] = pool;
-            rec["vars_per_op"] = vars;
-            report.addRecord(std::move(rec));
-        }
+        Json rec = Json::object();
+        rec["variant"] = label;
+        rec["method"] = syncMethodName(method);
+        rec["cpus"] = cpus;
+        rec["pool"] = pool;
+        rec["vars_per_op"] = vars;
+        report.addResult(res, std::move(rec));
         return res;
     };
 

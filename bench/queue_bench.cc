@@ -28,13 +28,10 @@ main(int argc, char **argv)
 
     const auto record = [&](const QueueBenchResult &res,
                             unsigned cpus, bool constrained) {
-        report.addSimWork(res.elapsedCycles, res.instructions);
-        if (report.enabled()) {
-            Json rec = bench::resultJson(res);
-            rec["cpus"] = cpus;
-            rec["variant"] = constrained ? "tbeginc" : "lock";
-            report.addRecord(std::move(rec));
-        }
+        Json rec = Json::object();
+        rec["cpus"] = cpus;
+        rec["variant"] = constrained ? "tbeginc" : "lock";
+        report.addResult(res, std::move(rec));
     };
 
     SeriesTable table("CPUs", {"Lock", "TBEGINC", "Ratio"});

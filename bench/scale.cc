@@ -92,8 +92,7 @@ runOnce(const mem::Topology &topo, unsigned iterations)
     res.hostSeconds = std::chrono::duration<double>(t1 - t0).count();
     res.simCycles = elapsed;
     for (unsigned i = 0; i < m.numCpus(); ++i)
-        res.instructions +=
-            m.cpu(i).stats().counters().at("instructions").value();
+        res.instructions += m.cpu(i).stats().value("instructions");
     return res;
 }
 

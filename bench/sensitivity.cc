@@ -47,16 +47,13 @@ throughputAt(bench::JsonReport &report, double scale,
     cfg.iterations = bench::benchIterations();
     cfg.machine = machine;
     const auto res = runUpdateBench(cfg);
-    report.addSimWork(res.elapsedCycles, res.instructions);
-    if (report.enabled()) {
-        Json rec = bench::resultJson(res);
-        rec["section"] = "latency-scale";
-        rec["latency_scale"] = scale;
-        rec["cpus"] = cfg.cpus;
-        rec["variant"] = syncMethodName(method);
-        rec["method"] = syncMethodName(method);
-        report.addRecord(std::move(rec));
-    }
+    Json rec = Json::object();
+    rec["section"] = "latency-scale";
+    rec["latency_scale"] = scale;
+    rec["cpus"] = cfg.cpus;
+    rec["variant"] = syncMethodName(method);
+    rec["method"] = syncMethodName(method);
+    report.addResult(res, std::move(rec));
     return res.throughput;
 }
 
@@ -106,20 +103,13 @@ main(int argc, char **argv)
         const double with_backoff = backoff_res.throughput;
         const double without = nobackoff_res.throughput;
         ppa.addRow(cpus, {1000.0 * with_backoff, 1000.0 * without});
-        report.addSimWork(backoff_res.elapsedCycles,
-                          backoff_res.instructions);
-        report.addSimWork(nobackoff_res.elapsedCycles,
-                          nobackoff_res.instructions);
-        if (report.enabled()) {
-            for (const bool has_backoff : {true, false}) {
-                Json rec = bench::resultJson(
-                    has_backoff ? backoff_res : nobackoff_res);
-                rec["section"] = "ppa-backoff";
-                rec["cpus"] = cpus;
-                rec["variant"] =
-                    has_backoff ? "backoff" : "no-backoff";
-                report.addRecord(std::move(rec));
-            }
+        for (const bool has_backoff : {true, false}) {
+            Json rec = Json::object();
+            rec["section"] = "ppa-backoff";
+            rec["cpus"] = cpus;
+            rec["variant"] = has_backoff ? "backoff" : "no-backoff";
+            report.addResult(has_backoff ? backoff_res : nobackoff_res,
+                             std::move(rec));
         }
     }
     ppa.print(std::cout);

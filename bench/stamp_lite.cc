@@ -45,17 +45,14 @@ runProfile(bench::JsonReport &report, const Profile &profile,
     cfg.iterations = ztx::bench::benchIterations();
     cfg.machine = ztx::bench::benchMachine();
     const auto res = runUpdateBench(cfg);
-    report.addSimWork(res.elapsedCycles, res.instructions);
-    if (report.enabled()) {
-        Json rec = bench::resultJson(res);
-        rec["profile"] = profile.name;
-        rec["cpus"] = profile.cpus;
-        rec["pool"] = profile.poolSize;
-        rec["vars_per_op"] = profile.varsPerOp;
-        rec["variant"] = syncMethodName(method);
-        rec["method"] = syncMethodName(method);
-        report.addRecord(std::move(rec));
-    }
+    Json rec = Json::object();
+    rec["profile"] = profile.name;
+    rec["cpus"] = profile.cpus;
+    rec["pool"] = profile.poolSize;
+    rec["vars_per_op"] = profile.varsPerOp;
+    rec["variant"] = syncMethodName(method);
+    rec["method"] = syncMethodName(method);
+    report.addResult(res, std::move(rec));
     return res.throughput;
 }
 

@@ -84,6 +84,13 @@ StatGroup::counter(const std::string &stat_name)
     return counters_[stat_name];
 }
 
+std::uint64_t
+StatGroup::value(const std::string &stat_name) const
+{
+    const auto it = counters_.find(stat_name);
+    return it == counters_.end() ? 0 : it->second.value();
+}
+
 Distribution &
 StatGroup::distribution(const std::string &stat_name)
 {

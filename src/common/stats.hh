@@ -123,6 +123,12 @@ class StatGroup
     /** Create (or fetch) a counter under this group. */
     Counter &counter(const std::string &stat_name);
 
+    /**
+     * Value of counter @p stat_name; 0 when it was never registered.
+     * Unlike counter(), reading never registers it.
+     */
+    std::uint64_t value(const std::string &stat_name) const;
+
     /** Create (or fetch) a distribution under this group. */
     Distribution &distribution(const std::string &stat_name);
 

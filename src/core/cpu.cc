@@ -403,13 +403,8 @@ Cpu::diagnosticJson() const
             aborts[name.substr(9)] = counter.value();
     }
     d["aborts_by_reason"] = std::move(aborts);
-    d["commits"] = stats_.counters().count("tx.commits")
-                       ? stats_.counters().at("tx.commits").value()
-                       : 0;
-    d["rejects_sent"] =
-        stats_.counters().count("xi.rejects_sent")
-            ? stats_.counters().at("xi.rejects_sent").value()
-            : 0;
+    d["commits"] = stats_.value("tx.commits");
+    d["rejects_sent"] = stats_.value("xi.rejects_sent");
     // The ADT operation in flight when the machine stopped, if an
     // op log is attached: the watchdog's per-CPU pending window.
     if (opRecorder_)

@@ -303,28 +303,19 @@ struct Run
         }
     }
 
-    std::uint64_t
-    scenarioFired()
-    {
-        if (!m.injector())
-            return 0;
-        const auto &counters = m.injector()->stats().counters();
-        const auto it = counters.find("scenario.fired");
-        return it == counters.end() ? 0 : it->second.value();
-    }
-
     void
     fold(EnumResult &res)
     {
         res.simCycles += m.now();
         for (unsigned i = 0; i < m.numCpus(); ++i) {
             res.abortsTotal += m.cpu(i).abortsTotal();
-            res.commitsTotal +=
-                m.cpu(i).stats().counter("tx.commits").value();
+            res.commitsTotal += m.cpu(i).stats().value("tx.commits");
             res.instructions +=
-                m.cpu(i).stats().counter("instructions").value();
+                m.cpu(i).stats().value("instructions");
         }
-        const std::uint64_t fired = scenarioFired();
+        const std::uint64_t fired =
+            m.injector() ? m.injector()->stats().value("scenario.fired")
+                         : 0;
         res.scenarioFiredTotal += fired;
         res.scenarioFiredMin =
             std::min(res.scenarioFiredMin, fired);

@@ -1,5 +1,7 @@
 #include "footprint.hh"
 
+#include <utility>
+
 #include "common/rng.hh"
 #include "isa/assembler.hh"
 #include "workload/report.hh"
@@ -49,9 +51,9 @@ measureFootprint(unsigned lines, const FootprintConfig &cfg)
             ++res.abortedTrials;
     }
     res.abortRate = double(res.abortedTrials) / double(cfg.trials);
-    const TxStatsSummary tx = collectTxStats(machine);
-    res.instructions = tx.instructions;
-    res.abortsByReason = tx.abortsByReason;
+    RunSummary run = summarizeRun(machine, res.simCycles);
+    res.instructions = run.instructions;
+    res.abortsByReason = std::move(run.abortsByReason);
     return res;
 }
 

@@ -1,10 +1,8 @@
 #include "hashtable.hh"
 
-#include <iostream>
 #include <string>
 
 #include "common/log.hh"
-#include "debug/replay_dump.hh"
 #include "isa/assembler.hh"
 #include "locks/lock_gen.hh"
 #include "workload/elision.hh"
@@ -177,63 +175,28 @@ runHashTableBench(const HashTableBenchConfig &cfg)
             machine.cpu(i).setOpRecorder(&oplog);
     }
     const Cycles elapsed = machine.run();
-    HashTableBenchResult res;
-    res.watchdogFired = machine.watchdogFired();
+    HashTableBenchResult res{summarizeRun(machine, elapsed)};
     if (!machine.allHalted() && !res.watchdogFired)
         ztx_fatal("hash-table benchmark did not run to completion");
 
-    res.elapsedCycles = elapsed;
-    double region_sum = 0;
-    std::uint64_t region_count = 0;
-    for (unsigned i = 0; i < machine.numCpus(); ++i) {
-        auto &cpu = machine.cpu(i);
-        region_sum += cpu.regionCycles().sum();
-        region_count += cpu.regionCycles().count();
-    }
-    const TxStatsSummary tx = collectTxStats(machine);
-    res.ras = collectRasStats(machine);
-    res.txCommits = tx.commits;
-    res.txAborts = tx.aborts;
-    res.instructions = tx.instructions;
-    res.abortsByReason = tx.abortsByReason;
-    res.meanRegionCycles =
-        region_count ? region_sum / double(region_count) : 0.0;
-    res.throughput = res.meanRegionCycles > 0
-                         ? double(cfg.cpus) / res.meanRegionCycles
-                         : 0.0;
-
-    if (cfg.opLog) {
-        // Behavior check: runs even after a watchdog halt (recorded
-        // registers only; in-flight ops stay pending).
-        const auto history = oplog.history(
-            [&](const OpRecord &rec, inject::LinOp &op) {
-                op.code = rec.a1 < cfg.putPercent
-                              ? inject::LinOpCode::MapPut
-                              : inject::LinOpCode::MapGet;
-                op.arg = rec.a0;
-                op.result = rec.result;
-            });
-        res.orderInfer = checkLoggedHistoryOrdered(oplog, [&] {
+    const bool structure_checkable = checkRunHistory(
+        res, cfg.opLog ? &oplog : nullptr,
+        [&](const OpRecord &rec, inject::LinOp &op) {
+            op.code = rec.a1 < cfg.putPercent
+                          ? inject::LinOpCode::MapPut
+                          : inject::LinOpCode::MapGet;
+            op.arg = rec.a0;
+            op.result = rec.result;
+        },
+        [&](const std::vector<inject::LinOp> &history) {
             return inject::inferMapLinearizable(
                 history, initial_slots, cfg.buckets, cfg.maxProbes,
                 [&](std::uint64_t key) {
                     return bucketOf(key, cfg.buckets);
                 });
         });
-        res.lincheck = res.orderInfer.verdict;
-        if (res.lincheck.checked && !res.lincheck.linearizable) {
-            res.oracle.fail("operation history not linearizable: " +
-                            res.lincheck.reason);
-            std::cerr << debug::replayScheduleDump(history,
-                                                   res.orderInfer);
-        }
-    }
-
-    if (res.watchdogFired) {
-        res.oracle.fail("forward-progress watchdog fired; "
-                        "structures unchecked");
+    if (!structure_checkable)
         return res;
-    }
 
     machine.drainAllStores();
     for (unsigned b = 0; b < cfg.buckets + cfg.maxProbes; ++b) {

@@ -1,12 +1,10 @@
 #include "list_set.hh"
 
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/rng.hh"
-#include "debug/replay_dump.hh"
 #include "isa/assembler.hh"
 #include "locks/lock_gen.hh"
 #include "workload/elision.hh"
@@ -215,62 +213,25 @@ runListSetBench(const ListSetBenchConfig &cfg)
             machine.cpu(i).setOpRecorder(&oplog);
     }
     const Cycles elapsed = machine.run();
-    ListSetBenchResult res;
-    res.watchdogFired = machine.watchdogFired();
+    ListSetBenchResult res{summarizeRun(machine, elapsed)};
     if (!machine.allHalted() && !res.watchdogFired)
         ztx_fatal("list-set benchmark did not run to completion");
-
-    res.elapsedCycles = elapsed;
-    double region_sum = 0;
-    std::uint64_t region_count = 0;
     std::int64_t net_inserts = 0;
-    for (unsigned i = 0; i < machine.numCpus(); ++i) {
-        auto &cpu = machine.cpu(i);
-        region_sum += cpu.regionCycles().sum();
-        region_count += cpu.regionCycles().count();
-        net_inserts += std::int64_t(cpu.gr(14));
-    }
-    const TxStatsSummary tx = collectTxStats(machine);
-    res.ras = collectRasStats(machine);
-    res.txCommits = tx.commits;
-    res.txAborts = tx.aborts;
-    res.instructions = tx.instructions;
-    res.abortsByReason = tx.abortsByReason;
-    res.meanRegionCycles =
-        region_count ? region_sum / double(region_count) : 0.0;
-    res.throughput = res.meanRegionCycles > 0
-                         ? double(cfg.cpus) / res.meanRegionCycles
-                         : 0.0;
+    for (unsigned i = 0; i < machine.numCpus(); ++i)
+        net_inserts += std::int64_t(machine.cpu(i).gr(14));
 
-    if (cfg.opLog) {
-        // Behavior check: runs even after a watchdog halt — it uses
-        // recorded registers, not a structural walk, and the last
-        // in-flight op per CPU is simply pending (maybe completed).
-        const auto history = oplog.history(
-            [](const OpRecord &rec, inject::LinOp &op) {
-                op.code = inject::LinOpCode(rec.code);
-                op.arg = rec.a0;
-                op.result = rec.result;
-            });
-        res.orderInfer = checkLoggedHistoryOrdered(oplog, [&] {
+    const bool structure_checkable = checkRunHistory(
+        res, cfg.opLog ? &oplog : nullptr,
+        [](const OpRecord &rec, inject::LinOp &op) {
+            op.code = inject::LinOpCode(rec.code);
+            op.arg = rec.a0;
+            op.result = rec.result;
+        },
+        [&](const std::vector<inject::LinOp> &history) {
             return inject::inferSetLinearizable(history, keys);
         });
-        res.lincheck = res.orderInfer.verdict;
-        if (res.lincheck.checked && !res.lincheck.linearizable) {
-            res.oracle.fail("operation history not linearizable: " +
-                            res.lincheck.reason);
-            std::cerr << debug::replayScheduleDump(history,
-                                                   res.orderInfer);
-        }
-    }
-
-    if (res.watchdogFired) {
-        // Mid-flight transactions hold buffered state; the
-        // structure cannot be judged. The run itself is the failure.
-        res.oracle.fail("forward-progress watchdog fired; "
-                        "structures unchecked");
+    if (!structure_checkable)
         return res;
-    }
 
     // Validate the structure.
     machine.drainAllStores();

@@ -16,9 +16,6 @@
 
 #include <cstdint>
 
-#include "inject/lincheck.hh"
-#include "inject/oracle.hh"
-#include "inject/order_infer.hh"
 #include "isa/program.hh"
 #include "sim/machine.hh"
 #include "workload/report.hh"
@@ -51,41 +48,15 @@ struct ListSetBenchConfig
     sim::MachineConfig machine{};
 };
 
-/** Outcome of one list-set run. */
-struct ListSetBenchResult
+/** Outcome of one list-set run (`oracle`: inject::checkListSet). */
+struct ListSetBenchResult : RunSummary
 {
-    double meanRegionCycles = 0;
-    double throughput = 0;
-    std::uint64_t txCommits = 0;
-    std::uint64_t txAborts = 0;
-    Cycles elapsedCycles = 0;
-    /** Instructions executed, summed over CPUs. */
-    std::uint64_t instructions = 0;
-    /** Abort counts keyed by tx::abortReasonName(). */
-    std::map<std::string, std::uint64_t> abortsByReason;
-
-    /** Poison/machine-check activity (zero without RAS faults). */
-    RasSummary ras;
-
     /** Final list length (walked host-side). */
     unsigned finalLength = 0;
     /** Keys strictly ascending along the walk. */
     bool sorted = false;
     /** finalLength matches prefill + the CPUs' net insert counts. */
     bool lengthConsistent = false;
-
-    /** The forward-progress watchdog stopped the run (chaos). */
-    bool watchdogFired = false;
-    /** Structural verdict (inject::checkListSet). */
-    inject::OracleReport oracle;
-    /** History verdict (cfg.opLog; unchecked when logging is off). */
-    inject::LinVerdict lincheck;
-    /**
-     * Full order-inference report behind `lincheck` (which mirrors
-     * its verdict): whether the O(n log n) oracle inferred the
-     * order or fell back to the DFS, and why.
-     */
-    inject::OrderInferReport orderInfer;
 };
 
 /** Build the generated program for @p cfg. */

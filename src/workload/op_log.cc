@@ -1,5 +1,9 @@
 #include "op_log.hh"
 
+#include <iostream>
+
+#include "debug/replay_dump.hh"
+
 namespace ztx::workload {
 
 OpLog::OpLog(unsigned cpus, std::size_t capacity)
@@ -175,6 +179,36 @@ checkLoggedHistoryOrdered(
         return r;
     }
     return infer();
+}
+
+bool
+checkRunHistory(
+    RunSummary &res, const OpLog *log,
+    const std::function<void(const OpRecord &, inject::LinOp &)>
+        &decode,
+    const std::function<inject::OrderInferReport(
+        const std::vector<inject::LinOp> &)> &infer)
+{
+    if (log) {
+        const auto history = log->history(decode);
+        res.orderInfer = checkLoggedHistoryOrdered(
+            *log, [&] { return infer(history); });
+        res.lincheck = res.orderInfer.verdict;
+        if (res.lincheck.checked && !res.lincheck.linearizable) {
+            res.oracle.fail("operation history not linearizable: " +
+                            res.lincheck.reason);
+            std::cerr << debug::replayScheduleDump(history,
+                                                   res.orderInfer);
+        }
+    }
+    if (res.watchdogFired) {
+        // Mid-flight transactions hold buffered state; the
+        // structure cannot be judged. The run itself is the failure.
+        res.oracle.fail("forward-progress watchdog fired; "
+                        "structures unchecked");
+        return false;
+    }
+    return true;
 }
 
 } // namespace ztx::workload

@@ -38,6 +38,7 @@
 #include "core/op_recorder.hh"
 #include "inject/lincheck.hh"
 #include "inject/order_infer.hh"
+#include "workload/report.hh"
 
 namespace ztx::workload {
 
@@ -157,6 +158,24 @@ inject::LinVerdict checkLoggedHistory(
 inject::OrderInferReport checkLoggedHistoryOrdered(
     const OpLog &log,
     const std::function<inject::OrderInferReport()> &infer);
+
+/**
+ * The verdict tail the op-logged ADT runners share. With @p log set
+ * (op logging on), decode its history with @p decode and check it
+ * with @p infer — even after a watchdog halt, since the checker
+ * reads recorded registers only and in-flight operations stay
+ * pending — into `orderInfer` and `lincheck`; a non-linearizable
+ * history fails `oracle` and dumps its replay schedule to stderr.
+ * A watchdog firing then fails `oracle` too.
+ * @return True when the runner may go on to check its structure
+ *         (the watchdog did not fire).
+ */
+bool checkRunHistory(
+    RunSummary &res, const OpLog *log,
+    const std::function<void(const OpRecord &, inject::LinOp &)>
+        &decode,
+    const std::function<inject::OrderInferReport(
+        const std::vector<inject::LinOp> &)> &infer);
 
 } // namespace ztx::workload
 

@@ -1,9 +1,7 @@
 #include "queue.hh"
 
-#include <iostream>
 
 #include "common/log.hh"
-#include "debug/replay_dump.hh"
 #include "isa/assembler.hh"
 #include "locks/lock_gen.hh"
 #include "workload/layout.hh"
@@ -145,58 +143,24 @@ runQueueBench(const QueueBenchConfig &cfg)
             machine.cpu(i).setOpRecorder(&oplog);
     }
     const Cycles elapsed = machine.run();
-    QueueBenchResult res;
-    res.watchdogFired = machine.watchdogFired();
+    QueueBenchResult res{summarizeRun(machine, elapsed)};
     if (!machine.allHalted() && !res.watchdogFired)
         ztx_fatal("queue benchmark did not run to completion");
+    for (unsigned i = 0; i < machine.numCpus(); ++i)
+        res.dequeuedNonEmpty += machine.cpu(i).gr(14);
 
-    res.elapsedCycles = elapsed;
-    double region_sum = 0;
-    std::uint64_t region_count = 0;
-    for (unsigned i = 0; i < machine.numCpus(); ++i) {
-        auto &cpu = machine.cpu(i);
-        region_sum += cpu.regionCycles().sum();
-        region_count += cpu.regionCycles().count();
-        res.dequeuedNonEmpty += cpu.gr(14);
-    }
-    const TxStatsSummary tx = collectTxStats(machine);
-    res.ras = collectRasStats(machine);
-    res.txCommits = tx.commits;
-    res.txAborts = tx.aborts;
-    res.instructions = tx.instructions;
-    res.abortsByReason = tx.abortsByReason;
-    res.meanRegionCycles =
-        region_count ? region_sum / double(region_count) : 0.0;
-    res.throughput = res.meanRegionCycles > 0
-                         ? double(cfg.cpus) / res.meanRegionCycles
-                         : 0.0;
-
-    if (cfg.opLog) {
-        // Behavior check: runs even after a watchdog halt (recorded
-        // registers only; in-flight ops stay pending).
-        const auto history = oplog.history(
-            [](const OpRecord &rec, inject::LinOp &op) {
-                op.code = inject::LinOpCode(rec.code);
-                op.arg = rec.a0;
-                op.result = rec.result;
-            });
-        res.orderInfer = checkLoggedHistoryOrdered(oplog, [&] {
+    const bool structure_checkable = checkRunHistory(
+        res, cfg.opLog ? &oplog : nullptr,
+        [](const OpRecord &rec, inject::LinOp &op) {
+            op.code = inject::LinOpCode(rec.code);
+            op.arg = rec.a0;
+            op.result = rec.result;
+        },
+        [](const std::vector<inject::LinOp> &history) {
             return inject::inferQueueLinearizable(history, {});
         });
-        res.lincheck = res.orderInfer.verdict;
-        if (res.lincheck.checked && !res.lincheck.linearizable) {
-            res.oracle.fail("operation history not linearizable: " +
-                            res.lincheck.reason);
-            std::cerr << debug::replayScheduleDump(history,
-                                                   res.orderInfer);
-        }
-    }
-
-    if (res.watchdogFired) {
-        res.oracle.fail("forward-progress watchdog fired; "
-                        "structures unchecked");
+    if (!structure_checkable)
         return res;
-    }
 
     // Walk the queue for the final length (bounded: a corrupted
     // next chain must not hang the harness); enqueues - successful

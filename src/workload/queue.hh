@@ -15,9 +15,6 @@
 
 #include <cstdint>
 
-#include "inject/lincheck.hh"
-#include "inject/oracle.hh"
-#include "inject/order_infer.hh"
 #include "isa/program.hh"
 #include "sim/machine.hh"
 #include "workload/report.hh"
@@ -44,34 +41,12 @@ struct QueueBenchConfig
     sim::MachineConfig machine{};
 };
 
-/** Outcome of one queue run. */
-struct QueueBenchResult
+/** Outcome of one queue run (`oracle`: inject::checkQueue). */
+struct QueueBenchResult : RunSummary
 {
-    double meanRegionCycles = 0;
-    double throughput = 0;
-    std::uint64_t txCommits = 0;
-    std::uint64_t txAborts = 0;
-    /** Instructions executed, summed over CPUs. */
-    std::uint64_t instructions = 0;
-    /** Abort counts keyed by tx::abortReasonName(). */
-    std::map<std::string, std::uint64_t> abortsByReason;
-
-    /** Poison/machine-check activity (zero without RAS faults). */
-    RasSummary ras;
-
     std::uint64_t dequeuedNonEmpty = 0;
     /** Nodes remaining in the queue at the end (consistency). */
     std::uint64_t finalLength = 0;
-    Cycles elapsedCycles = 0;
-
-    /** The forward-progress watchdog stopped the run (chaos). */
-    bool watchdogFired = false;
-    /** Structural verdict (inject::checkQueue). */
-    inject::OracleReport oracle;
-    /** History verdict (cfg.opLog; unchecked when logging is off). */
-    inject::LinVerdict lincheck;
-    /** Full order-inference report behind `lincheck`. */
-    inject::OrderInferReport orderInfer;
 };
 
 /** Build the generated program for @p cfg. */

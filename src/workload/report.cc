@@ -8,52 +8,50 @@
 
 namespace ztx::workload {
 
-TxStatsSummary
-collectTxStats(const sim::Machine &machine)
+RunSummary
+summarizeRun(const sim::Machine &machine, Cycles elapsed)
 {
     static const std::string abort_prefix = "tx.abort.";
-    TxStatsSummary sum;
+    RunSummary sum;
+    sum.elapsedCycles = elapsed;
+    sum.watchdogFired = machine.watchdogFired();
+    double region_sum = 0;
+    std::uint64_t region_count = 0;
     for (unsigned i = 0; i < machine.numCpus(); ++i) {
-        for (const auto &[stat, c] :
-             machine.cpu(i).stats().counters()) {
-            if (stat == "tx.commits")
-                sum.commits += c.value();
-            else if (stat == "tx.aborts")
-                sum.aborts += c.value();
-            else if (stat == "xi.rejects_sent")
-                sum.xiRejects += c.value();
-            else if (stat == "instructions")
-                sum.instructions += c.value();
-            else if (stat.compare(0, abort_prefix.size(),
-                                  abort_prefix) == 0)
-                sum.abortsByReason[stat.substr(
-                    abort_prefix.size())] += c.value();
-        }
+        const core::Cpu &cpu = machine.cpu(i);
+        region_sum += cpu.regionCycles().sum();
+        region_count += cpu.regionCycles().count();
+        const StatGroup &stats = cpu.stats();
+        sum.txCommits += stats.value("tx.commits");
+        sum.txAborts += stats.value("tx.aborts");
+        sum.xiRejects += stats.value("xi.rejects_sent");
+        sum.instructions += stats.value("instructions");
+        sum.speculationReduced +=
+            stats.value("millicode.speculation_reduced");
+        sum.ras.machineChecks += stats.value("machine_checks");
+        sum.ras.restarts += stats.value("workload_restarts");
+        sum.ras.poisonAborts += stats.value("tx.abort.data-poisoned");
+        const auto &counters = stats.counters();
+        for (auto it = counters.lower_bound(abort_prefix);
+             it != counters.end() &&
+             it->first.compare(0, abort_prefix.size(),
+                               abort_prefix) == 0;
+             ++it)
+            sum.abortsByReason[it->first.substr(
+                abort_prefix.size())] += it->second.value();
     }
-    return sum;
-}
+    sum.meanRegionCycles =
+        region_count ? region_sum / double(region_count) : 0.0;
+    if (sum.meanRegionCycles > 0)
+        sum.throughput =
+            double(machine.numCpus()) / sum.meanRegionCycles;
 
-RasSummary
-collectRasStats(const sim::Machine &machine)
-{
-    RasSummary sum;
-    const auto &hier = machine.hierarchy().stats().counters();
-    const auto get = [](const auto &counters, const char *stat) {
-        const auto it = counters.find(stat);
-        return it == counters.end() ? std::uint64_t(0)
-                                    : it->second.value();
-    };
-    sum.poisoned = get(hier, "poison.injected");
-    sum.spread = get(hier, "poison.spread_fetch") +
-                 get(hier, "poison.spread_castout") +
-                 get(hier, "poison.spread_xi");
-    sum.scrubs = get(hier, "poison.scrubbed");
-    for (unsigned i = 0; i < machine.numCpus(); ++i) {
-        const auto &cpu = machine.cpu(i).stats().counters();
-        sum.machineChecks += get(cpu, "machine_checks");
-        sum.restarts += get(cpu, "workload_restarts");
-        sum.poisonAborts += get(cpu, "tx.abort.data-poisoned");
-    }
+    const StatGroup &hier = machine.hierarchy().stats();
+    sum.ras.poisoned = hier.value("poison.injected");
+    sum.ras.spread = hier.value("poison.spread_fetch") +
+                     hier.value("poison.spread_castout") +
+                     hier.value("poison.spread_xi");
+    sum.ras.scrubs = hier.value("poison.scrubbed");
     return sum;
 }
 

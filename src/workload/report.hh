@@ -1,8 +1,9 @@
 /**
  * @file
- * Plain-text series table for the benchmark binaries: one x column
- * (e.g. "CPUs") plus one column per series, printed aligned — the
- * rows/series that regenerate the paper's figures.
+ * What the benchmark runners report: the plain-text series table
+ * (one x column, e.g. "CPUs", plus one column per series, printed
+ * aligned — the rows/series that regenerate the paper's figures) and
+ * the RunSummary every workload runner fills the same way.
  */
 
 #ifndef ZTX_WORKLOAD_REPORT_HH
@@ -13,6 +14,11 @@
 #include <ostream>
 #include <string>
 #include <vector>
+
+#include "common/types.hh"
+#include "inject/lincheck.hh"
+#include "inject/oracle.hh"
+#include "inject/order_infer.hh"
 
 namespace ztx::sim {
 class Machine;
@@ -55,23 +61,6 @@ class SeriesTable
 };
 
 /**
- * Transactional activity summed over every CPU of a machine — the
- * common tail every benchmark runner reports.
- */
-struct TxStatsSummary
-{
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t xiRejects = 0;
-    std::uint64_t instructions = 0;
-    /** Abort counts keyed by tx::abortReasonName(). */
-    std::map<std::string, std::uint64_t> abortsByReason;
-};
-
-/** Collect the per-CPU "tx.*" / "instructions" counters. */
-TxStatsSummary collectTxStats(const sim::Machine &machine);
-
-/**
  * RAS (line-poisoning) activity of one run: how often lines were
  * poisoned, how the poison moved, and what the recovery ladder did
  * about it (scrub on a clean copy, workload restart otherwise).
@@ -93,8 +82,58 @@ struct RasSummary
     std::uint64_t poisonAborts = 0;
 };
 
-/** Collect the poison/machine-check counters. */
-RasSummary collectRasStats(const sim::Machine &machine);
+/**
+ * What every workload runner reports about one run: the measured
+ * region timing, the transactional and RAS activity summed over all
+ * CPUs, and the run's verdicts. The runners' own result structs
+ * derive from it and add only their structure-specific fields.
+ */
+struct RunSummary
+{
+    /** Mean measured region length (cycles per operation). */
+    double meanRegionCycles = 0;
+    /** System throughput: CPUs / meanRegionCycles (paper §IV). */
+    double throughput = 0;
+
+    std::uint64_t txCommits = 0;
+    std::uint64_t txAborts = 0;
+    /** XIs this machine's CPUs rejected (stiff-arming). */
+    std::uint64_t xiRejects = 0;
+    Cycles elapsedCycles = 0;
+    /** Instructions executed, summed over CPUs. */
+    std::uint64_t instructions = 0;
+    /** Abort counts keyed by tx::abortReasonName(). */
+    std::map<std::string, std::uint64_t> abortsByReason;
+    /**
+     * Times the millicode escalation turned speculation down for a
+     * retrying constrained transaction.
+     */
+    std::uint64_t speculationReduced = 0;
+
+    /** Poison/machine-check activity (zero without RAS faults). */
+    RasSummary ras;
+
+    /** The forward-progress watchdog stopped the run (chaos). */
+    bool watchdogFired = false;
+    /** Structural verdict (the runner's inject::check* oracle). */
+    inject::OracleReport oracle;
+    /** History verdict (op logging on; unchecked otherwise). */
+    inject::LinVerdict lincheck;
+    /**
+     * Full order-inference report behind `lincheck` (which mirrors
+     * its verdict): whether the O(n log n) oracle inferred the
+     * order or fell back to the DFS, and why.
+     */
+    inject::OrderInferReport orderInfer;
+};
+
+/**
+ * Summarize a run of @p machine that took @p elapsed cycles: the
+ * MARKB/MARKE region mean and throughput (0 when no region was
+ * measured), the per-CPU "tx.*" / "instructions" counters, the RAS
+ * counters and the watchdog flag. Verdicts are left unchecked.
+ */
+RunSummary summarizeRun(const sim::Machine &machine, Cycles elapsed);
 
 /**
  * First hot-path index-consistency violation across the machine —

@@ -146,26 +146,9 @@ runUpdateBench(const UpdateBenchConfig &cfg)
     if (!machine.allHalted())
         ztx_fatal("update benchmark did not run to completion");
 
-    UpdateBenchResult res;
-    res.elapsedCycles = elapsed;
-    double region_sum = 0;
-    std::uint64_t region_count = 0;
-    for (unsigned i = 0; i < machine.numCpus(); ++i) {
-        auto &cpu = machine.cpu(i);
-        region_sum = region_sum + cpu.regionCycles().sum();
-        region_count += cpu.regionCycles().count();
-    }
-    const TxStatsSummary tx = collectTxStats(machine);
-    res.ras = collectRasStats(machine);
-    res.txCommits = tx.commits;
-    res.txAborts = tx.aborts;
-    res.xiRejects = tx.xiRejects;
-    res.instructions = tx.instructions;
-    res.abortsByReason = tx.abortsByReason;
-    if (region_count == 0)
+    UpdateBenchResult res{summarizeRun(machine, elapsed)};
+    if (res.meanRegionCycles == 0)
         ztx_fatal("no measured regions recorded");
-    res.meanRegionCycles = region_sum / double(region_count);
-    res.throughput = double(cfg.cpus) / res.meanRegionCycles;
 
     machine.drainAllStores();
     for (unsigned i = 0; i < cfg.poolSize; ++i) {

@@ -12,7 +12,6 @@
 #define ZTX_WORKLOAD_UPDATE_BENCH_HH
 
 #include <cstdint>
-#include <string>
 
 #include "isa/program.hh"
 #include "sim/machine.hh"
@@ -48,28 +47,8 @@ struct UpdateBenchConfig
 };
 
 /** Aggregated outcome of one experiment run. */
-struct UpdateBenchResult
+struct UpdateBenchResult : RunSummary
 {
-    /** Mean measured region length (cycles per operation). */
-    double meanRegionCycles = 0;
-
-    /** System throughput: cpus / meanRegionCycles (paper §IV). */
-    double throughput = 0;
-
-    std::uint64_t txCommits = 0;
-    std::uint64_t txAborts = 0;
-    std::uint64_t xiRejects = 0;
-    Cycles elapsedCycles = 0;
-
-    /** Instructions executed, summed over CPUs. */
-    std::uint64_t instructions = 0;
-
-    /** Abort counts keyed by tx::abortReasonName(). */
-    std::map<std::string, std::uint64_t> abortsByReason;
-
-    /** Poison/machine-check activity (zero without RAS faults). */
-    RasSummary ras;
-
     /** Sum of all pool variables after the run (correctness). */
     std::uint64_t poolSum = 0;
 };

@@ -1,9 +1,11 @@
 /**
  * @file
  * End-to-end tests for the JSON reporting subsystem: the
- * BENCH_<name>.json document written by bench::JsonReport, the
- * machine-level statsJson() document, and the invariant that the
- * abort-reason breakdown sums to the total abort count.
+ * BENCH_<name>.json document written by bench::JsonReport, its
+ * addResult() record path, the machine-level statsJson() document,
+ * and the RunSummary invariants every workload runner must keep
+ * (throughput = CPUs / mean region cycles, abort-reason breakdown
+ * sums to the total abort count).
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,9 @@
 #include <string>
 
 #include "../bench/json_report.hh"
+#include "workload/hashtable.hh"
+#include "workload/list_set.hh"
+#include "workload/queue.hh"
 #include "workload/update_bench.hh"
 #include "ztx_test_util.hh"
 
@@ -161,6 +166,98 @@ TEST(JsonReport, AbortBreakdownSumsToTotalAborts)
         json_sum += n.asUint();
     EXPECT_EQ(json_sum, res.txAborts);
     EXPECT_EQ(rec.find("aborts")->asUint(), res.txAborts);
+}
+
+/** The shared RunSummary invariants of a run on @p cpus CPUs. */
+void
+expectConsistentSummary(const workload::RunSummary &res,
+                        unsigned cpus)
+{
+    ASSERT_GT(res.meanRegionCycles, 0.0);
+    EXPECT_DOUBLE_EQ(res.throughput,
+                     double(cpus) / res.meanRegionCycles);
+    EXPECT_GT(res.elapsedCycles, 0u);
+    EXPECT_GT(res.instructions, 0u);
+    EXPECT_GT(res.txCommits, 0u);
+    std::uint64_t by_reason = 0;
+    for (const auto &[reason, n] : res.abortsByReason)
+        by_reason += n;
+    EXPECT_EQ(by_reason, res.txAborts);
+    EXPECT_FALSE(res.watchdogFired);
+    EXPECT_TRUE(res.oracle.ok) << res.oracle.summary();
+}
+
+TEST(RunSummary, EveryRunnerFillsTheSharedFields)
+{
+    const auto update = contendedRun();
+    ASSERT_GT(update.txAborts, 0u) << "workload must contend";
+    expectConsistentSummary(update, 8);
+
+    workload::HashTableBenchConfig ht;
+    ht.cpus = 4;
+    ht.useElision = true;
+    ht.iterations = 100;
+    ht.opLog = true;
+    ht.machine = smallConfig(4);
+    const auto ht_res = workload::runHashTableBench(ht);
+    expectConsistentSummary(ht_res, 4);
+    EXPECT_TRUE(ht_res.lincheck.checked);
+
+    workload::QueueBenchConfig q;
+    q.cpus = 4;
+    q.iterations = 100;
+    q.opLog = true;
+    q.machine = smallConfig(4);
+    const auto q_res = workload::runQueueBench(q);
+    expectConsistentSummary(q_res, 4);
+    EXPECT_TRUE(q_res.lincheck.checked);
+
+    workload::ListSetBenchConfig ls;
+    ls.cpus = 4;
+    ls.useElision = true;
+    ls.iterations = 100;
+    ls.opLog = true;
+    ls.machine = smallConfig(4);
+    const auto ls_res = workload::runListSetBench(ls);
+    expectConsistentSummary(ls_res, 4);
+    EXPECT_TRUE(ls_res.lincheck.checked);
+}
+
+TEST(JsonReport, AddResultWhenDisabledCountsSimWorkOnly)
+{
+    unsetenv("ZTX_BENCH_JSON");
+    bench::JsonReport report("x");
+    ASSERT_FALSE(report.enabled());
+    const auto res = contendedRun();
+    Json fields = Json::object();
+    fields["cpus"] = 8u;
+    report.addResult(res, std::move(fields));
+    report.addResult(res, Json::object());
+    EXPECT_EQ(report.simCycles(), 2 * std::uint64_t(res.elapsedCycles));
+    EXPECT_EQ(report.simInstructions(), 2 * res.instructions);
+    EXPECT_EQ(report.records().size(), 0u);
+}
+
+TEST(JsonReport, AddResultMergesFieldsOverResultJson)
+{
+    const char *argv[] = {"bench", "--json", "/unused/BENCH_x.json"};
+    bench::JsonReport report("x", 3, const_cast<char **>(argv));
+    ASSERT_TRUE(report.enabled());
+    const auto res = contendedRun();
+    Json fields = Json::object();
+    fields["cpus"] = 8u;
+    fields["variant"] = "tbegin";
+    fields["xi_rejects"] = res.xiRejects;
+    report.addResult(res, fields);
+
+    Json expected = bench::resultJson(res);
+    for (const auto &[key, value] : fields.items())
+        expected[key] = value;
+    ASSERT_EQ(report.records().size(), 1u);
+    EXPECT_EQ(report.records().at(0).dump(), expected.dump());
+    EXPECT_EQ(expected.size(), bench::resultJson(res).size() + 3);
+    EXPECT_EQ(report.simCycles(), std::uint64_t(res.elapsedCycles));
+    EXPECT_EQ(report.simInstructions(), res.instructions);
 }
 
 TEST(MachineStatsJson, CoversAllComponents)

@@ -46,7 +46,7 @@ TEST(SeriesTable, EmptyTablePrintsHeaderOnly)
     EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 1);
 }
 
-TEST(CollectTxStats, SumsPerCpuCounters)
+TEST(RunSummary, SumsPerCpuCounters)
 {
     using namespace ztx;
     using namespace ztx::test;
@@ -67,15 +67,16 @@ TEST(CollectTxStats, SumsPerCpuCounters)
     m.setProgramAll(&p);
     m.run();
 
-    const auto tx = workload::collectTxStats(m);
-    EXPECT_GE(tx.commits, 40u); // 20 committed regions per CPU
+    const auto tx = workload::summarizeRun(m, m.now());
+    EXPECT_GE(tx.txCommits, 40u); // 20 committed regions per CPU
     EXPECT_GT(tx.instructions, 0u);
+    EXPECT_EQ(tx.elapsedCycles, m.now());
     std::uint64_t by_reason = 0;
     for (const auto &[reason, n] : tx.abortsByReason) {
         EXPECT_FALSE(reason.empty());
         by_reason += n;
     }
-    EXPECT_EQ(by_reason, tx.aborts);
+    EXPECT_EQ(by_reason, tx.txAborts);
 }
 
 } // namespace

@@ -87,6 +87,17 @@ TEST(StatGroup, NamedCountersPersist)
     EXPECT_EQ(g.counter("aborts").value(), 3u);
 }
 
+TEST(StatGroup, ValueReadsWithoutRegistering)
+{
+    StatGroup g("cpu0");
+    EXPECT_EQ(g.value("tx.commits"), 0u);
+    EXPECT_TRUE(g.counters().empty());
+    g.counter("tx.commits").inc(4);
+    EXPECT_EQ(g.value("tx.commits"), 4u);
+    EXPECT_EQ(g.value("tx.aborts"), 0u);
+    EXPECT_EQ(g.counters().size(), 1u);
+}
+
 TEST(CounterHandle, RegistersOnFirstIncrementOnly)
 {
     StatGroup g("cpu0");
