@@ -128,6 +128,13 @@ class CpuEnv
      * is a no-op for environments without a watchdog.
      */
     virtual void noteProgress(CpuId cpu) { (void)cpu; }
+
+    /**
+     * An XI reached @p cpu. A machine that replays the CPU's spin
+     * loop instead of stepping it catches the CPU up to the current
+     * step before the XI takes effect. Default is a no-op.
+     */
+    virtual void noteXi(CpuId cpu) { (void)cpu; }
 };
 
 } // namespace ztx::core

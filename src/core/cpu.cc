@@ -412,9 +412,90 @@ Cpu::diagnosticJson() const
     return d;
 }
 
+std::uint64_t
+Cpu::spinFingerprint() const
+{
+    // Rotations keep equal values in different registers apart; the
+    // terms are independent, so this is a few cycles per call.
+    std::uint64_t h = psw_.ia ^ (std::uint64_t(psw_.cc) << 56) ^
+                      (std::uint64_t(dispatchCredit_) << 60);
+    for (unsigned r = 0; r < isa::numGrs; ++r)
+        h ^= std::rotl(regs_.gr[r], int(4 * r + 1));
+    return h;
+}
+
+void
+Cpu::restoreSpinState(const SpinState &state)
+{
+    regs_.gr = state.gr;
+    psw_.ia = state.ia;
+    psw_.cc = state.cc;
+    dispatchCredit_ = state.dispatchCredit;
+}
+
+bool
+Cpu::spinQuiet() const
+{
+    return !halted_ && !inTx() && pendingStall_ == 0 && !perPending_ &&
+           !per_.anyEnabled() && !stalledOnReject_ &&
+           rejectsSinceCompletion_ == 0 && stq_.empty();
+}
+
+SpinStep
+Cpu::spinStep(Addr &line) const
+{
+    const isa::Program::Slot *slot = program_->fetch(psw_.ia);
+    if (!slot || pages_.faults(slot->addr))
+        return SpinStep::None;
+    const isa::Instruction &inst = slot->inst;
+    switch (inst.op) {
+      case Opcode::LHI:
+      case Opcode::LR:
+      case Opcode::LTR:
+      case Opcode::LA:
+      case Opcode::AHI:
+      case Opcode::AGR:
+      case Opcode::SGR:
+      case Opcode::MSGR:
+      case Opcode::XGR:
+      case Opcode::NGR:
+      case Opcode::OGR:
+      case Opcode::SLLG:
+      case Opcode::SRLG:
+      case Opcode::CGR:
+      case Opcode::CGHI:
+      case Opcode::J:
+      case Opcode::BRC:
+      case Opcode::BRCT:
+      case Opcode::CIJ:
+      case Opcode::DELAY:
+      case Opcode::NOP:
+        return SpinStep::Plain;
+      case Opcode::LG:
+      case Opcode::LT: {
+        const Addr addr = effectiveAddr(inst);
+        if (lineAlign(addr) != lineAlign(addr + 7) ||
+            pages_.faultsRange(addr, 8) || hier_.anyPoisoned())
+            return SpinStep::None;
+        line = lineAlign(addr);
+        return SpinStep::Load;
+      }
+      default:
+        return SpinStep::None;
+    }
+}
+
+bool
+Cpu::isBranchAt(Addr ia) const
+{
+    const isa::Program::Slot *slot = program_->fetch(ia);
+    return slot && isa::opcodeInfo(slot->inst.op).isBranch;
+}
+
 mem::XiResponse
 Cpu::incomingXi(const mem::XiContext &ctx)
 {
+    env_.noteXi(id_);
     xiReceived_.inc();
     if (ctx.poisoned)
         xiPoisonedSeen_.inc();

@@ -63,6 +63,34 @@ struct AbortContext
     bool filtered = false;
 };
 
+/**
+ * The state a replayable spin-loop step reads and writes
+ * (sim::Machine's spin replay, DESIGN.md §5b): the GRs, the PSW and
+ * the dispatch credit.
+ */
+struct SpinState
+{
+    std::array<std::uint64_t, isa::numGrs> gr{};
+    Addr ia = 0;
+    std::uint8_t cc = 0;
+    unsigned dispatchCredit = 0;
+
+    bool
+    operator==(const SpinState &o) const
+    {
+        return gr == o.gr && ia == o.ia && cc == o.cc &&
+               dispatchCredit == o.dispatchCredit;
+    }
+};
+
+/** What the instruction at a CPU's PSW is to spin replay. */
+enum class SpinStep : std::uint8_t
+{
+    None,  ///< cannot be replayed
+    Plain, ///< register, branch, DELAY or NOP step
+    Load   ///< LG/LT within one line
+};
+
 /** One simulated CPU. */
 class Cpu : public mem::CacheClient
 {
@@ -185,6 +213,43 @@ class Cpu : public mem::CacheClient
     Cycles consumePendingStall();
     /** Add stall cycles before this CPU's next step. */
     void addStall(Cycles cycles) { pendingStall_ += cycles; }
+    /** @} */
+
+    /** @name Spin replay (sim::Machine, DESIGN.md §5b) @{ */
+    SpinState
+    spinState() const
+    {
+        return {regs_.gr, psw_.ia, psw_.cc, dispatchCredit_};
+    }
+
+    /** A hash of spinState(); equal states hash equal. */
+    std::uint64_t spinFingerprint() const;
+
+    /** Put the CPU back in @p state (a replayed step's snapshot). */
+    void restoreSpinState(const SpinState &state);
+
+    /**
+     * True when nothing outside spinState() can change what the next
+     * replayable steps do: running outside a transaction, with no
+     * pending stall, PER control or event, rejected access or STQ
+     * entry. (Store-cache entries only change by the CPU's own
+     * stores and by XIs to it; the machine checks that none covers a
+     * line the loop reads.)
+     */
+    bool spinQuiet() const;
+
+    /**
+     * Classify the instruction at the PSW; for a Load, @p line
+     * receives the line it reads. Never Load when a page is absent
+     * or a line is poisoned.
+     */
+    SpinStep spinStep(Addr &line) const;
+
+    /** True if the instruction at @p ia is a branch. */
+    bool isBranchAt(Addr ia) const;
+
+    /** Count @p n replayed steps as retired instructions. */
+    void retireReplayed(std::uint64_t n) { instructions_.inc(n); }
     /** @} */
 
     /** @name Measurement (MARKB/MARKE pseudo-ops) @{ */

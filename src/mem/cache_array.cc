@@ -1,25 +1,79 @@
 #include "cache_array.hh"
 
+#include <sys/mman.h>
+
 #include <bit>
+#include <cstring>
+#include <new>
 #include <utility>
 
 #include "common/log.hh"
 
 namespace ztx::mem {
 
+namespace {
+
+/** Transparent huge page size (x86-64 and arm64 with 4 KiB pages). */
+constexpr std::size_t hugePageBytes = std::size_t(2) << 20;
+constexpr std::size_t smallPageBytes = 4096;
+
+} // namespace
+
+void
+ZeroedBlockDeleter::operator()(void *block) const
+{
+    if (mappedBytes != 0)
+        munmap(block, mappedBytes);
+    else
+        ::operator delete(block);
+}
+
+ZeroedBlock
+zeroedBlock(std::size_t bytes)
+{
+    if (bytes < hugePageBytes) {
+        // operator new, not malloc: GCC turns malloc + memset into
+        // calloc, which leaves fresh pages to fault in later.
+        void *block = ::operator new(bytes);
+        std::memset(block, 0, bytes);
+        return ZeroedBlock(block, ZeroedBlockDeleter{0});
+    }
+    // Whole small pages: a tail short of a huge page stays on small
+    // pages, so a mapping is never resident beyond its last touched
+    // small page (the aligned huge pages before it aside).
+    const std::size_t len = (bytes + smallPageBytes - 1) &
+                            ~(smallPageBytes - 1);
+    // Over-map by one huge page, then unmap the unaligned ends.
+    void *raw = mmap(nullptr, len + hugePageBytes,
+                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                     -1, 0);
+    if (raw == MAP_FAILED)
+        ztx_fatal("cannot map a ", len, "-byte array");
+    const auto base = reinterpret_cast<std::uintptr_t>(raw);
+    const std::uintptr_t start =
+        (base + hugePageBytes - 1) & ~std::uintptr_t(hugePageBytes - 1);
+    const std::uintptr_t end = base + len + hugePageBytes;
+    if (start > base)
+        munmap(raw, start - base);
+    if (end > start + len)
+        munmap(reinterpret_cast<void *>(start + len),
+               end - (start + len));
+    void *block = reinterpret_cast<void *>(start);
+    madvise(block, len, MADV_HUGEPAGE);
+    return ZeroedBlock(block, ZeroedBlockDeleter{len});
+}
+
 CacheArray::CacheArray(const CacheGeometry &geometry, std::string name)
     : rows_(geometry.rows()), assoc_(geometry.assoc),
-      effAssoc_(geometry.assoc), name_(std::move(name))
+      effAssoc_(geometry.assoc), name_(std::move(name)),
+      tags_(rows_ * assoc_), lastUse_(rows_ * assoc_),
+      flags_(rows_ * assoc_), validMask_(rows_)
 {
     if (rows_ == 0 || assoc_ == 0)
         ztx_fatal("cache '", name_, "' has zero rows or ways");
     if (assoc_ > 32)
         ztx_fatal("cache '", name_,
                   "' associativity exceeds the valid-mask width");
-    tags_.assign(rows_ * assoc_, 0);
-    lastUse_.assign(rows_ * assoc_, 0);
-    flags_.assign(rows_ * assoc_, 0);
-    validMask_.assign(rows_, 0);
 }
 
 unsigned
@@ -106,6 +160,19 @@ CacheArray::findAndTouch(Addr line)
         return false;
     lastUse_[i] = ++useTick_;
     return true;
+}
+
+void
+CacheArray::replayTouches(std::uint64_t hits, const Addr *tail,
+                          std::size_t tail_len)
+{
+    const std::uint64_t first = useTick_ + hits - tail_len;
+    for (std::size_t j = 0; j < tail_len; ++j) {
+        const std::size_t i = findIdx(tail[j]);
+        if (i != npos)
+            lastUse_[i] = first + j + 1;
+    }
+    useTick_ += hits;
 }
 
 CacheArray::Probe
@@ -222,8 +289,8 @@ std::size_t
 CacheArray::validCount() const
 {
     std::size_t n = 0;
-    for (const std::uint32_t mask : validMask_)
-        n += std::size_t(std::popcount(mask));
+    for (std::uint64_t set = 0; set < rows_; ++set)
+        n += std::size_t(std::popcount(validMask_[set]));
     return n;
 }
 

@@ -18,14 +18,21 @@
  * the fused path, so replacement order and victim choice are
  * bit-identical to the historical scan (way order breaks lastUse
  * comparisons, and ticks are unique by construction).
+ *
+ * Each SoA array is one zeroedBlock(). An array of 2 MiB or more
+ * (the tag and recency arrays of a full-size L4) is mapped
+ * 2 MiB-aligned and advised as transparent huge pages, so building a
+ * machine takes one page fault per 2 MiB of that metadata instead of
+ * one per 4 KiB.
  */
 
 #ifndef ZTX_MEM_CACHE_ARRAY_HH
 #define ZTX_MEM_CACHE_ARRAY_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "mem/geometry.hh"
@@ -49,6 +56,44 @@ inline constexpr std::uint8_t txDirty = 0x2;
 inline constexpr std::uint8_t poison = 0x4;
 
 } // namespace line_flag
+
+/** Frees a zeroedBlock(): munmap when mapped, else operator delete. */
+struct ZeroedBlockDeleter
+{
+    /** Length of the mapping; 0 for an operator new block. */
+    std::size_t mappedBytes;
+    void operator()(void *block) const;
+};
+
+using ZeroedBlock = std::unique_ptr<void, ZeroedBlockDeleter>;
+
+/**
+ * @p bytes of zeroed memory. From 2 MiB on, an anonymous mapping
+ * that starts 2 MiB-aligned and is advised MADV_HUGEPAGE (a no-op
+ * where transparent huge pages are off). Below that, a block
+ * zero-filled up front, as a std::vector's would be, so its page
+ * faults come at construction and not in a machine's first steps.
+ */
+ZeroedBlock zeroedBlock(std::size_t bytes);
+
+/** A fixed-size, zero-initialized array in one zeroedBlock(). */
+template <typename T>
+class ZeroedArray
+{
+  public:
+    explicit ZeroedArray(std::size_t n)
+        : block_(zeroedBlock(n * sizeof(T)))
+    {
+    }
+
+    T &operator[](std::size_t i) { return data()[i]; }
+    const T &operator[](std::size_t i) const { return data()[i]; }
+
+  private:
+    T *data() const { return static_cast<T *>(block_.get()); }
+
+    ZeroedBlock block_;
+};
 
 /** Set-associative tag array; addresses are line-aligned. */
 class CacheArray
@@ -142,6 +187,16 @@ class CacheArray
     Victim insertAt(const Probe &p, Addr line,
                     std::uint8_t flags = 0);
     /** @} */
+
+    /**
+     * Account @p hits L1 hits that were replayed rather than probed
+     * (sim::Machine's spin replay): the LRU tick advances by @p hits,
+     * and @p tail, the lines of the last @p tail_len of those hits in
+     * order, get the ticks those hits would have given them. Absent
+     * lines are skipped. @p tail_len must not exceed @p hits.
+     */
+    void replayTouches(std::uint64_t hits, const Addr *tail,
+                       std::size_t tail_len);
 
     /** Mark @p line most recently used; true if present. */
     bool touch(Addr line) { return findAndTouch(line); }
@@ -241,11 +296,11 @@ class CacheArray
     std::string name_;
 
     /** @name Per-set SoA metadata (slot = set * assoc + way) @{ */
-    std::vector<Addr> tags_;
-    std::vector<std::uint64_t> lastUse_;
-    std::vector<std::uint8_t> flags_;
+    ZeroedArray<Addr> tags_;
+    ZeroedArray<std::uint64_t> lastUse_;
+    ZeroedArray<std::uint8_t> flags_;
     /** Bit w set = way w of the set is valid (assoc <= 32). */
-    std::vector<std::uint32_t> validMask_;
+    ZeroedArray<std::uint32_t> validMask_;
     /** @} */
 
     /** Valid entries with flags != 0 (clearFlagsAll short-circuit). */

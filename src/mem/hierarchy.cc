@@ -255,6 +255,15 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive)
 }
 
 void
+Hierarchy::replayL1Hits(CpuId cpu, std::uint64_t hits, const Addr *tail,
+                        std::size_t tail_len)
+{
+    fetchTotal_.inc(hits);
+    l1Hit_.inc(hits);
+    l1_[cpu].replayTouches(hits, tail, tail_len);
+}
+
+void
 Hierarchy::propagatePoisonOnFill(CpuId cpu, Addr line,
                                  bool other_holder, DataSource source)
 {

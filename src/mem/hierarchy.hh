@@ -73,6 +73,17 @@ class Hierarchy
     AccessResult fetch(CpuId cpu, Addr line, bool exclusive);
 
     /**
+     * Account @p hits read fetches by @p cpu that hit its L1 but were
+     * replayed rather than made (sim::Machine's spin replay): the
+     * fetch and L1-hit counters and the L1's LRU state end as if each
+     * had gone through fetch(). @p tail holds the lines of the last
+     * @p tail_len of those fetches, in order (CacheArray::
+     * replayTouches).
+     */
+    void replayL1Hits(CpuId cpu, std::uint64_t hits, const Addr *tail,
+                      std::size_t tail_len);
+
+    /**
      * @name Transactional bit plane (paper §III.C)
      * @{
      */

@@ -99,6 +99,10 @@ Machine::requestSolo(CpuId cpu_id)
     for (const CpuId queued : soloQueue_)
         if (queued == cpu_id)
             return;
+    // Parking rewrites ready times, so every replaying CPU goes back
+    // to stepping.
+    if (spinReplaying_ != 0)
+        spinWakeAll();
     soloQueue_.push_back(cpu_id);
     soloCpu_ = soloQueue_.front();
     soloRequestCounter_.inc();
@@ -167,13 +171,13 @@ Machine::runLegacy(Cycles max_cycles)
     const Cycles end_cycle =
         bounded ? start + max_cycles : ~Cycles(0);
 
-    using HeapEntry = std::pair<Cycles, CpuId>;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>
-        heap;
+    ReadyHeap heap;
     for (unsigned i = 0; i < numCpus(); ++i)
         if (!cpus_[i]->halted())
             heap.push({readyAt_[i], i});
+    spinOn_ = spinAllowed();
+    if (spinOn_)
+        spinReset();
 
     // (Re-)arm the forward-progress watchdog for this run call.
     if (cfg_.watchdogCycles != 0) {
@@ -186,10 +190,10 @@ Machine::runLegacy(Cycles max_cycles)
     // minimum of the same set the heap alone would hold, so the step
     // order is unchanged; a CPU that is still the minimum (zero-cost
     // steps, a leader) runs again without a push/pop pair.
-    HeapEntry held;
+    ReadyEntry held;
     bool holding = false;
     while (holding || !heap.empty()) {
-        HeapEntry pick;
+        ReadyEntry pick;
         if (holding && (heap.empty() || !(heap.top() < held))) {
             pick = held;
         } else {
@@ -225,8 +229,29 @@ Machine::runLegacy(Cycles max_cycles)
             break;
         }
 
+        const bool watched = spinOn_ && spinActive_[id];
+        if (watched) {
+            // A replaying CPU's live entry is its wake step.
+            if (spin_[id].replaying) {
+                spinAdvance(id, spin_[id].wake);
+                spinLeave(id);
+            }
+            if (spin_[id].recording)
+                spinRecordStep(id);
+        }
+        const Addr ia0 = cpus_[id]->psw().ia;
+        stepping_ = id;
         stepCpu(id);
-        if (!cpus_[id]->halted()) {
+        bool replaying = false;
+        if (spinOn_) {
+            if (!spinWoken_.empty())
+                spinSettle(heap);
+            replaying = (spinActive_[id] ||
+                         cpus_[id]->psw().ia <= ia0) &&
+                        !cpus_[id]->halted() &&
+                        spinAfterStep(id, ia0, heap);
+        }
+        if (!cpus_[id]->halted() && !replaying) {
             held = {readyAt_[id], id};
             holding = true;
         }
@@ -246,6 +271,8 @@ Machine::runLegacy(Cycles max_cycles)
             }
         }
     }
+    if (spinOn_)
+        spinFinish(bounded, end_cycle);
     return now_ - start;
 }
 

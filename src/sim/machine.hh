@@ -20,6 +20,7 @@
 #ifndef ZTX_SIM_MACHINE_HH
 #define ZTX_SIM_MACHINE_HH
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <ostream>
@@ -41,6 +42,7 @@
 #include "mem/latency_model.hh"
 #include "mem/main_memory.hh"
 #include "mem/topology.hh"
+#include "sim/spin_profile.hh"
 
 namespace ztx::inject {
 class ScheduleSteer;
@@ -103,6 +105,14 @@ struct MachineConfig
      * a reproducible configuration).
      */
     inject::ScheduleSteer *steer = nullptr;
+
+    /**
+     * Replay CPUs that wait in a fixed-point spin loop instead of
+     * stepping them (DESIGN.md §5b, "Replayed spinners"). Stats are
+     * byte-identical either way; the switch exists for the
+     * differential test. Not serialized.
+     */
+    bool spinFastForward = true;
 };
 
 /** A complete simulated SMP machine. */
@@ -202,7 +212,15 @@ class Machine : public core::CpuEnv
         (void)cpu;
         ++progressTicks_;
     }
+    void noteXi(CpuId cpu) override;
     /** @} */
+
+    /**
+     * Steps replayed rather than stepped so far (spinFastForward).
+     * A host-side count, not a stat: the stats documents are the
+     * same with replay on and off.
+     */
+    std::uint64_t spinReplayedSteps() const { return replayedSteps_; }
 
   private:
     MachineConfig cfg_;
@@ -236,6 +254,11 @@ class Machine : public core::CpuEnv
 
     void fireWatchdog();
 
+    using ReadyEntry = std::pair<Cycles, CpuId>;
+    using ReadyHeap =
+        std::priority_queue<ReadyEntry, std::vector<ReadyEntry>,
+                            std::greater<ReadyEntry>>;
+
     /** The exact heap scheduler: smallest ready time first. */
     Cycles runLegacy(Cycles max_cycles);
 
@@ -249,6 +272,105 @@ class Machine : public core::CpuEnv
      * (step cost plus any pending stall).
      */
     void stepCpu(CpuId id);
+
+    /**
+     * @name Spin replay (spin_replay.cc; DESIGN.md §5b)
+     * A CPU that runs a recorded fixed-point iteration leaves the
+     * heap and its steps are replayed arithmetically; its heap entry,
+     * if any, sits at its wake step.
+     * @{
+     */
+    /** Per-CPU spin detection, profile and replay cursor. */
+    struct SpinTrack
+    {
+        bool replaying = false;
+        /** Recording `pending` (the iteration after loopPc). */
+        bool recording = false;
+        /** On spinWoken_, awaiting spinSettle(). */
+        bool woken = false;
+        /** The last qualifying iteration; kept across wakes. */
+        SpinProfile profile;
+        /**
+         * Last taken backward-branch target, and the state
+         * fingerprints of the last arrivals there (a ring, `arrivals`
+         * entries at most). Several, because the dispatch credit can
+         * cycle over more than one iteration.
+         */
+        Addr loopPc = ~Addr(0);
+        std::array<std::uint64_t, 4> atLoopPc{};
+        unsigned arrivals = 0;
+        SpinProfile pending;
+        /** Next replayed step; the step that wakes the CPU. */
+        std::uint64_t next = 0;
+        std::uint64_t wake = 0;
+        std::int64_t origin = 0;
+    };
+
+    /** "The CPU never wakes by itself" (SpinTrack::wake). */
+    static constexpr std::uint64_t noWake = ~std::uint64_t(0);
+
+    /** Whether this run may replay at all. */
+    bool spinAllowed() const;
+    /** Forget every CPU's loop, profile and replay state. */
+    void spinReset();
+    /**
+     * CPU @p id arrived at taken backward-branch target @p ia:
+     * start recording if it was here in the same state (by
+     * fingerprint; the recording checks the state) within the last
+     * few arrivals.
+     */
+    void spinArrive(CpuId id, Addr ia);
+    /** Record the step CPU @p id is about to take. */
+    void spinRecordStep(CpuId id);
+    /**
+     * Detection, recording and re-entry after CPU @p id stepped
+     * from @p ia0 (runLegacy calls it only for an active CPU or a
+     * backward branch). @return True if the CPU left the heap to
+     * replay.
+     */
+    bool spinAfterStep(CpuId id, Addr ia0, ReadyHeap &heap);
+    /** Start replaying CPU @p id at step @p next; see SpinTrack. */
+    bool spinEnter(CpuId id, std::uint64_t next, std::int64_t origin,
+                   ReadyHeap &heap);
+    /**
+     * First step from the cursor that must run for real: a load of a
+     * line no longer in the L1, or a step at or after the CPU's next
+     * external interrupt. noWake if none.
+     */
+    std::uint64_t spinWakeStep(CpuId id) const;
+    /** First step at or after CPU @p id's next external interrupt. */
+    std::uint64_t spinInterruptStep(CpuId id) const;
+    /** Replay CPU @p id's steps up to (not including) step @p to. */
+    void spinAdvance(CpuId id, std::uint64_t to);
+    /** Replay CPU @p id's steps that run before cycle @p limit. */
+    void spinCatchUp(CpuId id, Cycles limit);
+    /**
+     * Replay CPU @p id's steps that come before the step being taken,
+     * and queue the CPU for spinSettle().
+     */
+    void spinCatchUpToStep(CpuId id);
+    /** Stop replaying CPU @p id: restore the state at its cursor. */
+    void spinLeave(CpuId id);
+    /** Solo acquisition: every replaying CPU goes back to stepping. */
+    void spinWakeAll();
+    /** Give the CPUs woken during the last step their heap entries. */
+    void spinSettle(ReadyHeap &heap);
+    /** End of run: catch every replaying CPU up to @p end_cycle. */
+    void spinFinish(bool bounded, Cycles end_cycle);
+
+    bool spinOn_ = false;
+    std::vector<SpinTrack> spin_;
+    /**
+     * Per CPU, 1 while it records or has a profile: the one byte the
+     * run loop reads per step before it looks at spin_.
+     */
+    std::vector<std::uint8_t> spinActive_;
+    unsigned spinReplaying_ = 0;
+    std::vector<CpuId> spinWoken_;
+    /** The CPU being stepped: with now_, the current step's key. */
+    CpuId stepping_ = invalidCpu;
+    std::uint64_t replayedSteps_ = 0;
+    /** @} */
 
     /** O(1) watchdog progress sum: CPU ticks + I/O completions. */
     std::uint64_t progressSum() const

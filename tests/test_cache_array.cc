@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
+#include "common/rng.hh"
 #include "mem/cache_array.hh"
 
 namespace {
@@ -260,6 +262,46 @@ TEST(CacheArray, SqueezeEvictsWithPhysicalWaysFree)
     ASSERT_TRUE(victim.valid);
     EXPECT_EQ(victim.line, lineInRow(0, 0));
     EXPECT_EQ(a.validCount(), 1u);
+    EXPECT_EQ(a.indexCheck(), "");
+}
+
+TEST(CacheArray, HugePageArrayStartsEmptyAndStaysConsistent)
+{
+    // 64 MiB of 256-byte lines: about 4.4 MiB of metadata, so the
+    // array takes the 2 MiB-aligned huge-page path.
+    CacheArray a(CacheGeometry{std::uint64_t(64) << 20, 16}, "huge");
+    EXPECT_EQ(a.validCount(), 0u);
+    ASSERT_EQ(a.indexCheck(), "");
+
+    // Lines over 64 rows, 24 tags each: sets overflow and evict.
+    std::set<Addr> present;
+    ztx::Rng rng(42);
+    const std::uint64_t rows = a.rows();
+    for (unsigned op = 0; op < 20000; ++op) {
+        const Addr line =
+            Addr(rng.nextBounded(64) + rows * rng.nextBounded(24)) *
+            lineSizeBytes;
+        switch (rng.nextBounded(3)) {
+          case 0:
+            if (!a.contains(line)) {
+                const auto victim = a.insert(line);
+                if (victim.valid)
+                    present.erase(victim.line);
+                present.insert(line);
+            }
+            break;
+          case 1:
+            EXPECT_EQ(a.touch(line), present.count(line) == 1);
+            break;
+          default:
+            EXPECT_EQ(a.invalidate(line), present.erase(line) == 1);
+            break;
+        }
+        if (op % 1000 == 0) {
+            ASSERT_EQ(a.indexCheck(), "") << "after op " << op;
+        }
+    }
+    EXPECT_EQ(a.validCount(), present.size());
     EXPECT_EQ(a.indexCheck(), "");
 }
 
