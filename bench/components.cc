@@ -2,8 +2,8 @@
  * @file
  * google-benchmark micro-benchmarks of the simulator's hot
  * components (host-side costs): cache-array operations, the
- * coherence directory, the gathering store cache, the PRNG, and a
- * whole simulated transaction round trip.
+ * coherence directory, the gathering store cache, the PRNG, machine
+ * construction, and a whole simulated transaction round trip.
  */
 
 #include <cstring>
@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_util.hh"
 #include "common/rng.hh"
 #include "json_report.hh"
 #include "core/store_cache.hh"
@@ -87,6 +88,26 @@ BM_StoreCacheGather(benchmark::State &state)
 }
 BENCHMARK(BM_StoreCacheGather);
 
+/**
+ * One sweep point's machine on the benchmarks' topology, running the
+ * first state.range(0) of its 120 CPU slots.
+ */
+void
+BM_MachineConstruct(benchmark::State &state)
+{
+    sim::MachineConfig cfg = bench::benchMachine();
+    cfg.activeCpus = unsigned(state.range(0));
+    for (auto _ : state) {
+        sim::Machine machine(cfg);
+        benchmark::DoNotOptimize(&machine);
+    }
+}
+BENCHMARK(BM_MachineConstruct)
+    ->Arg(2)
+    ->Arg(24)
+    ->Arg(100)
+    ->Unit(benchmark::kMicrosecond);
+
 void
 BM_SimulatedTransactionRoundTrip(benchmark::State &state)
 {
@@ -127,6 +148,9 @@ BENCHMARK(BM_SimulatedTransactionRoundTrip);
 int
 main(int argc, char **argv)
 {
+    // The same heap the paper binaries run with, so construction
+    // times match theirs.
+    ztx::bench::retainFreedMemory();
     const std::string json_path =
         ztx::bench::jsonReportPath("components", argc, argv);
 

@@ -4,7 +4,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <utility>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 namespace ztx::bench {
 
@@ -29,6 +34,18 @@ jsonReportPath(const std::string &bench_name, int argc, char **argv)
                    ".json";
     }
     return {};
+}
+
+void
+retainFreedMemory()
+{
+#ifdef __GLIBC__
+    // Otherwise glibc hands a dead machine's cache arrays back to the
+    // OS (unmapped or trimmed), and the next machine takes their page
+    // faults again.
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, std::numeric_limits<int>::max());
+#endif
 }
 
 Json
@@ -78,6 +95,7 @@ JsonReport::JsonReport(std::string bench_name, int argc,
       path_(jsonReportPath(name_, argc, argv)),
       start_(std::chrono::steady_clock::now())
 {
+    retainFreedMemory();
 }
 
 void

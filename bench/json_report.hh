@@ -37,6 +37,13 @@ namespace ztx::bench {
 std::string jsonReportPath(const std::string &bench_name, int argc,
                            char **argv);
 
+/**
+ * Keep freed memory in the process's heap (glibc: a 32 MiB mmap
+ * threshold and no trimming), so each sweep point's machine reuses
+ * the pages of the one before it instead of faulting in new ones.
+ */
+void retainFreedMemory();
+
 /** An abort-reason map as a JSON object. */
 Json abortBreakdownJson(
     const std::map<std::string, std::uint64_t> &aborts_by_reason);
@@ -59,6 +66,9 @@ class JsonReport
 {
   public:
     /**
+     * Also calls retainFreedMemory(): every bench builds its report
+     * before its first machine.
+     *
      * @param bench_name Short name; the default file is
      *        BENCH_<bench_name>.json.
      * @param argc/argv Scanned (not consumed) for `--json`.

@@ -21,20 +21,25 @@ xiKindName(XiKind kind)
 }
 
 Hierarchy::Hierarchy(const Topology &topo, const LatencyModel &lat,
-                     const HierarchyGeometry &geo)
+                     const HierarchyGeometry &geo, unsigned cpus)
     : topo_(topo), lat_(lat), geo_(geo)
 {
-    const unsigned n = topo_.numCpus();
-    if (n == 0)
+    const unsigned slots = topo_.numCpus();
+    if (slots == 0)
         ztx_fatal("topology has zero CPUs");
-    if (n > maxDirectoryCpus)
-        ztx_fatal("topology has ", n, " CPUs; directory supports ",
+    if (slots > maxDirectoryCpus)
+        ztx_fatal("topology has ", slots, " CPUs; directory supports ",
                   maxDirectoryCpus);
+    const unsigned n = cpus == 0 ? slots : cpus;
+    if (n > slots)
+        ztx_fatal("hierarchy of ", n, " CPUs exceeds topology capacity ",
+                  slots);
     // Size the directory's per-line sharer words to this machine
     // instead of the compile-time worst case.
-    dir_.configure(n);
+    dir_.configure(slots);
     l1_.reserve(n);
     l2_.reserve(n);
+    lruExt_.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
         l1_.emplace_back(geo_.l1, "l1." + std::to_string(i));
         l2_.emplace_back(geo_.l2, "l2." + std::to_string(i));
@@ -53,17 +58,34 @@ Hierarchy::Hierarchy(const Topology &topo, const LatencyModel &lat,
                          mcm_lo + topo_.chipsPerMcm() *
                                       topo_.coresPerChip()});
     }
-    for (unsigned c = 0; c < topo_.numChips(); ++c)
+    // The built CPUs are a prefix of the slots, so the chips and
+    // MCMs holding one of them are prefixes too. Every other L3/L4
+    // would stay empty: a line is installed only in the requester's
+    // own L1-L4.
+    const unsigned chips = topo_.chipOf(n - 1) + 1;
+    const unsigned mcms = topo_.mcmOf(n - 1) + 1;
+    l3_.reserve(chips);
+    for (unsigned c = 0; c < chips; ++c)
         l3_.emplace_back(geo_.l3, "l3." + std::to_string(c));
-    for (unsigned m = 0; m < topo_.numMcms(); ++m)
+    l4_.reserve(mcms);
+    for (unsigned m = 0; m < mcms; ++m)
         l4_.emplace_back(geo_.l4, "l4." + std::to_string(m));
     clients_.resize(n, nullptr);
 }
 
 void
+Hierarchy::checkBuilt(CpuId cpu, const char *what) const
+{
+    if (cpu >= builtCpus())
+        ztx_panic(what, ": cpu ", cpu, " has no caches (", builtCpus(),
+                  " CPUs built)");
+}
+
+void
 Hierarchy::setClient(CpuId cpu, CacheClient *client)
 {
-    clients_.at(cpu) = client;
+    checkBuilt(cpu, "setClient");
+    clients_[cpu] = client;
 }
 
 CacheClient *
@@ -135,7 +157,7 @@ Hierarchy::findSource(CpuId cpu, Addr line,
         return DataSource::L3;
     if (l4_[topo_.mcmOf(cpu)].contains(line))
         return DataSource::L4;
-    for (unsigned m = 0; m < topo_.numMcms(); ++m)
+    for (unsigned m = 0; m < l4_.size(); ++m)
         if (m != topo_.mcmOf(cpu) && l4_[m].contains(line))
             return DataSource::RemoteMcm;
     return DataSource::Memory;
@@ -386,12 +408,14 @@ void
 Hierarchy::handleL3Evict(unsigned chip, Addr victim)
 {
     stats_.counter("l3.evict").inc();
+    // The chip's CPUs that were built; the last built chip may
+    // hold fewer than coresPerChip.
     const unsigned first = chip * topo_.coresPerChip();
-    for (unsigned i = 0; i < topo_.coresPerChip(); ++i) {
-        const CpuId cpu = first + i;
+    const unsigned last =
+        std::min(first + topo_.coresPerChip(), builtCpus());
+    for (CpuId cpu = first; cpu < last; ++cpu)
         if (l2_[cpu].invalidate(victim))
             handleL2Evict(cpu, victim);
-    }
 }
 
 void
@@ -399,11 +423,11 @@ Hierarchy::handleL4Evict(unsigned mcm, Addr victim)
 {
     stats_.counter("l4.evict").inc();
     const unsigned first_chip = mcm * topo_.chipsPerMcm();
-    for (unsigned i = 0; i < topo_.chipsPerMcm(); ++i) {
-        const unsigned chip = first_chip + i;
+    const unsigned last_chip = std::min(
+        first_chip + topo_.chipsPerMcm(), unsigned(l3_.size()));
+    for (unsigned chip = first_chip; chip < last_chip; ++chip)
         if (l3_[chip].invalidate(victim))
             handleL3Evict(chip, victim);
-    }
 }
 
 void
@@ -477,30 +501,33 @@ Hierarchy::setLruExtensionEnabled(bool enabled)
 bool
 Hierarchy::inL1(CpuId cpu, Addr line) const
 {
+    checkBuilt(cpu, "inL1");
     return l1_[cpu].contains(lineAlign(line));
 }
 
 bool
 Hierarchy::inL2(CpuId cpu, Addr line) const
 {
+    checkBuilt(cpu, "inL2");
     return l2_[cpu].contains(lineAlign(line));
 }
 
 bool
 Hierarchy::inL3(unsigned chip, Addr line) const
 {
-    return l3_[chip].contains(lineAlign(line));
+    return chip < l3_.size() && l3_[chip].contains(lineAlign(line));
 }
 
 bool
 Hierarchy::inL4(unsigned mcm, Addr line) const
 {
-    return l4_[mcm].contains(lineAlign(line));
+    return mcm < l4_.size() && l4_[mcm].contains(lineAlign(line));
 }
 
 void
 Hierarchy::flushCpuCaches(CpuId cpu)
 {
+    checkBuilt(cpu, "flushCpuCaches");
     l1_[cpu].forEachValid([&](const CacheArray::Entry &e) {
         if (e.flags & (line_flag::txRead | line_flag::txDirty))
             ztx_panic("flushCpuCaches with transactional marks set");
@@ -562,6 +589,7 @@ void
 Hierarchy::squeezeCapacity(CpuId cpu, unsigned l1_ways,
                            unsigned l2_ways)
 {
+    checkBuilt(cpu, "squeezeCapacity");
     l1_[cpu].setEffectiveAssoc(l1_ways);
     l2_[cpu].setEffectiveAssoc(l2_ways);
 }
@@ -649,7 +677,7 @@ Hierarchy::indexCheck() const
 void
 Hierarchy::checkInvariants() const
 {
-    for (unsigned cpu = 0; cpu < topo_.numCpus(); ++cpu) {
+    for (CpuId cpu = 0; cpu < builtCpus(); ++cpu) {
         // L1 subset of L2; L2 subset of L3 and L4; holders match
         // the directory.
         l1_[cpu].forEachValid([&](const CacheArray::Entry &e) {

@@ -48,15 +48,31 @@ struct AccessResult
     DataSource source = DataSource::L1;
 };
 
-/** Four-level inclusive cache hierarchy with XI coherence. */
+/**
+ * Four-level inclusive cache hierarchy with XI coherence.
+ *
+ * Caches exist only where a CPU can reach them: L1/L2 for the first
+ * `cpus` topology slots, an L3 for each chip and an L4 for each MCM
+ * that holds one of those CPUs. A line is installed only in the
+ * requester's own L1-L4, so a cache that was not built would never
+ * hold one (DESIGN.md §2, "Memory substrate: which caches exist").
+ */
 class Hierarchy
 {
   public:
+    /**
+     * @param cpus CPUs whose caches are built: slots 0..cpus-1 of
+     *        @p topo. 0 builds every slot.
+     */
     Hierarchy(const Topology &topo, const LatencyModel &lat,
-              const HierarchyGeometry &geo = HierarchyGeometry{});
+              const HierarchyGeometry &geo = HierarchyGeometry{},
+              unsigned cpus = 0);
 
     Hierarchy(const Hierarchy &) = delete;
     Hierarchy &operator=(const Hierarchy &) = delete;
+
+    /** CPUs whose L1/L2 were built (slots 0..builtCpus()-1). */
+    unsigned builtCpus() const { return unsigned(l1_.size()); }
 
     /** Register the XI client (the CPU's LSU model) for @p cpu. */
     void setClient(CpuId cpu, CacheClient *client);
@@ -124,7 +140,12 @@ class Hierarchy
      */
     void setLruExtensionEnabled(bool enabled);
 
-    /** @name Introspection for tests and stats @{ */
+    /**
+     * @name Introspection for tests and stats
+     * inL1/inL2 panic on a CPU whose caches were not built; inL3/inL4
+     * answer false for a chip or MCM whose cache was not built.
+     * @{
+     */
     bool inL1(CpuId cpu, Addr line) const;
     bool inL2(CpuId cpu, Addr line) const;
     bool inL3(unsigned chip, Addr line) const;
@@ -289,6 +310,8 @@ class Hierarchy
     void flushCpuCaches(CpuId cpu);
 
   private:
+    /** Panic, naming @p what, unless @p cpu's caches were built. */
+    void checkBuilt(CpuId cpu, const char *what) const;
     AccessResult localHit(CpuId cpu, Addr line);
     /** Topology::distance from the precomputed ranges (no division). */
     Distance distance(CpuId cpu, CpuId other) const;
@@ -323,6 +346,7 @@ class Hierarchy
     LatencyModel lat_;
     HierarchyGeometry geo_;
     CoherenceDirectory dir_;
+    /** Per built CPU, chip and MCM; see the class comment. */
     std::vector<CacheArray> l1_;
     std::vector<CacheArray> l2_;
     std::vector<CacheArray> l3_;
@@ -343,7 +367,7 @@ class Hierarchy
         CpuId chipLo, chipHi;
         CpuId mcmLo, mcmHi;
     };
-    /** Per CPU, precomputed for findSource and distance(). */
+    /** Per built CPU, precomputed for findSource and distance(). */
     std::vector<Neighbourhood> near_;
     /** Poison bits per line (poisonCached/poisonMemorySide). */
     std::unordered_map<Addr, std::uint8_t> poison_;

@@ -9,17 +9,40 @@
 
 namespace ztx::sim {
 
+namespace {
+
+/** The CPUs @p cfg runs; fatal when its topology cannot hold them. */
+unsigned
+checkedActiveCpus(const MachineConfig &cfg)
+{
+    const unsigned slots = cfg.topology.numCpus();
+    const unsigned n = cfg.activeCpus == 0 ? slots : cfg.activeCpus;
+    if (n > slots)
+        ztx_fatal("activeCpus ", n, " exceeds topology capacity ",
+                  slots);
+    return n;
+}
+
+/**
+ * The CPUs whose caches the hierarchy builds: the running ones, or
+ * every slot when the channel agent takes the last one.
+ */
+unsigned
+cachedCpus(const MachineConfig &cfg)
+{
+    const unsigned n = checkedActiveCpus(cfg);
+    return cfg.enableIo ? cfg.topology.numCpus() : n;
+}
+
+} // namespace
+
 Machine::Machine(const MachineConfig &config)
     : cfg_(config),
-      hierarchy_(config.topology, config.latency, config.geometry),
+      hierarchy_(config.topology, config.latency, config.geometry,
+                 cachedCpus(config)),
       os_(pageTable_)
 {
-    unsigned n = cfg_.activeCpus == 0 ? cfg_.topology.numCpus()
-                                      : cfg_.activeCpus;
-    if (n > cfg_.topology.numCpus())
-        ztx_fatal("activeCpus ", n, " exceeds topology capacity ",
-                  cfg_.topology.numCpus());
-
+    const unsigned n = checkedActiveCpus(cfg_);
     cpus_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
         cpus_.push_back(std::make_unique<core::Cpu>(

@@ -19,6 +19,7 @@
 
 #include "isa/assembler.hh"
 #include "sim/machine.hh"
+#include "workload/layout.hh"
 #include "workload/update_bench.hh"
 
 namespace {
@@ -158,13 +159,18 @@ wideConfig()
     return cfg;
 }
 
-/** An update bench on every CPU of @p machine. */
+/**
+ * An update bench on the first @p cpus CPUs of @p machine (every CPU
+ * when 0). With the channel subsystem enabled, the device also reads
+ * the pool and the lock line while the CPUs run.
+ */
 std::uint64_t
 contendedHash(workload::SyncMethod method,
-              const sim::MachineConfig &machine, unsigned iterations)
+              const sim::MachineConfig &machine, unsigned iterations,
+              unsigned cpus = 0)
 {
     workload::UpdateBenchConfig cfg;
-    cfg.cpus = machine.topology.numCpus();
+    cfg.cpus = cpus != 0 ? cpus : machine.topology.numCpus();
     cfg.poolSize = 2;
     cfg.varsPerOp = 2;
     cfg.method = method;
@@ -175,6 +181,13 @@ contendedHash(workload::SyncMethod method,
     sim::Machine m(cfg.machine);
     const isa::Program program = workload::buildUpdateProgram(cfg);
     m.setProgramAll(&program);
+    if (machine.enableIo) {
+        m.io().submit({.write = false, .addr = workload::poolBase,
+                       .length = 2 * lineSizeBytes});
+        m.io().submit({.write = false,
+                       .addr = workload::globalLockAddr,
+                       .length = 8});
+    }
     m.run();
     EXPECT_TRUE(m.allHalted());
     return statsHash(m);
@@ -202,6 +215,37 @@ TEST(GoldenDigest, ContendedWideCrossMcmLegacy)
     EXPECT_EQ(contendedHash(workload::SyncMethod::CoarseLock,
                             wideConfig(), 20),
               0x56314d10eec95ca6ULL);
+}
+
+// wideConfig() machines that run only some of their 72 slots: 2 CPUs
+// on one chip, 8 across two chips, 30 across five chips and two MCMs.
+
+TEST(GoldenDigest, PartialWideCoarseLockLegacy)
+{
+    const sim::MachineConfig cfg = wideConfig();
+    const auto method = workload::SyncMethod::CoarseLock;
+    EXPECT_EQ(contendedHash(method, cfg, 40, 2), 0x349b957515f4e804ULL);
+    EXPECT_EQ(contendedHash(method, cfg, 40, 8), 0x1e711f62c81fe461ULL);
+    EXPECT_EQ(contendedHash(method, cfg, 20, 30), 0x37fbeeadb24ed055ULL);
+}
+
+TEST(GoldenDigest, PartialWideTBeginLegacy)
+{
+    const sim::MachineConfig cfg = wideConfig();
+    const auto method = workload::SyncMethod::TBegin;
+    EXPECT_EQ(contendedHash(method, cfg, 40, 2), 0x10146500ee8d7568ULL);
+    EXPECT_EQ(contendedHash(method, cfg, 40, 8), 0x528bfdd440ba96ecULL);
+    EXPECT_EQ(contendedHash(method, cfg, 20, 30), 0xf4d313df581ba5d5ULL);
+}
+
+TEST(GoldenDigest, PartialWideIoLegacy)
+{
+    // The channel agent sits in slot 71, on MCM 2, far from the two
+    // CPUs on chip 0.
+    sim::MachineConfig cfg = wideConfig();
+    cfg.enableIo = true;
+    EXPECT_EQ(contendedHash(workload::SyncMethod::TBegin, cfg, 40, 2),
+              0xa5bfbc20371b7099ULL);
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "mem/hierarchy.hh"
 
@@ -40,14 +41,17 @@ class StubClient : public CacheClient
     int rejectBudget = 0;
 };
 
-/** Hierarchy + stub clients, small topology, configurable geometry. */
+/**
+ * Hierarchy + stub clients, small topology, configurable geometry;
+ * caches for the first @p cpus slots (all when 0).
+ */
 struct Rig
 {
     explicit Rig(HierarchyGeometry geo = HierarchyGeometry{},
-                 Topology topo = Topology(2, 2, 2))
-        : hier(topo, LatencyModel{}, geo)
+                 Topology topo = Topology(2, 2, 2), unsigned cpus = 0)
+        : hier(topo, LatencyModel{}, geo, cpus)
     {
-        for (unsigned i = 0; i < topo.numCpus(); ++i) {
+        for (unsigned i = 0; i < hier.builtCpus(); ++i) {
             clients.push_back(std::make_unique<StubClient>());
             hier.setClient(i, clients.back().get());
         }
@@ -358,6 +362,115 @@ TEST(Hierarchy, SingleWriterInvariantUnderRandomTraffic)
             }
         }
     }
+}
+
+/**
+ * 2 cores x 3 chips x 2 MCMs with caches for CPUs 0-2 only: chip 1
+ * is half built (CPU 3 is not), chip 2 shares MCM 0 but has no L3,
+ * and MCM 1 has neither L3s nor an L4. Small L3/L4 so evictions run
+ * through the partly built chip and MCM.
+ */
+constexpr unsigned partialCpus = 3;
+
+Topology
+partialTopology()
+{
+    return Topology(2, 3, 2);
+}
+
+HierarchyGeometry
+partialGeometry()
+{
+    HierarchyGeometry geo = tinyL1Geometry();
+    geo.l3 = CacheGeometry{2 * 2 * lineSizeBytes, 2};
+    geo.l4 = CacheGeometry{4 * 2 * lineSizeBytes, 2};
+    return geo;
+}
+
+/** Random fetches by CPUs 0..partialCpus-1; checks as it goes. */
+void
+partialTraffic(Hierarchy &hier)
+{
+    Rng rng(4321);
+    for (int i = 0; i < 4000; ++i) {
+        const CpuId cpu = CpuId(rng.nextBounded(partialCpus));
+        const Addr line = rng.nextBounded(48) * lineSizeBytes;
+        hier.fetch(cpu, line, rng.nextBool(0.3));
+        if (i % 400 == 0) {
+            hier.checkInvariants();
+            ASSERT_EQ(hier.indexCheck(), "");
+        }
+    }
+    hier.checkInvariants();
+    ASSERT_EQ(hier.indexCheck(), "");
+}
+
+TEST(Hierarchy, PartialBuildKeepsOnlyReachableCaches)
+{
+    Rig rig(partialGeometry(), partialTopology(), partialCpus);
+    EXPECT_EQ(rig.hier.builtCpus(), partialCpus);
+    partialTraffic(rig.hier);
+    const auto &counters = rig.hier.stats().counters();
+    EXPECT_GT(counters.at("l3.evict").value(), 0u);
+    EXPECT_GT(counters.at("l4.evict").value(), 0u);
+    // Caches that were not built answer "absent".
+    for (unsigned k = 0; k < 48; ++k) {
+        const Addr line = Addr(k) * lineSizeBytes;
+        EXPECT_FALSE(rig.hier.inL3(2, line));
+        EXPECT_FALSE(rig.hier.inL3(5, line));
+        EXPECT_FALSE(rig.hier.inL4(1, line));
+    }
+}
+
+TEST(Hierarchy, PartialBuildMatchesFullBuild)
+{
+    // The same traffic on a hierarchy that builds every slot: the
+    // caches the partial build skips stay empty there, so stats and
+    // every XI the running CPUs see are identical.
+    Rig partial(partialGeometry(), partialTopology(), partialCpus);
+    Rig full(partialGeometry(), partialTopology());
+    partialTraffic(partial.hier);
+    partialTraffic(full.hier);
+    EXPECT_EQ(partial.hier.stats().toJson().dump(),
+              full.hier.stats().toJson().dump());
+    for (unsigned cpu = 0; cpu < partialCpus; ++cpu) {
+        const auto &a = partial.clients[cpu]->received;
+        const auto &b = full.clients[cpu]->received;
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].kind, b[i].kind);
+            EXPECT_EQ(a[i].line, b[i].line);
+            EXPECT_EQ(a[i].requester, b[i].requester);
+        }
+        EXPECT_EQ(partial.clients[cpu]->evicted,
+                  full.clients[cpu]->evicted);
+    }
+    for (unsigned chip = 0; chip < partialTopology().numChips(); ++chip)
+        for (unsigned k = 0; k < 48; ++k)
+            EXPECT_EQ(partial.hier.inL3(chip, Addr(k) * lineSizeBytes),
+                      full.hier.inL3(chip, Addr(k) * lineSizeBytes));
+}
+
+TEST(HierarchyDeathTest, UnbuiltCpuEntryPointsPanic)
+{
+    Hierarchy hier(partialTopology(), LatencyModel{},
+                   HierarchyGeometry{}, partialCpus);
+    StubClient client;
+    EXPECT_DEATH(hier.setClient(3, &client),
+                 "setClient: cpu 3 has no caches \\(3 CPUs built\\)");
+    EXPECT_DEATH(hier.squeezeCapacity(11, 1, 1),
+                 "squeezeCapacity: cpu 11 has no caches");
+    EXPECT_DEATH(hier.flushCpuCaches(3),
+                 "flushCpuCaches: cpu 3 has no caches");
+    EXPECT_DEATH(hier.inL1(4, lineA), "inL1: cpu 4 has no caches");
+    EXPECT_DEATH(hier.inL2(5, lineA), "inL2: cpu 5 has no caches");
+}
+
+TEST(HierarchyDeathTest, MoreCpusThanSlotsIsFatal)
+{
+    EXPECT_DEATH(Hierarchy(partialTopology(), LatencyModel{},
+                           HierarchyGeometry{}, 13),
+                 "hierarchy of 13 CPUs exceeds topology capacity 12");
 }
 
 TEST(Hierarchy, FetchCountsAppearInStats)

@@ -263,6 +263,24 @@ TEST(Machine, ActiveCpusBoundedByTopology)
     EXPECT_EQ(m.numCpus(), 8u);
 }
 
+TEST(MachineDeathTest, ActiveCpusBeyondTopologyIsFatal)
+{
+    // Checked before the hierarchy is built from the count.
+    auto cfg = smallConfig(9);
+    EXPECT_DEATH({ sim::Machine m(cfg); },
+                 "activeCpus 9 exceeds topology capacity 8");
+}
+
+TEST(Machine, CachesOnlyForRunningCpus)
+{
+    // 2 of 8 slots run: one chip's L3 and one L4. With I/O on, the
+    // channel agent's slot 7 needs every cache.
+    auto cfg = smallConfig(2);
+    EXPECT_EQ(sim::Machine(cfg).hierarchy().builtCpus(), 2u);
+    cfg.enableIo = true;
+    EXPECT_EQ(sim::Machine(cfg).hierarchy().builtCpus(), 8u);
+}
+
 TEST(Machine, InterleavingProducesRaces)
 {
     // Unsynchronized read-modify-write on a shared counter from two
