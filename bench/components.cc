@@ -108,6 +108,23 @@ BENCHMARK(BM_MachineConstruct)
     ->Arg(100)
     ->Unit(benchmark::kMicrosecond);
 
+/**
+ * fig5f's machine: one CPU on a one-chip topology with the
+ * full-size L3 (48 MB) and L4 (384 MB).
+ */
+void
+BM_MachineConstructFig5f(benchmark::State &state)
+{
+    sim::MachineConfig cfg;
+    cfg.topology = mem::Topology(1, 1, 1);
+    cfg.activeCpus = 1;
+    for (auto _ : state) {
+        sim::Machine machine(cfg);
+        benchmark::DoNotOptimize(&machine);
+    }
+}
+BENCHMARK(BM_MachineConstructFig5f)->Unit(benchmark::kMicrosecond);
+
 void
 BM_SimulatedTransactionRoundTrip(benchmark::State &state)
 {

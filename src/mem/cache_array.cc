@@ -1,79 +1,26 @@
 #include "cache_array.hh"
 
-#include <sys/mman.h>
-
 #include <bit>
-#include <cstring>
-#include <new>
+#include <limits>
 #include <utility>
 
 #include "common/log.hh"
 
 namespace ztx::mem {
 
-namespace {
-
-/** Transparent huge page size (x86-64 and arm64 with 4 KiB pages). */
-constexpr std::size_t hugePageBytes = std::size_t(2) << 20;
-constexpr std::size_t smallPageBytes = 4096;
-
-} // namespace
-
-void
-ZeroedBlockDeleter::operator()(void *block) const
-{
-    if (mappedBytes != 0)
-        munmap(block, mappedBytes);
-    else
-        ::operator delete(block);
-}
-
-ZeroedBlock
-zeroedBlock(std::size_t bytes)
-{
-    if (bytes < hugePageBytes) {
-        // operator new, not malloc: GCC turns malloc + memset into
-        // calloc, which leaves fresh pages to fault in later.
-        void *block = ::operator new(bytes);
-        std::memset(block, 0, bytes);
-        return ZeroedBlock(block, ZeroedBlockDeleter{0});
-    }
-    // Whole small pages: a tail short of a huge page stays on small
-    // pages, so a mapping is never resident beyond its last touched
-    // small page (the aligned huge pages before it aside).
-    const std::size_t len = (bytes + smallPageBytes - 1) &
-                            ~(smallPageBytes - 1);
-    // Over-map by one huge page, then unmap the unaligned ends.
-    void *raw = mmap(nullptr, len + hugePageBytes,
-                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
-                     -1, 0);
-    if (raw == MAP_FAILED)
-        ztx_fatal("cannot map a ", len, "-byte array");
-    const auto base = reinterpret_cast<std::uintptr_t>(raw);
-    const std::uintptr_t start =
-        (base + hugePageBytes - 1) & ~std::uintptr_t(hugePageBytes - 1);
-    const std::uintptr_t end = base + len + hugePageBytes;
-    if (start > base)
-        munmap(raw, start - base);
-    if (end > start + len)
-        munmap(reinterpret_cast<void *>(start + len),
-               end - (start + len));
-    void *block = reinterpret_cast<void *>(start);
-    madvise(block, len, MADV_HUGEPAGE);
-    return ZeroedBlock(block, ZeroedBlockDeleter{len});
-}
-
 CacheArray::CacheArray(const CacheGeometry &geometry, std::string name)
     : rows_(geometry.rows()), assoc_(geometry.assoc),
-      effAssoc_(geometry.assoc), name_(std::move(name)),
-      tags_(rows_ * assoc_), lastUse_(rows_ * assoc_),
-      flags_(rows_ * assoc_), validMask_(rows_)
+      effAssoc_(geometry.assoc), name_(std::move(name))
 {
     if (rows_ == 0 || assoc_ == 0)
         ztx_fatal("cache '", name_, "' has zero rows or ways");
     if (assoc_ > 32)
         ztx_fatal("cache '", name_,
                   "' associativity exceeds the valid-mask width");
+    if (rows_ * assoc_ > std::numeric_limits<std::uint32_t>::max())
+        ztx_fatal("cache '", name_,
+                  "' has more lines than a row head can index");
+    heads_.resize(rows_);
 }
 
 unsigned
@@ -85,14 +32,14 @@ CacheArray::ctz32(std::uint32_t v)
 std::size_t
 CacheArray::findIdx(Addr line) const
 {
-    const std::uint64_t set = row(line);
-    const std::size_t base = std::size_t(set) * assoc_;
-    std::uint32_t ways = validMask_[set];
+    const RowHead &head = heads_[row(line)];
+    std::uint32_t ways = head.valid;
     while (ways != 0) {
         const unsigned w = ctz32(ways);
         ways &= ways - 1;
-        if (tags_[base + w] == line)
-            return base + w;
+        const std::size_t i = base(head) + w;
+        if (tags_[i] == line)
+            return i;
     }
     return npos;
 }
@@ -138,17 +85,13 @@ CacheArray::clearFlagsAll(std::uint8_t bits)
 {
     if (flagged_ == 0)
         return;
-    for (std::uint64_t set = 0; set < rows_; ++set) {
-        std::uint32_t ways = validMask_[set];
-        while (ways != 0) {
-            const unsigned w = ctz32(ways);
-            ways &= ways - 1;
-            const std::size_t i = std::size_t(set) * assoc_ + w;
-            const std::uint8_t old = flags_[i];
-            flags_[i] = std::uint8_t(old & ~bits);
-            if (old != 0 && flags_[i] == 0)
-                --flagged_;
-        }
+    // Invalid ways carry no flags (invalidate() clears them), so the
+    // pool can be swept without consulting the row heads.
+    for (std::uint8_t &f : flags_) {
+        const std::uint8_t old = f;
+        f = std::uint8_t(old & ~bits);
+        if (old != 0 && f == 0)
+            --flagged_;
     }
 }
 
@@ -178,18 +121,19 @@ CacheArray::replayTouches(std::uint64_t hits, const Addr *tail,
 CacheArray::Probe
 CacheArray::probeForInsert(Addr line) const
 {
-    const std::uint64_t set = row(line);
-    const std::size_t base = std::size_t(set) * assoc_;
-    const std::uint32_t vmask = validMask_[set];
-
     Probe p;
+    p.set = row(line);
+    const RowHead &head = heads_[p.set];
+    const std::uint32_t vmask = head.valid;
+
     std::uint32_t ways = vmask;
     while (ways != 0) {
         const unsigned w = ctz32(ways);
         ways &= ways - 1;
-        if (tags_[base + w] == line) {
+        const std::size_t i = base(head) + w;
+        if (tags_[i] == line) {
             p.hit = true;
-            p.idx = base + w;
+            p.idx = i;
             return p;
         }
     }
@@ -199,11 +143,14 @@ CacheArray::probeForInsert(Addr line) const
     // soon as the effective ways are occupied, even while physical
     // ways remain free.
     p.wouldEvict = valid_ways >= effAssoc_;
-    if (!p.wouldEvict) {
+    if (head.end == 0) {
+        // Never inserted into: no pool slots yet, nothing to evict.
+        p.slot = npos;
+    } else if (!p.wouldEvict) {
         const std::uint32_t all =
             assoc_ == 32 ? ~std::uint32_t(0)
                          : (std::uint32_t(1) << assoc_) - 1;
-        p.slot = base + ctz32(~vmask & all);
+        p.slot = base(head) + ctz32(~vmask & all);
     } else {
         // True LRU among the valid entries of the congruence class
         // (under a squeeze, invalid ways must stay unused). Ticks
@@ -214,9 +161,9 @@ CacheArray::probeForInsert(Addr line) const
         while (ways != 0) {
             const unsigned w = ctz32(ways);
             ways &= ways - 1;
-            if (best == npos ||
-                lastUse_[base + w] < lastUse_[best])
-                best = base + w;
+            const std::size_t i = base(head) + w;
+            if (best == npos || lastUse_[i] < lastUse_[best])
+                best = i;
         }
         p.slot = best;
     }
@@ -228,10 +175,17 @@ CacheArray::insertAt(const Probe &p, Addr line, std::uint8_t flags)
 {
     if (p.hit)
         ztx_panic("double insert of line in ", name_);
-    const std::size_t i = p.slot;
-    const std::uint64_t set = i / assoc_;
-    const unsigned w = unsigned(i % assoc_);
-    const std::uint32_t bit = std::uint32_t(1) << w;
+    RowHead &head = heads_[p.set];
+    std::size_t i = p.slot;
+    if (i == npos) {
+        // First insert into the row: append its ways to the pools.
+        i = tags_.size();
+        head.end = std::uint32_t(i + assoc_);
+        tags_.resize(i + assoc_);
+        lastUse_.resize(i + assoc_);
+        flags_.resize(i + assoc_);
+    }
+    const std::uint32_t bit = std::uint32_t(1) << unsigned(i % assoc_);
 
     Victim victim;
     if (p.wouldEvict) {
@@ -244,7 +198,7 @@ CacheArray::insertAt(const Probe &p, Addr line, std::uint8_t flags)
     tags_[i] = line;
     flags_[i] = flags;
     lastUse_[i] = ++useTick_;
-    validMask_[set] |= bit;
+    head.valid |= bit;
     if (flags != 0)
         ++flagged_;
     return victim;
@@ -261,7 +215,7 @@ CacheArray::insert(Addr line, std::uint8_t flags)
 bool
 CacheArray::insertWouldEvict(Addr line) const
 {
-    return unsigned(std::popcount(validMask_[row(line)])) >=
+    return unsigned(std::popcount(heads_[row(line)].valid)) >=
            effAssoc_;
 }
 
@@ -280,7 +234,7 @@ CacheArray::invalidate(Addr line)
     if (flags_[i] != 0)
         --flagged_;
     flags_[i] = 0;
-    validMask_[i / assoc_] &=
+    heads_[row(line)].valid &=
         ~(std::uint32_t(1) << unsigned(i % assoc_));
     return true;
 }
@@ -289,26 +243,50 @@ std::size_t
 CacheArray::validCount() const
 {
     std::size_t n = 0;
-    for (std::uint64_t set = 0; set < rows_; ++set)
-        n += std::size_t(std::popcount(validMask_[set]));
+    for (const RowHead &head : heads_)
+        n += std::size_t(std::popcount(head.valid));
     return n;
 }
 
 std::string
 CacheArray::indexCheck() const
 {
+    const std::size_t pool_rows = rowsAllocated();
+    if (tags_.size() != pool_rows * assoc_ ||
+        lastUse_.size() != tags_.size() || flags_.size() != tags_.size())
+        return name_ + ": pool lengths disagree";
+    const std::uint32_t all =
+        assoc_ == 32 ? ~std::uint32_t(0)
+                     : (std::uint32_t(1) << assoc_) - 1;
+    std::vector<bool> owned(pool_rows, false);
+    std::size_t owners = 0;
     std::size_t flagged = 0;
     for (std::uint64_t set = 0; set < rows_; ++set) {
-        const std::uint32_t all =
-            assoc_ == 32 ? ~std::uint32_t(0)
-                         : (std::uint32_t(1) << assoc_) - 1;
-        if ((validMask_[set] & ~all) != 0)
+        const RowHead &head = heads_[set];
+        if ((head.valid & ~all) != 0)
             return name_ + ": valid mask has bits beyond assoc";
-        std::uint32_t ways = validMask_[set];
+        if (head.end == 0) {
+            if (head.valid != 0)
+                return name_ + ": valid ways in a row with no pool slots";
+            continue;
+        }
+        if (head.end % assoc_ != 0 || head.end > tags_.size())
+            return name_ + ": row head points outside the pool rows";
+        const std::size_t pool_row = head.end / assoc_ - 1;
+        if (owned[pool_row])
+            return name_ + ": two rows share pool slots";
+        owned[pool_row] = true;
+        ++owners;
+        const std::size_t b = base(head);
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if ((head.valid >> w & 1) == 0 && flags_[b + w] != 0)
+                return name_ + ": invalid way carries flags";
+        }
+        std::uint32_t ways = head.valid;
         while (ways != 0) {
             const unsigned w = ctz32(ways);
             ways &= ways - 1;
-            const std::size_t i = std::size_t(set) * assoc_ + w;
+            const std::size_t i = b + w;
             if (row(tags_[i]) != set)
                 return name_ + ": valid tag maps to another set";
             if (flags_[i] != 0)
@@ -318,12 +296,13 @@ CacheArray::indexCheck() const
             while (rest != 0) {
                 const unsigned w2 = ctz32(rest);
                 rest &= rest - 1;
-                if (tags_[std::size_t(set) * assoc_ + w2] ==
-                    tags_[i])
+                if (tags_[b + w2] == tags_[i])
                     return name_ + ": duplicate tag within a set";
             }
         }
     }
+    if (owners != pool_rows)
+        return name_ + ": pool slots owned by no row";
     if (flagged != flagged_)
         return name_ + ": flagged-entry count mismatch";
     return "";

@@ -8,22 +8,22 @@
  * tx-dirty bits the paper adds to the L1 directory latches.
  *
  * Layout and probing are built for the per-access hot path (DESIGN.md
- * §5b "per-access hot path"): tags, recency ticks, and flags live in
- * separate per-set arrays (SoA) with a per-set valid-way bitmask, so
- * a probe walks a compact tag vector instead of padded structs;
- * probeForInsert() resolves presence, the free way, and the LRU
- * victim in one pass, and touchAt()/insertAt() complete the access
- * against the returned slot without re-probing. The legacy
+ * §5b "per-access hot path"). Each row (congruence class) has one
+ * zero-initialised 8-byte head holding its valid-way bitmask and
+ * where its ways sit in the pools; a probe of a row never touched
+ * reads only that word. Tags, recency ticks and flags live in three
+ * per-array pools (SoA), so a probe walks a compact tag vector
+ * instead of padded structs. A row's assoc() ways are appended to
+ * the pools on its first insert and stay there when the row empties,
+ * so metadata grows with the rows a run touches, not with the
+ * cache's capacity (a full-size L4 has 65,536 rows; its heads are
+ * 512 KiB). probeForInsert() resolves presence, the free way, and
+ * the LRU victim in one pass, and touchAt()/insertAt() complete the
+ * access against the returned slot without re-probing. The legacy
  * find/touch/insert entry points remain and are thin wrappers over
  * the fused path, so replacement order and victim choice are
  * bit-identical to the historical scan (way order breaks lastUse
  * comparisons, and ticks are unique by construction).
- *
- * Each SoA array is one zeroedBlock(). An array of 2 MiB or more
- * (the tag and recency arrays of a full-size L4) is mapped
- * 2 MiB-aligned and advised as transparent huge pages, so building a
- * machine takes one page fault per 2 MiB of that metadata instead of
- * one per 4 KiB.
  */
 
 #ifndef ZTX_MEM_CACHE_ARRAY_HH
@@ -31,8 +31,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 #include "mem/geometry.hh"
@@ -56,44 +56,6 @@ inline constexpr std::uint8_t txDirty = 0x2;
 inline constexpr std::uint8_t poison = 0x4;
 
 } // namespace line_flag
-
-/** Frees a zeroedBlock(): munmap when mapped, else operator delete. */
-struct ZeroedBlockDeleter
-{
-    /** Length of the mapping; 0 for an operator new block. */
-    std::size_t mappedBytes;
-    void operator()(void *block) const;
-};
-
-using ZeroedBlock = std::unique_ptr<void, ZeroedBlockDeleter>;
-
-/**
- * @p bytes of zeroed memory. From 2 MiB on, an anonymous mapping
- * that starts 2 MiB-aligned and is advised MADV_HUGEPAGE (a no-op
- * where transparent huge pages are off). Below that, a block
- * zero-filled up front, as a std::vector's would be, so its page
- * faults come at construction and not in a machine's first steps.
- */
-ZeroedBlock zeroedBlock(std::size_t bytes);
-
-/** A fixed-size, zero-initialized array in one zeroedBlock(). */
-template <typename T>
-class ZeroedArray
-{
-  public:
-    explicit ZeroedArray(std::size_t n)
-        : block_(zeroedBlock(n * sizeof(T)))
-    {
-    }
-
-    T &operator[](std::size_t i) { return data()[i]; }
-    const T &operator[](std::size_t i) const { return data()[i]; }
-
-  private:
-    T *data() const { return static_cast<T *>(block_.get()); }
-
-    ZeroedBlock block_;
-};
 
 /** Set-associative tag array; addresses are line-aligned. */
 class CacheArray
@@ -123,13 +85,19 @@ class CacheArray
      */
     struct Probe
     {
-        /** Entry slot (set * assoc + way) of the hit. */
+        /** Pool slot (row base + way) of the hit. */
         std::size_t idx = 0;
         bool hit = false;
-        /** Slot an insertAt() would fill (miss only). */
+        /**
+         * Pool slot an insertAt() would fill (miss only); npos when
+         * the row has no pool slots yet, in which case insertAt()
+         * allocates them and fills way 0.
+         */
         std::size_t slot = 0;
         /** insertAt() would displace the line in `slot`. */
         bool wouldEvict = false;
+        /** Row (congruence class) of the probed line. */
+        std::uint64_t set = 0;
     };
 
     /**
@@ -211,7 +179,7 @@ class CacheArray
     /**
      * True if insert(@p line) would displace a victim right now:
      * the congruence class already holds effectiveAssoc() valid
-     * lines. O(1) on the per-set valid mask.
+     * lines. O(1) on the row head's valid mask.
      */
     bool insertWouldEvict(Addr line) const;
 
@@ -247,6 +215,12 @@ class CacheArray
     /** Count of valid entries (for tests/stats). */
     std::size_t validCount() const;
 
+    /**
+     * Rows whose ways have been appended to the pools (for
+     * tests/stats): the rows ever inserted into.
+     */
+    std::size_t rowsAllocated() const { return tags_.size() / assoc_; }
+
     /** Valid entries currently carrying any flag bits. */
     std::size_t flaggedCount() const { return flagged_; }
 
@@ -255,12 +229,12 @@ class CacheArray
     void
     forEachValid(Fn &&fn) const
     {
-        for (std::uint64_t set = 0; set < rows_; ++set) {
-            std::uint32_t ways = validMask_[set];
+        for (const RowHead &head : heads_) {
+            std::uint32_t ways = head.valid;
             while (ways != 0) {
                 const unsigned w = ctz32(ways);
                 ways &= ways - 1;
-                const std::size_t i = set * assoc_ + w;
+                const std::size_t i = base(head) + w;
                 Entry entry;
                 entry.line = tags_[i];
                 entry.valid = true;
@@ -275,19 +249,37 @@ class CacheArray
     const std::string &name() const { return name_; }
 
     /**
-     * Verify the per-set metadata (valid masks, tag-to-set mapping,
-     * tag uniqueness within a set, flagged-entry count) against a
-     * ground-truth walk. @return Empty string when consistent, else
+     * Verify the per-row metadata (valid masks, pool slots owned by
+     * exactly one row each, tag-to-set mapping, tag uniqueness
+     * within a set, flagged-entry count) against a ground-truth
+     * walk. @return Empty string when consistent, else
      * a description of the first violation (chaos-oracle hook).
      */
     std::string indexCheck() const;
 
   private:
+    /** Per-row head; all-zero for a row never inserted into. */
+    struct RowHead
+    {
+        /** Bit w set = way w of the row is valid (assoc <= 32). */
+        std::uint32_t valid = 0;
+        /** One past the row's last pool slot; 0 = no pool slots. */
+        std::uint32_t end = 0;
+    };
+
     static unsigned ctz32(std::uint32_t v);
+
+    /** Pool slot of way 0 of an allocated row. */
+    std::size_t
+    base(const RowHead &head) const
+    {
+        return std::size_t(head.end - assoc_);
+    }
 
     /** Entry slot of @p line, or npos when absent. */
     std::size_t findIdx(Addr line) const;
 
+    /** No slot: an absent line, or Probe::slot of a row without any. */
     static constexpr std::size_t npos = ~std::size_t(0);
 
     std::uint64_t rows_;
@@ -295,12 +287,16 @@ class CacheArray
     unsigned effAssoc_;
     std::string name_;
 
-    /** @name Per-set SoA metadata (slot = set * assoc + way) @{ */
-    ZeroedArray<Addr> tags_;
-    ZeroedArray<std::uint64_t> lastUse_;
-    ZeroedArray<std::uint8_t> flags_;
-    /** Bit w set = way w of the set is valid (assoc <= 32). */
-    ZeroedArray<std::uint32_t> validMask_;
+    /** One head per row. */
+    std::vector<RowHead> heads_;
+
+    /**
+     * @name Pools (slot = row base + way), assoc() slots per
+     * allocated row, appended in first-insert order @{
+     */
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint8_t> flags_;
     /** @} */
 
     /** Valid entries with flags != 0 (clearFlagsAll short-circuit). */

@@ -267,8 +267,9 @@ TEST(CacheArray, SqueezeEvictsWithPhysicalWaysFree)
 
 TEST(CacheArray, HugePageArrayStartsEmptyAndStaysConsistent)
 {
-    // 64 MiB of 256-byte lines: about 4.4 MiB of metadata, so the
-    // array takes the 2 MiB-aligned huge-page path.
+    // 64 MiB of 256-byte lines: 16,384 rows, of which the test
+    // touches 64, so almost every row head stays unallocated while
+    // the touched rows overflow and evict.
     CacheArray a(CacheGeometry{std::uint64_t(64) << 20, 16}, "huge");
     EXPECT_EQ(a.validCount(), 0u);
     ASSERT_EQ(a.indexCheck(), "");
@@ -302,6 +303,44 @@ TEST(CacheArray, HugePageArrayStartsEmptyAndStaysConsistent)
         }
     }
     EXPECT_EQ(a.validCount(), present.size());
+    EXPECT_EQ(a.indexCheck(), "");
+}
+
+TEST(CacheArray, RowsAllocatedFollowTouchedRows)
+{
+    // The full-size L4: 384 MiB, 24 ways, 65,536 rows.
+    CacheArray a(CacheGeometry{std::uint64_t(384) << 20, 24}, "l4");
+    ASSERT_EQ(a.rows(), 65536u);
+    EXPECT_EQ(a.rowsAllocated(), 0u);
+    EXPECT_FALSE(a.contains(0)); // a probe of an untouched row
+
+    // k inserts into distinct rows (37 is odd, so i * 37 mod 2^16
+    // never repeats) allocate exactly k rows.
+    constexpr unsigned k = 1000;
+    const auto line = [&](unsigned i, unsigned tag) {
+        return Addr((std::uint64_t(i) * 37 % a.rows()) +
+                    a.rows() * tag) *
+               lineSizeBytes;
+    };
+    for (unsigned i = 0; i < k; ++i) {
+        a.insert(line(i, 0));
+        ASSERT_EQ(a.rowsAllocated(), i + 1);
+    }
+    EXPECT_EQ(a.validCount(), k);
+    ASSERT_EQ(a.indexCheck(), "");
+
+    // Emptied rows keep their ways: inserting again, old tags or new,
+    // allocates none.
+    for (unsigned i = 0; i < k; ++i)
+        ASSERT_TRUE(a.invalidate(line(i, 0)));
+    EXPECT_EQ(a.validCount(), 0u);
+    EXPECT_EQ(a.rowsAllocated(), k);
+    for (unsigned i = 0; i < k; ++i) {
+        a.insert(line(i, i % 2));
+        a.insert(line(i, 2));
+    }
+    EXPECT_EQ(a.rowsAllocated(), k);
+    EXPECT_EQ(a.validCount(), 2 * k);
     EXPECT_EQ(a.indexCheck(), "");
 }
 

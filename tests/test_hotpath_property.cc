@@ -5,8 +5,9 @@
  *
  * The production GatheringStoreCache answers overlay/findOpen/XI
  * queries from a block index (open-addressed map + occupancy
- * bitmaps + line summary); the production CacheArray keeps a
- * SoA layout with per-set valid masks and fused probes. Both claim
+ * bitmaps + line summary); the production CacheArray keeps per-row
+ * heads (valid mask + pool slot), SoA pools allocated on a row's
+ * first insert, and fused probes. Both claim
  * bit-identical semantics to the historical linear scans. These
  * tests drive thousands of randomized mixed operations through the
  * production structures and through straight-line reference models
@@ -23,6 +24,7 @@
 #include <bitset>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "common/rng.hh"
@@ -537,6 +539,17 @@ class RefCacheArray
                     w.flags &= std::uint8_t(~bits);
     }
 
+    void
+    replayTouches(std::uint64_t hits, const Addr *tail,
+                  std::size_t tail_len)
+    {
+        const std::uint64_t first = useTick_ + hits - tail_len;
+        for (std::size_t j = 0; j < tail_len; ++j)
+            if (Way *w = find(tail[j]))
+                w->lastUse = first + j + 1;
+        useTick_ += hits;
+    }
+
     void setEffectiveAssoc(unsigned ways)
     {
         effAssoc_ = (ways == 0 || ways >= assoc_) ? assoc_ : ways;
@@ -560,98 +573,148 @@ class RefCacheArray
     std::uint64_t useTick_ = 0;
 };
 
-TEST(HotPathProperty, CacheArrayMatchesTrueLruReference)
+/** One CacheArray geometry for the true-LRU property check. */
+struct LruCase
 {
-    for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
-        Rng rng(seed);
-        constexpr std::uint64_t kRows = 8;
-        constexpr unsigned kAssoc = 4;
-        CacheArray dut(
-            CacheGeometry{kRows * kAssoc * lineSizeBytes, kAssoc},
-            "dut");
-        RefCacheArray ref(kRows, kAssoc);
-        constexpr unsigned kLines = 64; // 8 tags per set
+    std::uint64_t rows;
+    unsigned ops;
+    /**
+     * Half the lines come from any row, not just the 8 hot rows x 8
+     * tags: rows far outnumber operations, so rows keep being
+     * allocated among evictions to the end.
+     */
+    bool sparse;
+};
 
-        const auto pickLine = [&] {
-            return Addr(rng.nextBounded(kLines)) * lineSizeBytes;
-        };
+void
+checkAgainstTrueLru(const LruCase &g, std::uint64_t seed)
+{
+    constexpr unsigned kAssoc = 4;
+    Rng rng(seed);
+    CacheArray dut(
+        CacheGeometry{g.rows * kAssoc * lineSizeBytes, kAssoc},
+        "dut");
+    RefCacheArray ref(g.rows, kAssoc);
+    std::set<Addr> seen;
+    std::set<std::uint64_t> inserted_rows;
 
-        for (unsigned op = 0; op < 6000; ++op) {
-            const unsigned kind = unsigned(rng.nextBounded(100));
-            const Addr line = pickLine();
-            if (kind < 35) {
-                if (dut.contains(line))
-                    continue; // insert requires absence
-                const std::uint8_t flags =
-                    std::uint8_t(rng.nextBounded(4));
-                // Exercise both the classic and the fused path; the
-                // probe must agree with insertWouldEvict.
-                CacheArray::Victim dv;
-                if (rng.nextBool(0.5)) {
-                    const auto p = dut.probeForInsert(line);
-                    ASSERT_FALSE(p.hit);
-                    ASSERT_EQ(p.wouldEvict,
-                              dut.insertWouldEvict(line));
-                    dv = dut.insertAt(p, line, flags);
-                } else {
-                    dv = dut.insert(line, flags);
-                }
-                const auto rv = ref.insert(line, flags);
-                ASSERT_EQ(dv.valid, rv.valid);
-                if (dv.valid) {
-                    ASSERT_EQ(dv.line, rv.line);
-                    ASSERT_EQ(dv.flags, rv.flags);
-                }
-            } else if (kind < 60) {
-                // Fused find+touch against the reference's touch.
-                const bool hit = rng.nextBool(0.5)
-                                     ? dut.findAndTouch(line)
-                                     : dut.touch(line);
-                ASSERT_EQ(hit, ref.touch(line));
-            } else if (kind < 72) {
-                const auto *w = ref.find(line);
-                ASSERT_EQ(dut.contains(line), w != nullptr);
-                ASSERT_EQ(dut.flagsOf(line),
-                          w ? w->flags : std::uint8_t(0));
-            } else if (kind < 82) {
-                if (dut.contains(line)) {
-                    const std::uint8_t bits =
-                        std::uint8_t(1 + rng.nextBounded(3));
-                    dut.setFlags(line, bits);
-                    ref.find(line)->flags |= bits;
-                } else {
-                    const std::uint8_t bits =
-                        std::uint8_t(1 + rng.nextBounded(3));
-                    dut.clearFlags(line, bits);
-                    ASSERT_EQ(ref.find(line), nullptr);
-                }
-            } else if (kind < 90) {
-                ASSERT_EQ(dut.invalidate(line),
-                          ref.invalidate(line));
-            } else if (kind < 95) {
-                const std::uint8_t bits =
-                    std::uint8_t(1 + rng.nextBounded(3));
-                dut.clearFlagsAll(bits);
-                ref.clearFlagsAll(bits);
-            } else if (kind < 98) {
-                // XI-style capacity squeeze and release.
-                const unsigned ways =
-                    unsigned(1 + rng.nextBounded(kAssoc));
-                dut.setEffectiveAssoc(ways);
-                ref.setEffectiveAssoc(ways);
-            } else {
-                ASSERT_EQ(dut.validCount(), ref.validCount());
-            }
-            ASSERT_EQ(dut.indexCheck(), "") << "after op " << op;
+    const auto pickLine = [&] {
+        Addr line;
+        if (g.sparse && rng.nextBool(0.5)) {
+            line = Addr(rng.nextBounded(g.rows) +
+                        g.rows * rng.nextBounded(2)) *
+                   lineSizeBytes;
+        } else {
+            const std::uint64_t k = rng.nextBounded(64);
+            line = Addr(k % 8 + g.rows * (k / 8)) * lineSizeBytes;
         }
+        seen.insert(line);
+        return line;
+    };
 
-        // Final sweep: every possible tag agrees.
-        for (unsigned k = 0; k < kLines; ++k) {
-            const Addr line = Addr(k) * lineSizeBytes;
+    for (unsigned op = 0; op < g.ops; ++op) {
+        const unsigned kind = unsigned(rng.nextBounded(100));
+        const Addr line = pickLine();
+        if (kind < 35) {
+            if (dut.contains(line))
+                continue; // insert requires absence
+            const std::uint8_t flags =
+                std::uint8_t(rng.nextBounded(4));
+            // Exercise both the classic and the fused path; the
+            // probe must agree with insertWouldEvict.
+            CacheArray::Victim dv;
+            if (rng.nextBool(0.5)) {
+                const auto p = dut.probeForInsert(line);
+                ASSERT_FALSE(p.hit);
+                ASSERT_EQ(p.wouldEvict,
+                          dut.insertWouldEvict(line));
+                dv = dut.insertAt(p, line, flags);
+            } else {
+                dv = dut.insert(line, flags);
+            }
+            const auto rv = ref.insert(line, flags);
+            ASSERT_EQ(dv.valid, rv.valid);
+            if (dv.valid) {
+                ASSERT_EQ(dv.line, rv.line);
+                ASSERT_EQ(dv.flags, rv.flags);
+            }
+            inserted_rows.insert(ref.row(line));
+        } else if (kind < 58) {
+            // Fused find+touch against the reference's touch.
+            const bool hit = rng.nextBool(0.5)
+                                 ? dut.findAndTouch(line)
+                                 : dut.touch(line);
+            ASSERT_EQ(hit, ref.touch(line));
+        } else if (kind < 70) {
             const auto *w = ref.find(line);
             ASSERT_EQ(dut.contains(line), w != nullptr);
             ASSERT_EQ(dut.flagsOf(line),
                       w ? w->flags : std::uint8_t(0));
+        } else if (kind < 80) {
+            if (dut.contains(line)) {
+                const std::uint8_t bits =
+                    std::uint8_t(1 + rng.nextBounded(3));
+                dut.setFlags(line, bits);
+                ref.find(line)->flags |= bits;
+            } else {
+                const std::uint8_t bits =
+                    std::uint8_t(1 + rng.nextBounded(3));
+                dut.clearFlags(line, bits);
+                ASSERT_EQ(ref.find(line), nullptr);
+            }
+        } else if (kind < 88) {
+            ASSERT_EQ(dut.invalidate(line),
+                      ref.invalidate(line));
+        } else if (kind < 93) {
+            const std::uint8_t bits =
+                std::uint8_t(1 + rng.nextBounded(3));
+            dut.clearFlagsAll(bits);
+            ref.clearFlagsAll(bits);
+        } else if (kind < 96) {
+            // XI-style capacity squeeze and release.
+            const unsigned ways =
+                unsigned(1 + rng.nextBounded(kAssoc));
+            dut.setEffectiveAssoc(ways);
+            ref.setEffectiveAssoc(ways);
+        } else if (kind < 98) {
+            // Spin-replayed L1 hits: the tick advances by `hits`
+            // and the tail lines (present or not) take the last
+            // ticks, in order.
+            std::array<Addr, 4> tail{};
+            const std::size_t len =
+                std::size_t(rng.nextBounded(tail.size() + 1));
+            tail[0] = line;
+            for (std::size_t j = 1; j < len; ++j)
+                tail[j] = pickLine();
+            const std::uint64_t hits = len + rng.nextBounded(4);
+            dut.replayTouches(hits, tail.data(), len);
+            ref.replayTouches(hits, tail.data(), len);
+        } else {
+            ASSERT_EQ(dut.validCount(), ref.validCount());
+        }
+        ASSERT_EQ(dut.rowsAllocated(), inserted_rows.size());
+        ASSERT_EQ(dut.indexCheck(), "") << "after op " << op;
+    }
+
+    // Final sweep: every line the run drew agrees.
+    for (const Addr line : seen) {
+        const auto *w = ref.find(line);
+        ASSERT_EQ(dut.contains(line), w != nullptr);
+        ASSERT_EQ(dut.flagsOf(line),
+                  w ? w->flags : std::uint8_t(0));
+    }
+}
+
+TEST(HotPathProperty, CacheArrayMatchesTrueLruReference)
+{
+    for (const LruCase g : {LruCase{8, 6000, false},
+                            LruCase{16384, 2000, true}}) {
+        for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
+            SCOPED_TRACE(testing::Message()
+                         << "rows " << g.rows << ", seed " << seed);
+            checkAgainstTrueLru(g, seed);
+            if (HasFatalFailure())
+                return;
         }
     }
 }
