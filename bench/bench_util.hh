@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "point_runner.hh"
 #include "sim/machine.hh"
 #include "workload/update_bench.hh"
 
@@ -80,6 +81,21 @@ benchMachine()
     cfg.geometry.l3 = {8ULL << 20, 12};
     cfg.geometry.l4 = {32ULL << 20, 24};
     return cfg;
+}
+
+/**
+ * runUpdateBench() for every point, on runPoints() with each point
+ * weighing its CPU count; results in point order.
+ */
+inline std::vector<workload::UpdateBenchResult>
+runUpdatePoints(const std::vector<workload::UpdateBenchConfig> &points)
+{
+    std::vector<unsigned> weights;
+    for (const workload::UpdateBenchConfig &cfg : points)
+        weights.push_back(cfg.cpus);
+    return runPoints(weights, [&](std::size_t i) {
+        return workload::runUpdateBench(points[i]);
+    });
 }
 
 /** The paper's normalization constant for throughput plots. */

@@ -34,6 +34,7 @@
 #include "inject/lincheck.hh"
 #include "inject/order_infer.hh"
 #include "json_report.hh"
+#include "point_runner.hh"
 #include "workload/hashtable.hh"
 #include "workload/layout.hh"
 #include "workload/list_set.hh"
@@ -127,6 +128,9 @@ hotLineOf(const std::string &wl)
     return workload::queueBase;
 }
 
+/** CPUs of every chaos machine (a point's runPoints weight). */
+constexpr unsigned chaosCpus = 4;
+
 /** Watchdog window: generous against backoff, tiny against hangs. */
 constexpr Cycles watchdogWindow = 2'000'000;
 
@@ -142,7 +146,7 @@ runWorkload(const std::string &wl, unsigned iterations,
     using namespace ztx::workload;
     if (wl == "list_set") {
         ListSetBenchConfig cfg;
-        cfg.cpus = 4;
+        cfg.cpus = chaosCpus;
         cfg.useElision = true;
         cfg.iterations = iterations;
         cfg.opLog = true;
@@ -154,7 +158,7 @@ runWorkload(const std::string &wl, unsigned iterations,
     }
     if (wl == "hashtable") {
         HashTableBenchConfig cfg;
-        cfg.cpus = 4;
+        cfg.cpus = chaosCpus;
         cfg.useElision = true;
         cfg.iterations = iterations;
         cfg.opLog = true;
@@ -164,7 +168,7 @@ runWorkload(const std::string &wl, unsigned iterations,
         return res;
     }
     QueueBenchConfig cfg;
-    cfg.cpus = 4;
+    cfg.cpus = chaosCpus;
     cfg.useConstrainedTx = true;
     cfg.iterations = iterations;
     cfg.opLog = true;
@@ -238,19 +242,59 @@ main(int argc, char **argv)
                                                 "hashtable",
                                                 "queue"};
 
-    bool all_ok = true;
+    // The sweep's points: every mix on every workload, then one
+    // large-history point per workload: ~100k operations, a scale
+    // where the DFS fallback would give up ("unchecked") but order
+    // inference still returns a definitive verdict. Its mild
+    // spurious-abort mix keeps the retry machinery honest without
+    // risking a watchdog halt that would leave operations pending.
+    struct Point
+    {
+        std::string wl;
+        const char *mix;
+        double scale;
+        unsigned iterations;
+        inject::FaultPlan plan;
+    };
+    std::vector<Point> points;
     for (const auto &wl : workloads) {
-        for (const auto &mix : mixes) {
-            const inject::FaultPlan plan =
-                mixPlan(mix.name, mix.scale, hotLineOf(wl));
+        for (const auto &mix : mixes)
+            points.push_back({wl, mix.name, mix.scale, iters,
+                              mixPlan(mix.name, mix.scale,
+                                      hotLineOf(wl))});
+    }
+    const std::size_t large_begin = points.size();
+    for (const auto &wl : workloads) {
+        // 4 CPUs x 25000 operations, or x 12500 queue iterations
+        // of an enqueue plus a dequeue: ~100k operations each.
+        points.push_back({wl, "large_history", 0.25,
+                          wl == "queue" ? 12500u : 25000u,
+                          mixPlan("spurious", 0.25, hotLineOf(wl))});
+    }
 
+    struct Outcome
+    {
+        workload::RunSummary res;
+        bool oracleOk = false;
+    };
+    const auto outcomes = bench::runPoints(
+        std::vector<unsigned>(points.size(), chaosCpus), [&](std::size_t i) {
             sim::MachineConfig mcfg = bench::benchMachine();
-            mcfg.faults = plan;
+            mcfg.faults = points[i].plan;
             mcfg.watchdogCycles = watchdogWindow;
+            Outcome out;
+            out.res = runWorkload(points[i].wl, points[i].iterations,
+                                  mcfg, out.oracleOk);
+            return out;
+        });
 
-            bool oracle_ok = false;
-            const auto res = runWorkload(wl, iters, mcfg, oracle_ok);
-
+    bool all_ok = true;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const Point &point = points[i];
+        const auto &res = outcomes[i].res;
+        const bool oracle_ok = outcomes[i].oracleOk;
+        bool point_ok = false;
+        if (i < large_begin) {
             // A non-linearizable history already failed the oracle
             // (the runner folds it in); an *unchecked* one on a run
             // the watchdog let finish means the log or the checker
@@ -261,60 +305,37 @@ main(int argc, char **argv)
             const bool lincheck_ok = res.lincheck.checked ||
                                      res.lincheck.truncated ||
                                      res.watchdogFired;
-            const bool point_ok = oracle_ok && !res.watchdogFired &&
-                                  lincheck_ok;
-            all_ok = all_ok && point_ok;
+            point_ok = oracle_ok && !res.watchdogFired && lincheck_ok;
             std::printf("  %-10s %-10s %-5.2g %10.5f %8llu %8llu  "
                         "%s%s\n",
-                        wl.c_str(), mix.name, mix.scale,
+                        point.wl.c_str(), point.mix, point.scale,
                         res.throughput,
                         (unsigned long long)res.txCommits,
                         (unsigned long long)res.txAborts,
                         res.watchdogFired ? "WATCHDOG " : "",
                         res.oracle.summary().c_str());
-            addPoint(report, res, oracle_ok, wl, mix.name, mix.scale,
-                     plan);
+        } else {
+            // The whole point of the scale: a definitive verdict
+            // from the inferred order. A fallback here (pending ops,
+            // version gaps) or an unchecked verdict fails the point.
+            point_ok = oracle_ok && !res.watchdogFired &&
+                       res.lincheck.checked && res.orderInfer.inferred;
+            std::printf(
+                "  %-10s %-10s %-5s %10.5f %8llu %8llu  "
+                "%s%s [order_infer: %llu ops, %llu edges%s]\n",
+                point.wl.c_str(), "large", "0.25", res.throughput,
+                (unsigned long long)res.txCommits,
+                (unsigned long long)res.txAborts,
+                res.watchdogFired ? "WATCHDOG " : "",
+                res.oracle.summary().c_str(),
+                (unsigned long long)res.orderInfer.orderLength,
+                (unsigned long long)(res.orderInfer.versionEdges +
+                                     res.orderInfer.programEdges),
+                res.orderInfer.inferred ? "" : " FALLBACK");
         }
-    }
-
-    // --- Large-history points: ~100k operations per workload, a
-    // scale where the DFS fallback would give up ("unchecked") but
-    // order inference still returns a definitive verdict. A mild
-    // spurious-abort mix keeps the retry machinery honest without
-    // risking a watchdog halt that would leave operations pending.
-    for (const auto &wl : workloads) {
-        const inject::FaultPlan plan =
-            mixPlan("spurious", 0.25, hotLineOf(wl));
-        sim::MachineConfig mcfg = bench::benchMachine();
-        mcfg.faults = plan;
-        mcfg.watchdogCycles = watchdogWindow;
-
-        // 4 CPUs x 25000 operations, or x 12500 queue iterations
-        // of an enqueue plus a dequeue: ~100k operations each.
-        bool oracle_ok = false;
-        const auto res = runWorkload(wl, wl == "queue" ? 12500 : 25000,
-                                     mcfg, oracle_ok);
-
-        // The whole point of the scale: a definitive verdict from
-        // the inferred order. A fallback here (pending ops, version
-        // gaps) or an unchecked verdict fails the point.
-        const bool point_ok = oracle_ok && !res.watchdogFired &&
-                              res.lincheck.checked &&
-                              res.orderInfer.inferred;
         all_ok = all_ok && point_ok;
-        std::printf("  %-10s %-10s %-5s %10.5f %8llu %8llu  "
-                    "%s%s [order_infer: %llu ops, %llu edges%s]\n",
-                    wl.c_str(), "large", "0.25", res.throughput,
-                    (unsigned long long)res.txCommits,
-                    (unsigned long long)res.txAborts,
-                    res.watchdogFired ? "WATCHDOG " : "",
-                    res.oracle.summary().c_str(),
-                    (unsigned long long)res.orderInfer.orderLength,
-                    (unsigned long long)(res.orderInfer.versionEdges +
-                                         res.orderInfer.programEdges),
-                    res.orderInfer.inferred ? "" : " FALLBACK");
-        addPoint(report, res, oracle_ok, wl, "large_history", 0.25,
-                 plan);
+        addPoint(report, res, oracle_ok, point.wl, point.mix,
+                 point.scale, point.plan);
     }
 
     if (!report.write())

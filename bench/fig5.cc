@@ -130,9 +130,9 @@ main(int argc, char **argv)
     std::printf("# normalized throughput (100 = 2 CPUs, 1 var, "
                 "pool 1, coarse lock)\n");
 
-    SeriesTable table("CPUs", panel.series);
+    // One point per (CPU count, pool, method), in table order.
+    std::vector<UpdateBenchConfig> points;
     for (const unsigned cpus : bench::cpuPoints()) {
-        std::vector<double> row;
         for (const unsigned pool : panel.pools) {
             for (const SyncMethod method : panel.methods) {
                 UpdateBenchConfig cfg;
@@ -143,28 +143,42 @@ main(int argc, char **argv)
                 cfg.method = method;
                 cfg.iterations = bench::benchIterations();
                 cfg.machine = bench::benchMachine();
-                const auto res = runUpdateBench(cfg);
-                const double normalized = 100.0 * res.throughput / ref;
-                row.push_back(normalized);
-
-                const std::string method_name = syncMethodName(method);
-                Json rec = Json::object();
-                rec["cpus"] = cpus;
-                rec["pool"] = pool;
-                rec["vars_per_op"] = panel.varsPerOp;
-                if (panel.readOnly)
-                    rec["read_only"] = true;
-                rec["variant"] =
-                    panel.poolInVariant
-                        ? method_name + "-" + std::to_string(pool)
-                        : method_name;
-                rec["method"] = method_name;
-                rec["normalized_throughput"] = normalized;
-                rec["xi_rejects"] = res.xiRejects;
-                report.addResult(res, std::move(rec));
+                points.push_back(cfg);
             }
         }
-        table.addRow(cpus, row);
+    }
+    const auto results = bench::runUpdatePoints(points);
+
+    const std::size_t row_size =
+        panel.pools.size() * panel.methods.size();
+    SeriesTable table("CPUs", panel.series);
+    std::vector<double> row;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const UpdateBenchConfig &point = points[i];
+        const auto &res = results[i];
+        const double normalized = 100.0 * res.throughput / ref;
+        row.push_back(normalized);
+
+        const std::string method_name = syncMethodName(point.method);
+        Json rec = Json::object();
+        rec["cpus"] = point.cpus;
+        rec["pool"] = point.poolSize;
+        rec["vars_per_op"] = panel.varsPerOp;
+        if (panel.readOnly)
+            rec["read_only"] = true;
+        rec["variant"] =
+            panel.poolInVariant
+                ? method_name + "-" + std::to_string(point.poolSize)
+                : method_name;
+        rec["method"] = method_name;
+        rec["normalized_throughput"] = normalized;
+        rec["xi_rejects"] = res.xiRejects;
+        report.addResult(res, std::move(rec));
+
+        if (row.size() == row_size) {
+            table.addRow(point.cpus, row);
+            row.clear();
+        }
     }
     table.print(std::cout);
     return report.write() ? 0 : 1;

@@ -55,6 +55,10 @@ main(int argc, char **argv)
     const unsigned trials = fast ? 40 : 120;
     report.meta()["trials"] = trials;
 
+    // Serial, not on runPoints(): each point's machine has the
+    // full-size 48 MB L3 and 384 MB L4, and this loop already sets
+    // the peak RSS of the paper binaries (26 MB at the benchmark
+    // size); overlapping its machines would raise it.
     SeriesTable table("Lines", {"NoLruExt-64x6", "LruExt-512x8"});
     for (unsigned lines = 100; lines <= 800; lines += 50) {
         FootprintConfig without;

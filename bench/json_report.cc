@@ -45,6 +45,10 @@ retainFreedMemory()
     // faults again.
     mallopt(M_MMAP_THRESHOLD, 32 << 20);
     mallopt(M_TRIM_THRESHOLD, std::numeric_limits<int>::max());
+    // One arena for runPoints()'s workers too: with an arena per
+    // thread and no trimming, each worker would keep its own high
+    // water mark of freed machines.
+    mallopt(M_ARENA_MAX, 1);
 #endif
 }
 

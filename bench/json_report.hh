@@ -39,8 +39,9 @@ std::string jsonReportPath(const std::string &bench_name, int argc,
 
 /**
  * Keep freed memory in the process's heap (glibc: a 32 MiB mmap
- * threshold and no trimming), so each sweep point's machine reuses
- * the pages of the one before it instead of faulting in new ones.
+ * threshold, no trimming and one arena for every thread), so each
+ * sweep point's machine reuses the pages of the ones before it
+ * instead of faulting in new ones.
  */
 void retainFreedMemory();
 

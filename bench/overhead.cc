@@ -67,6 +67,10 @@ main(int argc, char **argv)
                 "(paper: ~0.4%%; see EXPERIMENTS.md)\n",
                 100.0 * (tbc.throughput / tb.throughput - 1.0));
 
+    // Serial, not on runPoints(): its two 100-CPU machines on the
+    // 10k pool at 4x the iterations already hold 24 MB, next to
+    // fig5f's peak of the paper binaries; running them together
+    // would raise it.
     std::printf("\n# TBEGINC vs no locking, 100 CPUs, 4 variables, "
                 "pool 10k\n");
     const auto none = run("none-100cpu", SyncMethod::None,

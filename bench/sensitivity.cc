@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hh"
 #include "json_report.hh"
@@ -35,9 +36,9 @@ scaledMachine(double scale)
     return cfg;
 }
 
-double
-throughputAt(bench::JsonReport &report, double scale,
-             SyncMethod method, const sim::MachineConfig &machine)
+/** The figure 5(b) comparison point at 24 CPUs under @p machine. */
+UpdateBenchConfig
+latencyPoint(SyncMethod method, const sim::MachineConfig &machine)
 {
     UpdateBenchConfig cfg;
     cfg.method = method;
@@ -46,15 +47,7 @@ throughputAt(bench::JsonReport &report, double scale,
     cfg.varsPerOp = 1;
     cfg.iterations = bench::benchIterations();
     cfg.machine = machine;
-    const auto res = runUpdateBench(cfg);
-    Json rec = Json::object();
-    rec["section"] = "latency-scale";
-    rec["latency_scale"] = scale;
-    rec["cpus"] = cfg.cpus;
-    rec["variant"] = syncMethodName(method);
-    rec["method"] = syncMethodName(method);
-    report.addResult(res, std::move(rec));
-    return res.throughput;
+    return cfg;
 }
 
 } // namespace
@@ -66,29 +59,19 @@ main(int argc, char **argv)
     report.setMachineConfig(bench::benchMachine());
     report.meta()["iterations"] = bench::benchIterations();
 
-    std::printf("# Sensitivity 1: remote-latency scale, figure 5(b) "
-                "point at 24 CPUs\n");
-    SeriesTable lat("Scale", {"CoarseLock", "FineLock", "TBEGINC",
-                              "TxBeatsLocks"});
-    for (const double scale : {0.5, 1.0, 2.0}) {
-        const auto machine = scaledMachine(scale);
-        const double coarse = throughputAt(
-            report, scale, SyncMethod::CoarseLock, machine);
-        const double fine = throughputAt(
-            report, scale, SyncMethod::FineLock, machine);
-        const double tbc = throughputAt(
-            report, scale, SyncMethod::TBeginc, machine);
-        lat.addRow(scale,
-                   {1000.0 * coarse, 1000.0 * fine, 1000.0 * tbc,
-                    (tbc > coarse && tbc > fine) ? 1.0 : 0.0});
+    // Every point of both sections, in print order: per latency
+    // scale the three methods, then per CPU count the PPA backoff on
+    // and off.
+    const double scales[] = {0.5, 1.0, 2.0};
+    const SyncMethod lat_methods[] = {
+        SyncMethod::CoarseLock, SyncMethod::FineLock, SyncMethod::TBeginc};
+    const unsigned ppa_cpus[] = {8, 24, 48};
+    std::vector<UpdateBenchConfig> points;
+    for (const double scale : scales) {
+        for (const SyncMethod method : lat_methods)
+            points.push_back(latencyPoint(method, scaledMachine(scale)));
     }
-    lat.print(std::cout);
-    std::printf("# TxBeatsLocks must be 1 at every scale\n\n");
-
-    std::printf("# Sensitivity 2: PPA backoff on contended TBEGIN "
-                "(pool 10, 4 vars)\n");
-    SeriesTable ppa("CPUs", {"Backoff", "NoBackoff"});
-    for (const unsigned cpus : {8u, 24u, 48u}) {
+    for (const unsigned cpus : ppa_cpus) {
         UpdateBenchConfig cfg;
         cfg.method = SyncMethod::TBegin;
         cfg.cpus = cpus;
@@ -96,20 +79,50 @@ main(int argc, char **argv)
         cfg.varsPerOp = 4;
         cfg.iterations = bench::benchIterations();
         cfg.machine = bench::benchMachine();
-        const auto backoff_res = runUpdateBench(cfg);
+        points.push_back(cfg);
         cfg.machine.tm.ppaBaseDelay = 1;
         cfg.machine.tm.ppaMaxShift = 0;
-        const auto nobackoff_res = runUpdateBench(cfg);
-        const double with_backoff = backoff_res.throughput;
-        const double without = nobackoff_res.throughput;
-        ppa.addRow(cpus, {1000.0 * with_backoff, 1000.0 * without});
+        points.push_back(cfg);
+    }
+    const auto results = bench::runUpdatePoints(points);
+
+    std::printf("# Sensitivity 1: remote-latency scale, figure 5(b) "
+                "point at 24 CPUs\n");
+    SeriesTable lat("Scale", {"CoarseLock", "FineLock", "TBEGINC",
+                              "TxBeatsLocks"});
+    std::size_t i = 0;
+    for (const double scale : scales) {
+        const double coarse = results[i].throughput;
+        const double fine = results[i + 1].throughput;
+        const double tbc = results[i + 2].throughput;
+        lat.addRow(scale,
+                   {1000.0 * coarse, 1000.0 * fine, 1000.0 * tbc,
+                    (tbc > coarse && tbc > fine) ? 1.0 : 0.0});
+        for (const SyncMethod method : lat_methods) {
+            Json rec = Json::object();
+            rec["section"] = "latency-scale";
+            rec["latency_scale"] = scale;
+            rec["cpus"] = points[i].cpus;
+            rec["variant"] = syncMethodName(method);
+            rec["method"] = syncMethodName(method);
+            report.addResult(results[i++], std::move(rec));
+        }
+    }
+    lat.print(std::cout);
+    std::printf("# TxBeatsLocks must be 1 at every scale\n\n");
+
+    std::printf("# Sensitivity 2: PPA backoff on contended TBEGIN "
+                "(pool 10, 4 vars)\n");
+    SeriesTable ppa("CPUs", {"Backoff", "NoBackoff"});
+    for (const unsigned cpus : ppa_cpus) {
+        ppa.addRow(cpus, {1000.0 * results[i].throughput,
+                          1000.0 * results[i + 1].throughput});
         for (const bool has_backoff : {true, false}) {
             Json rec = Json::object();
             rec["section"] = "ppa-backoff";
             rec["cpus"] = cpus;
             rec["variant"] = has_backoff ? "backoff" : "no-backoff";
-            report.addResult(has_backoff ? backoff_res : nobackoff_res,
-                             std::move(rec));
+            report.addResult(results[i++], std::move(rec));
         }
     }
     ppa.print(std::cout);

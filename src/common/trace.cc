@@ -58,6 +58,12 @@ enabled(Category category)
     return mask() & std::uint32_t(category);
 }
 
+bool
+anyEnabled()
+{
+    return mask() != 0;
+}
+
 const char *
 categoryName(Category category)
 {

@@ -44,6 +44,9 @@ void disableAll();
 /** True if @p category is enabled. */
 bool enabled(Category category);
 
+/** True if any category is enabled. */
+bool anyEnabled();
+
 /** Parse "tx,xi,cache,millicode,io,exec" and enable those. */
 void enableFromString(const std::string &spec);
 
