@@ -17,11 +17,16 @@
 
 namespace ztx::core {
 
-/** TX facility and cost-model configuration of one CPU. */
+/**
+ * TX facility and cost-model configuration of one CPU. The settable
+ * fields are the ones a study varies; the static constexpr members
+ * are fixed architecture limits and [cal] constants, read through
+ * the same `cfg.x` syntax.
+ */
 struct TmConfig
 {
     /** Architected maximum transaction nesting depth. */
-    unsigned maxNestingDepth = 16;
+    static constexpr unsigned maxNestingDepth = 16;
 
     /** Gathering store cache entries (zEC12: 64 x 128 bytes). */
     unsigned storeCacheEntries = 64;
@@ -33,29 +38,30 @@ struct TmConfig
      * hold-and-wait deadlocks quickly; per-CPU jitter breaks
      * symmetric cycles.
      */
-    unsigned xiRejectAbortThreshold = 5;
+    static constexpr unsigned xiRejectAbortThreshold = 5;
 
     /** @name Cycle costs @{ */
-    Cycles tbeginBaseCost = 6;       ///< [cal] TBEGIN overhead
-    Cycles tbeginPerPairCost = 1;    ///< [cal] per saved GR pair
-    Cycles tendCost = 4;             ///< [cal] outermost TEND
-    Cycles casExtraCost = 11;        ///< [cal] CS serialization
+    static constexpr Cycles tbeginBaseCost = 6; ///< [cal] TBEGIN overhead
+    static constexpr Cycles tbeginPerPairCost = 1; ///< [cal] per saved GR pair
+    static constexpr Cycles tendCost = 4; ///< [cal] outermost TEND
+    static constexpr Cycles casExtraCost = 11; ///< [cal] CS serialization
     /**
      * [cal] Charge for an L1-hit storage access. The L1 use latency
      * is 4 cycles, but the zEC12 pipeline hides most of it for the
      * straight-line sequences the workloads run; charging the full
      * latency would overstate simple-instruction path lengths.
      */
-    Cycles l1HitCharge = 2;
+    static constexpr Cycles l1HitCharge = 2;
     /**
      * [cal] Superscalar width approximation: this many consecutive
      * simple (1-cycle) instructions complete per cycle, modelling
      * the 3-per-cycle decode of the zEC12 core.
      */
-    unsigned dispatchWidth = 3;
-    Cycles abortMillicodeCost = 140; ///< [cal] abort subroutine
-    Cycles tdbStoreCost = 60;        ///< [cal] TDB formatting/store
-    Cycles osInterruptCost = 800;    ///< [cal] OS round trip
+    static constexpr unsigned dispatchWidth = 3;
+    /** [cal] Abort subroutine. */
+    static constexpr Cycles abortMillicodeCost = 140;
+    static constexpr Cycles tdbStoreCost = 60; ///< [cal] TDB formatting/store
+    static constexpr Cycles osInterruptCost = 800; ///< [cal] OS round trip
     /** @} */
 
     /** @name PPA (Perform Processor Assist) backoff @{ */
@@ -65,11 +71,11 @@ struct TmConfig
 
     /** @name Constrained-transaction millicode escalation @{ */
     /** Aborts before random exponential delays start. */
-    unsigned constrainedDelayThreshold = 1;
-    Cycles constrainedDelayBase = 40; ///< [cal] delay scale
-    unsigned constrainedDelayMaxShift = 2;
+    static constexpr unsigned constrainedDelayThreshold = 1;
+    static constexpr Cycles constrainedDelayBase = 40; ///< [cal] delay scale
+    static constexpr unsigned constrainedDelayMaxShift = 2;
     /** Aborts before the last-resort broadcast-stop (solo mode). */
-    unsigned constrainedSoloThreshold = 2;
+    static constexpr unsigned constrainedSoloThreshold = 2;
     /** Constrained aborts before speculation is reduced. */
     unsigned constrainedSpeculationThreshold = 2;
     /** @} */

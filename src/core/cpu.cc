@@ -99,17 +99,10 @@ Cpu::readMerged(Addr addr, unsigned size) const
     std::uint8_t buf[8] = {};
     memory_.readBlock(addr, buf, size);
     storeCache_.overlay(addr, size, buf);
-    stq_.overlay(addr, size, buf);
     std::uint64_t value = 0;
     for (unsigned i = 0; i < size; ++i)
         value = (value << 8) | buf[i];
     return value;
-}
-
-std::uint64_t
-Cpu::peekMem(Addr addr, unsigned size) const
-{
-    return readMerged(addr, size);
 }
 
 void
@@ -172,73 +165,40 @@ Cpu::accessLines(Addr addr, unsigned size, bool exclusive,
     return true;
 }
 
-std::optional<std::uint64_t>
-Cpu::memLoad(Addr addr, unsigned size, Cycles &cost, bool exclusive)
+bool
+Cpu::accessData(Addr addr, unsigned size, bool exclusive, Cycles &cost)
 {
     if (pages_.faultsRange(addr, size)) {
         programException(tx::InterruptCode::PageFault, addr, false,
                          cost);
-        return std::nullopt;
+        return false;
     }
     if (inConstrainedTx()) {
         if (const auto v = checker_.checkDataAccess(addr, size)) {
             constraintViolation(*v, cost);
-            return std::nullopt;
+            return false;
         }
     }
-    if (!accessLines(addr, size, exclusive, cost))
-        return std::nullopt;
-    return readMerged(addr, size);
+    return accessLines(addr, size, exclusive, cost);
 }
 
 bool
-Cpu::perStoreCheck(Addr addr, unsigned size, Cycles &cost)
+Cpu::storeData(Addr addr, std::uint64_t value, unsigned size,
+               bool ntstg)
 {
-    (void)cost;
+    // PER store event, delivered after completion by step().
     if (per_.storeRange.matches(addr, size) &&
         !(inTx() && per_.suppressInTx)) {
-        return true;
+        perPending_ = true;
+        perPendingAddr_ = addr;
     }
-    return false;
-}
-
-bool
-Cpu::memStore(Addr addr, std::uint64_t value, unsigned size,
-              bool ntstg, Cycles &cost)
-{
-    if (pages_.faultsRange(addr, size)) {
-        programException(tx::InterruptCode::PageFault, addr, false,
-                         cost);
+    std::uint8_t bytes[8];
+    for (unsigned i = 0; i < size; ++i)
+        bytes[i] = std::uint8_t(value >> (8 * (size - 1 - i)));
+    if (!storeCache_.store(addr, bytes, size, inTx(), ntstg && inTx(),
+                           memory_)) {
+        abortTransaction({.reason = tx::AbortReason::StoreOverflow});
         return false;
-    }
-    if (inConstrainedTx()) {
-        if (const auto v = checker_.checkDataAccess(addr, size)) {
-            constraintViolation(*v, cost);
-            return false;
-        }
-    }
-    if (!accessLines(addr, size, true, cost))
-        return false;
-
-    stq_.push({addr, size, value, inTx(), ntstg});
-
-    // Writeback at completion: drain the STQ into the gathering
-    // store cache (and mark tx-dirty lines).
-    while (!stq_.empty()) {
-        const StoreQueueEntry e = stq_.pop();
-        std::uint8_t bytes[8];
-        for (unsigned i = 0; i < e.size; ++i)
-            bytes[i] = std::uint8_t(e.value >>
-                                    (8 * (e.size - 1 - i)));
-        const bool ok = storeCache_.store(e.addr, bytes, e.size,
-                                          e.transactional,
-                                          e.nonTransactionalStore &&
-                                              e.transactional,
-                                          memory_);
-        if (!ok) {
-            abortTransaction({.reason = tx::AbortReason::StoreOverflow});
-            return false;
-        }
     }
     if (inTx()) {
         const Addr first = lineAlign(addr);
@@ -247,6 +207,22 @@ Cpu::memStore(Addr addr, std::uint64_t value, unsigned size,
             hier_.markTxDirty(id_, line);
     }
     return true;
+}
+
+std::optional<std::uint64_t>
+Cpu::memLoad(Addr addr, unsigned size, Cycles &cost, bool exclusive)
+{
+    if (!accessData(addr, size, exclusive, cost))
+        return std::nullopt;
+    return readMerged(addr, size);
+}
+
+bool
+Cpu::memStore(Addr addr, std::uint64_t value, unsigned size,
+              bool ntstg, Cycles &cost)
+{
+    return accessData(addr, size, true, cost) &&
+           storeData(addr, value, size, ntstg);
 }
 
 void
@@ -438,7 +414,7 @@ Cpu::spinQuiet() const
 {
     return !halted_ && !inTx() && pendingStall_ == 0 && !perPending_ &&
            !per_.anyEnabled() && !stalledOnReject_ &&
-           rejectsSinceCompletion_ == 0 && stq_.empty();
+           rejectsSinceCompletion_ == 0;
 }
 
 SpinStep
@@ -693,7 +669,6 @@ Cpu::endTransaction()
     }
     versionArmed_ = false;
 
-    stq_.clearTransactionalMarks();
     storeCache_.commitTransaction(memory_);
     hier_.clearTxMarks(id_);
     txDepth_ = 0;
@@ -806,23 +781,13 @@ Cpu::execute(const isa::Program::Slot &slot)
             psw_.cc = isa::ccOfSigned(std::int64_t(*value));
         break;
       }
-      case Opcode::STG: {
-        const Addr addr = effectiveAddr(inst);
-        if (perStoreCheck(addr, 8, res.cost))
-            perPendingAddr_ = addr, perPending_ = true;
-        if (!memStore(addr, gr[inst.r1], 8, false, res.cost)) {
-            res.completed = false;
-            advance = false;
-        }
-        break;
-      }
+      case Opcode::STG:
       case Opcode::NTSTG: {
         const Addr addr = effectiveAddr(inst);
-        if (addr % 8 != 0)
+        const bool ntstg = inst.op == Opcode::NTSTG;
+        if (ntstg && addr % 8 != 0)
             ztx_fatal("NTSTG operand must be doubleword aligned");
-        if (perStoreCheck(addr, 8, res.cost))
-            perPendingAddr_ = addr, perPending_ = true;
-        if (!memStore(addr, gr[inst.r1], 8, true, res.cost)) {
+        if (!memStore(addr, gr[inst.r1], 8, ntstg, res.cost)) {
             res.completed = false;
             advance = false;
         }
@@ -832,50 +797,21 @@ Cpu::execute(const isa::Program::Slot &slot)
         const Addr addr = effectiveAddr(inst);
         if (addr % 8 != 0)
             ztx_fatal("CS operand must be doubleword aligned");
-        if (pages_.faultsRange(addr, 8)) {
-            programException(tx::InterruptCode::PageFault, addr,
-                             false, res.cost);
-            res.completed = false;
-            advance = false;
-            break;
-        }
-        if (inConstrainedTx()) {
-            if (const auto v = checker_.checkDataAccess(addr, 8)) {
-                constraintViolation(*v, res.cost);
-                res.completed = false;
-                advance = false;
-                break;
-            }
-        }
-        if (!accessLines(addr, 8, true, res.cost)) {
+        const auto current = memLoad(addr, 8, res.cost, true);
+        if (!current) {
             res.completed = false;
             advance = false;
             break;
         }
         res.cost += cfg_.casExtraCost;
-        const std::uint64_t current = readMerged(addr, 8);
-        if (current == gr[inst.r1]) {
-            if (perStoreCheck(addr, 8, res.cost))
-                perPendingAddr_ = addr, perPending_ = true;
-            stq_.push({addr, 8, gr[inst.r3], inTx(), false});
-            const StoreQueueEntry e = stq_.pop();
-            std::uint8_t bytes[8];
-            for (unsigned i = 0; i < 8; ++i)
-                bytes[i] = std::uint8_t(e.value >> (8 * (7 - i)));
-            if (!storeCache_.store(addr, bytes, 8, inTx(), false,
-                                   memory_)) {
-                abortTransaction(
-                    {.reason = tx::AbortReason::StoreOverflow});
-                res.completed = false;
-                advance = false;
-                break;
-            }
-            if (inTx())
-                hier_.markTxDirty(id_, lineAlign(addr));
+        if (*current != gr[inst.r1]) {
+            gr[inst.r1] = *current;
+            psw_.cc = 1;
+        } else if (storeData(addr, gr[inst.r3], 8, false)) {
             psw_.cc = 0;
         } else {
-            gr[inst.r1] = current;
-            psw_.cc = 1;
+            res.completed = false;
+            advance = false;
         }
         break;
       }

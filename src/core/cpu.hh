@@ -28,7 +28,6 @@
 #include "common/types.hh"
 #include "core/config.hh"
 #include "core/store_cache.hh"
-#include "core/store_queue.hh"
 #include "debug/os_model.hh"
 #include "debug/page_table.hh"
 #include "debug/per.hh"
@@ -202,12 +201,6 @@ class Cpu : public mem::CacheClient
     /** Drain buffered non-transactional stores to memory. */
     void drainStores();
 
-    /**
-     * Read memory the way this CPU would (merging its own buffered
-     * stores) without timing effects; for harness/test inspection.
-     */
-    std::uint64_t peekMem(Addr addr, unsigned size) const;
-
     /** @name Scheduler interface @{ */
     /** Extra stall (abort penalties, backoff) to apply, then clear. */
     Cycles consumePendingStall();
@@ -231,10 +224,10 @@ class Cpu : public mem::CacheClient
     /**
      * True when nothing outside spinState() can change what the next
      * replayable steps do: running outside a transaction, with no
-     * pending stall, PER control or event, rejected access or STQ
-     * entry. (Store-cache entries only change by the CPU's own
-     * stores and by XIs to it; the machine checks that none covers a
-     * line the loop reads.)
+     * pending stall, PER control or event, or rejected access.
+     * (Store-cache entries only change by the CPU's own stores and
+     * by XIs to it; the machine checks that none covers a line the
+     * loop reads.)
      */
     bool spinQuiet() const;
 
@@ -319,19 +312,41 @@ class Cpu : public mem::CacheClient
     bool accessLines(Addr addr, unsigned size, bool exclusive,
                      Cycles &cost);
 
-    /** Functional read merging store cache and STQ over memory. */
+    /** Functional read merging the store cache over memory. */
     std::uint64_t readMerged(Addr addr, unsigned size) const;
 
     /**
-     * Full load path (paging, constraints, coherence, merge).
-     * @param exclusive Fetch with ownership (LGFO store intent).
+     * Access half of every data access: page fault, constrained-TX
+     * operand check, then accessLines().
+     * @return false if the step cannot complete.
+     */
+    bool accessData(Addr addr, unsigned size, bool exclusive,
+                    Cycles &cost);
+
+    /**
+     * Store half of every data store, after its access half: the PER
+     * store check, the write into the gathering store cache (which
+     * aborts with StoreOverflow when full) and the tx-dirty marks.
+     * Stores complete inside their step, so no store-queue entry is
+     * ever observable (DESIGN.md §1).
+     * @return false if the step cannot complete.
+     */
+    bool storeData(Addr addr, std::uint64_t value, unsigned size,
+                   bool ntstg);
+
+    /**
+     * Full load path: accessData(), then readMerged().
+     * @param exclusive Fetch with ownership (LGFO store intent, CS).
      * @return The value, or nullopt if the step cannot complete.
      */
     std::optional<std::uint64_t> memLoad(Addr addr, unsigned size,
                                          Cycles &cost,
                                          bool exclusive = false);
 
-    /** Full store path. @return false if the step cannot complete. */
+    /**
+     * Full store path: exclusive accessData(), then storeData().
+     * @return false if the step cannot complete.
+     */
     bool memStore(Addr addr, std::uint64_t value, unsigned size,
                   bool ntstg, Cycles &cost);
 
@@ -352,9 +367,6 @@ class Cpu : public mem::CacheClient
 
     /** Commit path of an outermost TEND. */
     ExecResult endTransaction();
-
-    /** PER store-event check; may abort/interrupt. */
-    bool perStoreCheck(Addr addr, unsigned size, Cycles &cost);
 
     /** Handle a constrained-TX rule violation. */
     void constraintViolation(tx::ConstraintViolationKind kind,
@@ -390,7 +402,6 @@ class Cpu : public mem::CacheClient
     isa::Psw psw_;
     bool halted_ = false;
 
-    StoreQueue stq_;
     GatheringStoreCache storeCache_;
 
     /** @name Transaction state @{ */

@@ -5,7 +5,9 @@
  * A circular queue of 64 entries, each holding 128 bytes with
  * byte-precise valid bits, sitting between the store-through L1/L2
  * and the L3. It gathers neighbouring stores to reduce L3 store
- * bandwidth and doubles as the transactional store buffer:
+ * bandwidth and doubles as the transactional store buffer. Each
+ * store is written here when it completes, inside its own step, so
+ * zTX keeps no separate store queue (DESIGN.md §1):
  *
  *  - at a new outermost TBEGIN all existing entries are *closed*
  *    (no further gathering) and drained;

@@ -68,9 +68,10 @@ MillicodeEngine::transactionAbort(core::Cpu &cpu,
     tdb.translationExceptionAddr = ctx.interruptAddr;
     tdb.grs = cpu.regs_.gr;
 
-    // Invalidate pending transactional stores (STQ and store cache;
-    // NTSTG doublewords commit) and remove speculative L1 data.
-    cpu.stq_.dropTransactional();
+    // Invalidate pending transactional stores (store-cache entries;
+    // NTSTG doublewords commit) and remove speculative L1 data. The
+    // paper also drops the STQ's transactional entries; here every
+    // store reaches the store cache within its own step.
     cpu.storeCache_.abortTransaction(cpu.memory_);
     cpu.hier_.killTxDirtyLines(cpu.id_);
     cpu.hier_.clearTxMarks(cpu.id_);

@@ -316,6 +316,41 @@ TEST(CpuBasic, PageFaultResolvedByOsAndRetried)
     EXPECT_EQ(m->os().countOf(tx::InterruptCode::PageFault), 1u);
 }
 
+TEST(CpuBasic, CompareAndSwapPageFaultStoresNothing)
+{
+    Assembler as;
+    as.la(2, 0, std::int64_t(dataBase));
+    as.lhi(1, 0);
+    as.lhi(3, 77);
+    as.cs(1, 3, 2);
+    as.halt();
+    const Program p = as.finish();
+    sim::Machine m(smallConfig(1));
+    m.pageTable().markAbsent(dataBase);
+    m.setProgram(0, &p);
+    for (int i = 0; i < 3; ++i)
+        m.cpu(0).step();
+    const Addr cs_ia = m.cpu(0).psw().ia;
+
+    // The faulting CS does not complete and stores nothing; the OS
+    // pages the target in.
+    m.cpu(0).step();
+    EXPECT_EQ(m.os().countOf(tx::InterruptCode::PageFault), 1u);
+    EXPECT_EQ(m.os().records().back().addr, dataBase);
+    EXPECT_EQ(m.cpu(0).psw().ia, cs_ia);
+    EXPECT_EQ(m.cpu(0).stats().counter("instructions").value(), 3u);
+    EXPECT_EQ(m.peekMem(dataBase, 8), 0u);
+
+    // The retried CS then swaps.
+    int steps = 0;
+    while (!m.cpu(0).halted() && steps++ < 10)
+        m.cpu(0).step();
+    ASSERT_TRUE(m.cpu(0).halted());
+    EXPECT_EQ(m.cpu(0).psw().cc, 0);
+    EXPECT_EQ(m.peekMem(dataBase, 8), 77u);
+    EXPECT_EQ(m.os().countOf(tx::InterruptCode::PageFault), 1u);
+}
+
 TEST(CpuBasic, DelayCostsCycles)
 {
     Assembler as;

@@ -95,6 +95,45 @@ TEST(Per, StoreEventOutsideTxInterruptsAndResumes)
     EXPECT_EQ(m->peekMem(dataBase, 8), 5u); // store completed
 }
 
+TEST(Per, CompareAndSwapStoreRaisesOneEvent)
+{
+    Assembler as;
+    as.la(9, 0, std::int64_t(dataBase));
+    as.lhi(1, 0);
+    as.lhi(3, 7);
+    as.cs(1, 3, 9); // compare succeeds: stores into the range
+    as.halt();
+    auto m = runProgram(as.finish(), [](sim::Machine &mm) {
+        auto &per = mm.cpu(0).perControls();
+        per.storeRange = {true, dataBase, dataBase + 255};
+    });
+    EXPECT_TRUE(m->cpu(0).halted());
+    EXPECT_EQ(m->cpu(0).psw().cc, 0);
+    ASSERT_EQ(m->os().countOf(tx::InterruptCode::PerEvent), 1u);
+    EXPECT_EQ(m->os().records().back().addr, dataBase);
+    EXPECT_EQ(m->peekMem(dataBase, 8), 7u);
+}
+
+TEST(Per, CompareAndSwapFailedCompareRaisesNoEvent)
+{
+    Assembler as;
+    as.la(9, 0, std::int64_t(dataBase));
+    as.lhi(1, 5); // wrong expectation: CS stores nothing
+    as.lhi(3, 7);
+    as.cs(1, 3, 9);
+    as.halt();
+    auto m = runProgram(as.finish(), [](sim::Machine &mm) {
+        mm.memory().write(dataBase, 42, 8);
+        auto &per = mm.cpu(0).perControls();
+        per.storeRange = {true, dataBase, dataBase + 255};
+    });
+    EXPECT_TRUE(m->cpu(0).halted());
+    EXPECT_EQ(m->cpu(0).psw().cc, 1);
+    EXPECT_EQ(m->cpu(0).gr(1), 42u);
+    EXPECT_EQ(m->os().countOf(tx::InterruptCode::PerEvent), 0u);
+    EXPECT_EQ(m->peekMem(dataBase, 8), 42u);
+}
+
 TEST(Per, StoreEventInsideTxAbortsThenFallbackCompletes)
 {
     auto m = runProgram(elisionProgram(1), [](sim::Machine &mm) {

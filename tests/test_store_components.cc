@@ -1,62 +1,15 @@
-/** @file Unit tests for the store queue and gathering store cache. */
+/** @file Unit tests for the gathering store cache. */
 
 #include <gtest/gtest.h>
 
 #include "core/store_cache.hh"
-#include "core/store_queue.hh"
 #include "mem/main_memory.hh"
 
 namespace {
 
 using namespace ztx;
 using core::GatheringStoreCache;
-using core::StoreQueue;
-using core::StoreQueueEntry;
 using mem::MainMemory;
-
-TEST(StoreQueue, ForwardingOverlaysNewestWins)
-{
-    StoreQueue q;
-    q.push({0x100, 8, 0x1111111111111111ULL, false, false});
-    q.push({0x104, 4, 0x22222222ULL, false, false});
-    std::uint8_t buf[8] = {};
-    q.overlay(0x100, 8, buf);
-    EXPECT_EQ(buf[0], 0x11);
-    EXPECT_EQ(buf[3], 0x11);
-    EXPECT_EQ(buf[4], 0x22);
-    EXPECT_EQ(buf[7], 0x22);
-}
-
-TEST(StoreQueue, PopIsFifo)
-{
-    StoreQueue q;
-    q.push({0x10, 8, 1, false, false});
-    q.push({0x20, 8, 2, false, false});
-    EXPECT_EQ(q.pop().value, 1u);
-    EXPECT_EQ(q.pop().value, 2u);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(StoreQueue, DropTransactionalKeepsNtstgAndNormal)
-{
-    StoreQueue q;
-    q.push({0x10, 8, 1, true, false});  // tx store: dropped
-    q.push({0x20, 8, 2, false, false}); // normal: kept
-    q.push({0x30, 8, 3, true, true});   // NTSTG: kept
-    q.dropTransactional();
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.pop().value, 2u);
-    EXPECT_EQ(q.pop().value, 3u);
-}
-
-TEST(StoreQueue, ClearMarksTurnsTxIntoNormal)
-{
-    StoreQueue q;
-    q.push({0x10, 8, 1, true, false});
-    q.clearTransactionalMarks();
-    q.dropTransactional();
-    EXPECT_EQ(q.size(), 1u);
-}
 
 class StoreCacheTest : public ::testing::Test
 {

@@ -434,6 +434,66 @@ TEST(TxBasic, StoreFootprintOverflowAborts)
     EXPECT_EQ(m->peekMem(dataBase + 128 * 32, 8), 0u);
 }
 
+/**
+ * Run @p store_third after two transactional stores fill a 2-entry
+ * store cache; the third store (to a new 128-byte block) overflows.
+ */
+std::unique_ptr<sim::Machine>
+runFullStoreCacheTx(const std::function<void(Assembler &)> &store_third)
+{
+    Assembler as;
+    as.la(9, 0, std::int64_t(dataBase));
+    as.la(8, 0, std::int64_t(dataBase) + 256);
+    as.lhi(1, 0);
+    as.lhi(2, 1);
+    as.tbegin(0xFF);
+    as.jnz("handler");
+    as.stg(2, 9, 0);
+    as.stg(2, 9, 128);
+    store_third(as);
+    as.tend();
+    as.label("handler");
+    as.halt();
+    const Program p = as.finish();
+    sim::MachineConfig cfg = smallConfig(1);
+    cfg.tm.storeCacheEntries = 2;
+    auto m = std::make_unique<sim::Machine>(cfg);
+    m->setProgram(0, &p);
+    m->run();
+    return m;
+}
+
+void
+expectStoreOverflowLeftMemoryUnchanged(sim::Machine &m)
+{
+    EXPECT_TRUE(m.cpu(0).halted());
+    EXPECT_EQ(m.cpu(0).psw().cc, 3);
+    EXPECT_EQ(m.cpu(0).stats().counter("tx.commits").value(), 0u);
+    EXPECT_EQ(m.cpu(0).stats().counter("tx.aborts").value(), 1u);
+    EXPECT_EQ(m.cpu(0)
+                  .stats()
+                  .counter("tx.abort.store-overflow")
+                  .value(),
+              1u);
+    for (const Addr off : {0, 128, 256})
+        EXPECT_EQ(m.peekMem(dataBase + off, 8), 0u) << off;
+}
+
+TEST(TxBasic, StgIntoFullStoreCacheAbortsWithStoreOverflow)
+{
+    auto m = runFullStoreCacheTx(
+        [](Assembler &as) { as.stg(2, 8, 0); });
+    expectStoreOverflowLeftMemoryUnchanged(*m);
+}
+
+TEST(TxBasic, CsIntoFullStoreCacheAbortsWithStoreOverflow)
+{
+    // GR1 = 0 matches the untouched target, so CS tries to store.
+    auto m = runFullStoreCacheTx(
+        [](Assembler &as) { as.cs(1, 2, 8); });
+    expectStoreOverflowLeftMemoryUnchanged(*m);
+}
+
 TEST(TxBasic, StoreFootprintWithinLimitCommits)
 {
     Assembler as;
