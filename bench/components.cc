@@ -82,7 +82,7 @@ BM_StoreCacheGather(benchmark::State &state)
     const std::uint8_t bytes[8] = {1, 2, 3, 4, 5, 6, 7, 8};
     Addr addr = 0;
     for (auto _ : state) {
-        sc.store(addr, bytes, 8, false, false, memory);
+        sc.store(addr, bytes, 8, false, memory);
         addr = (addr + 8) % 128;
     }
 }

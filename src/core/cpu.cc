@@ -195,8 +195,7 @@ Cpu::storeData(Addr addr, std::uint64_t value, unsigned size,
     std::uint8_t bytes[8];
     for (unsigned i = 0; i < size; ++i)
         bytes[i] = std::uint8_t(value >> (8 * (size - 1 - i)));
-    if (!storeCache_.store(addr, bytes, size, inTx(), ntstg && inTx(),
-                           memory_)) {
+    if (!storeCache_.store(addr, bytes, size, ntstg && inTx(), memory_)) {
         abortTransaction({.reason = tx::AbortReason::StoreOverflow});
         return false;
     }
@@ -475,8 +474,8 @@ Cpu::incomingXi(const mem::XiContext &ctx)
     xiReceived_.inc();
     if (ctx.poisoned)
         xiPoisonedSeen_.inc();
-    const bool sc_tx = storeCache_.hasTransactionalLine(ctx.line);
-    const bool tx_write = inTx() && (ctx.txDirty || sc_tx);
+    const bool tx_write =
+        inTx() && (ctx.txDirty || storeCache_.hasAnyLine(ctx.line));
     const bool tx_read = inTx() && (ctx.txRead || ctx.lruExtHit);
 
     switch (ctx.kind) {
@@ -524,8 +523,7 @@ Cpu::incomingXi(const mem::XiContext &ctx)
             actx.conflictValid = true;
             abortTransaction(actx);
         }
-        if (storeCache_.hasAnyLine(ctx.line))
-            storeCache_.drainLine(ctx.line, memory_);
+        storeCache_.drainLine(ctx.line, memory_);
         return mem::XiResponse::Accept;
       }
       case mem::XiKind::ReadOnly: {
@@ -546,8 +544,7 @@ Cpu::incomingXi(const mem::XiContext &ctx)
             abortTransaction({.reason =
                                   tx::AbortReason::CacheFetchRelated});
         }
-        if (storeCache_.hasAnyLine(ctx.line))
-            storeCache_.drainLine(ctx.line, memory_);
+        storeCache_.drainLine(ctx.line, memory_);
         return mem::XiResponse::Accept;
       }
     }
@@ -600,7 +597,7 @@ Cpu::beginTransaction(const isa::Program::Slot &slot, bool constrained)
         tbeginLength_ = slot.length;
         hier_.clearTxMarks(id_);
         versionArmed_ = false;
-        storeCache_.closeAllEntries(memory_);
+        storeCache_.beginTransaction(memory_);
         constrained_ = constrained;
         if (constrained)
             checker_.begin(slot.addr);

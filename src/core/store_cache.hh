@@ -7,33 +7,28 @@
  * and the L3. It gathers neighbouring stores to reduce L3 store
  * bandwidth and doubles as the transactional store buffer. Each
  * store is written here when it completes, inside its own step, so
- * zTX keeps no separate store queue (DESIGN.md §1):
+ * zTX keeps no separate store queue (DESIGN.md §1).
  *
- *  - at a new outermost TBEGIN all existing entries are *closed*
- *    (no further gathering) and drained;
- *  - transactional stores allocate/gather into transactional
- *    entries whose writeback is blocked until the transaction ends;
- *  - allocation failure with the cache full of current-transaction
- *    entries is the store-footprint overflow that aborts the TX;
+ * "In a transaction" is a mode of the whole cache, not of each
+ * entry:
+ *
+ *  - a new outermost TBEGIN (beginTransaction()) drains every entry
+ *    to memory inside the TBEGIN step and enters the mode, so while
+ *    it lasts the cache holds only the transaction's stores and
+ *    every live entry is transactional;
+ *  - in the mode a full cache is the store-footprint overflow that
+ *    aborts the transaction; outside it a full cache evicts its
+ *    oldest entry;
  *  - each doubleword written by NTSTG is marked; on abort those
  *    doublewords survive and are committed anyway;
- *  - exclusive/demote XIs compare against active entries (the
- *    caller rejects the XI when a transactional entry matches).
+ *  - exclusive/demote XIs look up the line's entries (the caller
+ *    rejects the XI when a transaction's entry matches) and drain
+ *    them when no transaction holds them.
  *
- * Functionally, zTX commits store-cache data to MainMemory when
- * entries drain (non-transactional) or at transaction end
- * (transactional); see DESIGN.md on the functional-vs-timing split.
- *
- * The per-access queries (overlay on every load, findOpen on every
- * store, hasTransactionalLine/hasAnyLine on every incoming XI) run
- * against a block index instead of scanning the entries: a small
- * open-addressed map from 128-byte block address to a chain of live
- * entries (kept in entry-array order, so lookups return exactly
- * what the historical scan returned), live/transactional occupancy
- * bitmaps, and a line-granular occupancy summary (per-bucket
- * counts + a 64-bit signature over hashed line addresses) that
- * rejects non-intersecting line queries with a single AND. See
- * DESIGN.md §5b "per-access hot path".
+ * A block has at most one live entry, which an open-addressed map
+ * from 128-byte block address names directly: loads, stores and XI
+ * line queries each probe the map instead of scanning the entries
+ * (DESIGN.md §5b "per-access hot path").
  *
  * Write-back is once per store burst: an entry carries a dirty flag
  * (set by a store, cleared by write-back), so the entry a TEND
@@ -86,61 +81,61 @@ class GatheringStoreCache
 
     /**
      * Record a store of @p len bytes at @p addr (big-endian image in
-     * @p bytes). Gathers into an open entry of the same block and
-     * same transactional class, else allocates; the oldest drained
-     * non-transactional entry is evicted to @p memory when full.
+     * @p bytes). Gathers into the block's live entry, else
+     * allocates; outside a transaction a full cache first evicts its
+     * oldest entry to @p memory.
      *
      * @return false on store-footprint overflow: allocation was
-     *         required but every entry holds current-transaction
-     *         data. The caller must abort the transaction.
+     *         required inside a transaction with the cache full. The
+     *         caller must abort the transaction.
      */
     bool store(Addr addr, const std::uint8_t *bytes, unsigned len,
-               bool transactional, bool ntstg,
-               mem::MainMemory &memory);
+               bool ntstg, mem::MainMemory &memory);
 
     /**
      * Overlay this CPU's buffered store data onto @p buf, a
-     * big-endian byte image of [addr, addr+len). Older entries are
-     * applied first so newer stores win.
+     * big-endian byte image of [addr, addr+len).
      */
     void overlay(Addr addr, unsigned len, std::uint8_t *buf) const;
 
     /**
-     * Close every entry to further gathering and drain the
-     * non-transactional ones (new outermost TBEGIN).
+     * New outermost TBEGIN: drain every entry to @p memory and enter
+     * transaction mode. Panics inside a transaction.
      */
-    void closeAllEntries(mem::MainMemory &memory);
+    void beginTransaction(mem::MainMemory &memory);
 
     /**
-     * Transaction committed: write all transactional bytes to
-     * @p memory and turn the entries into normal (still-open)
-     * entries so post-transaction stores keep gathering.
+     * Transaction committed: write all buffered bytes to @p memory
+     * and leave transaction mode; the entries stay live (and clean)
+     * so post-transaction stores keep gathering. No-op outside a
+     * transaction.
      */
     void commitTransaction(mem::MainMemory &memory);
 
     /**
-     * Transaction aborted: discard transactional entries, except
-     * that NTSTG-marked doublewords are committed to @p memory.
+     * Transaction aborted: discard every entry, except that
+     * NTSTG-marked doublewords are committed to @p memory, and leave
+     * transaction mode. No-op outside a transaction.
      */
     void abortTransaction(mem::MainMemory &memory);
 
-    /** True if any transactional entry intersects @p line. */
-    bool hasTransactionalLine(Addr line) const;
+    /** True between beginTransaction() and its commit or abort. */
+    bool inTransaction() const { return inTx_; }
 
     /** True if any live entry intersects @p line. */
     bool hasAnyLine(Addr line) const;
 
-    /** Drain (write back and free) non-TX entries touching @p line. */
+    /**
+     * Drain (write back and free) the entries touching @p line.
+     * No-op inside a transaction.
+     */
     void drainLine(Addr line, mem::MainMemory &memory);
 
-    /** Drain every non-transactional entry. */
+    /** Drain every entry. No-op inside a transaction. */
     void drainAll(mem::MainMemory &memory);
 
     /** Number of live entries. */
     unsigned liveEntries() const { return live_; }
-
-    /** Number of live transactional entries. */
-    unsigned liveTransactionalEntries() const { return liveTx_; }
 
     /** Capacity. */
     unsigned capacity() const { return unsigned(entries_.size()); }
@@ -149,8 +144,8 @@ class GatheringStoreCache
     StatGroup &stats() { return stats_; }
 
     /**
-     * Verify the block index, occupancy bitmaps, and line summary
-     * against a ground-truth walk of the entries.
+     * Verify the block map and occupancy bitmap against a walk of
+     * the entries: each live entry is its block's mapped entry.
      * @return Empty string when consistent, else a description of
      *         the first violation (chaos-oracle hook).
      */
@@ -159,13 +154,10 @@ class GatheringStoreCache
   private:
     struct Entry
     {
-        bool live = false;
-        bool transactional = false;
-        bool closed = false;
         /**
          * Holds bytes memory may not: set by every store into the
          * entry, cleared by writeBack(). Clean means memory equals
-         * data under the valid mask (see writeBack()).
+         * data under the valid mask.
          */
         bool dirty = false;
         Addr block = 0;
@@ -183,72 +175,48 @@ class GatheringStoreCache
         }
     };
 
-    /** Chain terminator / empty-map-slot marker. */
+    /** Empty-map-slot / no-entry marker. */
     static constexpr std::uint16_t npos = 0xFFFF;
 
-    /** One open-addressed map slot: block -> live-entry chain. */
+    /** One open-addressed map slot: block -> its live entry. */
     struct MapSlot
     {
         Addr block = 0;
-        std::uint16_t head = npos;
+        std::uint16_t entry = npos;
     };
 
-    Entry *findOpen(Addr block, bool transactional);
-    Entry *allocate(mem::MainMemory &memory);
-    /** Write entry @p idx to @p memory if dirty; leaves it clean. */
-    void writeBack(unsigned idx, mem::MainMemory &memory);
-    /**
-     * Write entry @p idx's bytes selected by @p mask to @p memory
-     * and mark the other live entries of its block dirty.
-     */
-    void writeBytes(unsigned idx,
-                    const std::array<std::uint64_t,
-                                     storeCacheBlockBytes / 64> &mask,
-                    mem::MainMemory &memory);
+    /** A free entry's index, evicting if full; npos on overflow. */
+    unsigned allocate(mem::MainMemory &memory);
+    /** Write entry @p e to @p memory if dirty; leaves it clean. */
+    static void writeBack(Entry &e, mem::MainMemory &memory);
+    /** Write back and free entry @p idx. */
+    void drainEntry(unsigned idx, mem::MainMemory &memory);
     void storeBlockPiece(Entry &entry, Addr addr,
                          const std::uint8_t *bytes, unsigned len,
                          bool ntstg);
 
-    /** @name Block index maintenance @{ */
+    /** @name Block map maintenance @{ */
     std::size_t mapHome(Addr block) const;
-    /** Map slot holding @p block's chain; npos64 when absent. */
+    /** Map slot of @p block; noSlot when it has no live entry. */
     std::size_t mapFind(Addr block) const;
     /** Backward-shift deletion of map slot @p i. */
     void mapErase(std::size_t i);
-    /** Link entry @p idx (just made live) into the index. */
+    /** Map entry @p idx (just made live) under its block. */
     void indexInsert(unsigned idx);
-    /** Unlink entry @p idx (about to be freed) from the index. */
+    /** Unmap entry @p idx (about to be freed). */
     void indexRemove(unsigned idx);
-    /** Entry @p idx changed transactional class (commit). */
-    void indexSetNonTx(unsigned idx);
     /** @} */
-
-    /** Line-summary bucket of @p addr (any address on the line). */
-    static unsigned
-    lineBucket(Addr addr)
-    {
-        return unsigned(addr >> lineSizeLog2) & 63u;
-    }
 
     std::vector<Entry> entries_;
     std::uint64_t seq_ = 0;
+    bool inTx_ = false;
 
-    /** @name Block index (see file comment) @{ */
+    /** @name Block map and occupancy (see file comment) @{ */
     std::vector<MapSlot> map_;
     std::size_t mapMask_ = 0;
-    /** Per-entry chain link, entry-array order within a chain. */
-    std::vector<std::uint16_t> next_;
-    /** Occupancy bitmaps, bit i = entries_[i]. */
+    /** Occupancy bitmap, bit i = entries_[i] is live. */
     std::vector<std::uint64_t> liveMask_;
-    std::vector<std::uint64_t> txMask_;
     unsigned live_ = 0;
-    unsigned liveTx_ = 0;
-    /** Line-granular summary: live entries per hashed line bucket. */
-    std::array<std::uint16_t, 64> lineBucketLive_{};
-    std::array<std::uint16_t, 64> lineBucketTx_{};
-    /** Signature: bit b set iff lineBucket*_[b] > 0. */
-    std::uint64_t lineSigLive_ = 0;
-    std::uint64_t lineSigTx_ = 0;
     /** @} */
 
     StatGroup stats_;

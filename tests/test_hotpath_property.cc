@@ -3,9 +3,9 @@
  * Randomized equivalence of the indexed per-access hot path against
  * naive reference models.
  *
- * The production GatheringStoreCache answers overlay/findOpen/XI
- * queries from a block index (open-addressed map + occupancy
- * bitmaps + line summary); the production CacheArray keeps per-row
+ * The production GatheringStoreCache answers overlay/store/XI
+ * queries from a block map (open-addressed, one entry per block)
+ * and an occupancy bitmap; the production CacheArray keeps per-row
  * heads (valid mask + pool slot), SoA pools allocated on a row's
  * first insert, and fused probes. Both claim
  * bit-identical semantics to the historical linear scans. These
@@ -46,7 +46,10 @@ using mem::MainMemory;
  * The historical gathering store cache: a flat entry array with
  * linear scans everywhere, mirroring the pre-index implementation
  * operation for operation (same eviction choice, same overflow
- * condition, same write-back order).
+ * condition, same write-back order). It keeps a transactional class
+ * per entry; the production cache's transaction mode must match it
+ * when every store inside a transaction is transactional, as the
+ * CPU issues them.
  */
 class RefStoreCache
 {
@@ -299,34 +302,21 @@ TEST(HotPathProperty, StoreCacheMatchesScanReference)
                     << "memory byte " << a << " diverged after "
                     << what << " (seed " << seed << ")";
         };
-        const auto store_both = [&](Addr addr, unsigned len, bool tx,
-                                    bool ntstg) {
-            std::uint8_t bytes[16];
-            for (unsigned i = 0; i < len; ++i)
-                bytes[i] = std::uint8_t(rng.next());
-            const bool ok = dut.store(addr, bytes, len, tx, ntstg,
-                                      dut_mem);
-            EXPECT_EQ(ok, ref.store(addr, bytes, len, tx, ntstg,
-                                    ref_mem));
-            return ok;
-        };
-
         for (unsigned op = 0; op < 4000; ++op) {
             const unsigned kind = unsigned(rng.nextBounded(100));
             if (kind < 55) {
-                // Mixed-size store, transactional only inside a tx,
-                // NTSTG on a transactional minority.
+                // Mixed-size store, transactional exactly inside a
+                // tx, NTSTG on a transactional minority.
                 const Addr addr = pickAddr(rng, kLines);
                 const unsigned len =
                     1u + unsigned(rng.nextBounded(16));
                 std::uint8_t bytes[16];
                 for (unsigned i = 0; i < len; ++i)
                     bytes[i] = std::uint8_t(rng.next());
-                const bool tx = in_tx && rng.nextBool(0.7);
-                const bool ntstg = tx && rng.nextBool(0.15);
-                const bool ok = dut.store(addr, bytes, len, tx,
-                                          ntstg, dut_mem);
-                const bool ref_ok = ref.store(addr, bytes, len, tx,
+                const bool ntstg = in_tx && rng.nextBool(0.15);
+                const bool ok =
+                    dut.store(addr, bytes, len, ntstg, dut_mem);
+                const bool ref_ok = ref.store(addr, bytes, len, in_tx,
                                               ntstg, ref_mem);
                 ASSERT_EQ(ok, ref_ok) << "store overflow diverged";
                 if (!ok) {
@@ -355,7 +345,7 @@ TEST(HotPathProperty, StoreCacheMatchesScanReference)
                 Addr line = lineAlign(pickAddr(rng, kLines));
                 if (rng.nextBool(0.2))
                     line += 1 + rng.nextBounded(lineSizeBytes - 1);
-                ASSERT_EQ(dut.hasTransactionalLine(line),
+                ASSERT_EQ(dut.inTransaction() && dut.hasAnyLine(line),
                           ref.hasTransactionalLine(line));
                 ASSERT_EQ(dut.hasAnyLine(line),
                           ref.hasAnyLine(line));
@@ -370,9 +360,9 @@ TEST(HotPathProperty, StoreCacheMatchesScanReference)
                 expect_same_image("drainAll");
             } else if (kind < 96) {
                 // Transaction boundary: a new outermost TBEGIN
-                // closes+drains, TEND commits, abort discards.
+                // drains, TEND commits, abort discards.
                 if (!in_tx) {
-                    dut.closeAllEntries(dut_mem);
+                    dut.beginTransaction(dut_mem);
                     ref.closeAllEntries(ref_mem);
                     in_tx = true;
                 } else if (rng.nextBool(0.5)) {
@@ -387,7 +377,7 @@ TEST(HotPathProperty, StoreCacheMatchesScanReference)
                 expect_same_image("transaction boundary");
             } else {
                 ASSERT_EQ(dut.liveEntries(), ref.liveEntries());
-                ASSERT_EQ(dut.liveTransactionalEntries(),
+                ASSERT_EQ(dut.inTransaction() ? dut.liveEntries() : 0u,
                           ref.liveTransactionalEntries());
             }
             ASSERT_EQ(dut.indexCheck(), "") << "after op " << op;
@@ -395,38 +385,42 @@ TEST(HotPathProperty, StoreCacheMatchesScanReference)
                 return;
         }
 
-        // Directed: commit -> no store -> TBEGIN, the sequence whose
-        // second write-back the dirty flag skips; first on clean
-        // transactional blocks, then with a non-transactional store
-        // into a block that also holds a transactional entry.
+        // Directed: commit -> no store -> TBEGIN on clean
+        // transactional blocks, the sequence whose second write-back
+        // the dirty flag skips.
         if (in_tx) {
             dut.commitTransaction(dut_mem);
             ref.commitTransaction(ref_mem);
             expect_same_image("final commit");
         }
-        for (const bool mixed : {false, true}) {
-            dut.closeAllEntries(dut_mem);
-            ref.closeAllEntries(ref_mem);
-            expect_same_image("directed TBEGIN");
-            for (unsigned i = 0; i < 6; ++i) {
-                const Addr addr = pickAddr(rng, kLines);
-                if (!store_both(addr, 8, true, i == 3)) {
-                    dut.abortTransaction(dut_mem);
-                    ref.abortTransaction(ref_mem);
-                    break;
-                }
-                if (mixed)
-                    store_both(addr + 4, 8, false, false);
+        dut.beginTransaction(dut_mem);
+        ref.closeAllEntries(ref_mem);
+        expect_same_image("directed TBEGIN");
+        for (unsigned i = 0; i < 6; ++i) {
+            const Addr addr = pickAddr(rng, kLines);
+            std::uint8_t bytes[8];
+            for (auto &b : bytes)
+                b = std::uint8_t(rng.next());
+            const bool ntstg = i == 3;
+            const bool ok = dut.store(addr, bytes, 8, ntstg, dut_mem);
+            ASSERT_EQ(ok, ref.store(addr, bytes, 8, true, ntstg,
+                                    ref_mem));
+            if (!ok) {
+                dut.abortTransaction(dut_mem);
+                ref.abortTransaction(ref_mem);
+                break;
             }
-            dut.commitTransaction(dut_mem);
-            ref.commitTransaction(ref_mem);
-            expect_same_image("directed commit");
-            dut.closeAllEntries(dut_mem);
-            ref.closeAllEntries(ref_mem);
-            expect_same_image("directed commit-then-TBEGIN");
-            ASSERT_EQ(dut.liveEntries(), 0u);
-            ASSERT_EQ(dut.indexCheck(), "");
         }
+        dut.commitTransaction(dut_mem);
+        ref.commitTransaction(ref_mem);
+        expect_same_image("directed commit");
+        dut.beginTransaction(dut_mem);
+        ref.closeAllEntries(ref_mem);
+        expect_same_image("directed commit-then-TBEGIN");
+        ASSERT_EQ(dut.liveEntries(), 0u);
+        ASSERT_EQ(dut.indexCheck(), "");
+        dut.commitTransaction(dut_mem);
+        ref.commitTransaction(ref_mem);
         if (HasFatalFailure())
             return;
 
