@@ -136,12 +136,13 @@ constexpr Cycles watchdogWindow = 2'000'000;
 
 /**
  * Run workload @p wl for @p iterations per CPU with op logging on
- * under @p mcfg. @p structure_ok gets the full structural verdict:
- * the oracle plus, for the list set, its sortedness and length.
+ * under @p mcfg. Its `oracle` is the full verdict: the structure
+ * (for the list set, sortedness and length too), the history, the
+ * watchdog and the hot-path indexes.
  */
 workload::RunSummary
 runWorkload(const std::string &wl, unsigned iterations,
-            const sim::MachineConfig &mcfg, bool &structure_ok)
+            const sim::MachineConfig &mcfg)
 {
     using namespace ztx::workload;
     if (wl == "list_set") {
@@ -151,10 +152,7 @@ runWorkload(const std::string &wl, unsigned iterations,
         cfg.iterations = iterations;
         cfg.opLog = true;
         cfg.machine = mcfg;
-        const auto res = runListSetBench(cfg);
-        structure_ok =
-            res.oracle.ok && res.sorted && res.lengthConsistent;
-        return res;
+        return runListSetBench(cfg);
     }
     if (wl == "hashtable") {
         HashTableBenchConfig cfg;
@@ -163,9 +161,7 @@ runWorkload(const std::string &wl, unsigned iterations,
         cfg.iterations = iterations;
         cfg.opLog = true;
         cfg.machine = mcfg;
-        const auto res = runHashTableBench(cfg);
-        structure_ok = res.oracle.ok;
-        return res;
+        return runHashTableBench(cfg);
     }
     QueueBenchConfig cfg;
     cfg.cpus = chaosCpus;
@@ -173,9 +169,7 @@ runWorkload(const std::string &wl, unsigned iterations,
     cfg.iterations = iterations;
     cfg.opLog = true;
     cfg.machine = mcfg;
-    const auto res = runQueueBench(cfg);
-    structure_ok = res.oracle.ok;
-    return res;
+    return runQueueBench(cfg);
 }
 
 /**
@@ -187,14 +181,14 @@ runWorkload(const std::string &wl, unsigned iterations,
  */
 void
 addPoint(bench::JsonReport &report, const workload::RunSummary &res,
-         bool oracle_ok, const std::string &wl, const char *mix,
-         double rate_scale, const inject::FaultPlan &plan)
+         const std::string &wl, const char *mix, double rate_scale,
+         const inject::FaultPlan &plan)
 {
     Json rec = Json::object();
     rec["workload"] = wl;
     rec["mix"] = mix;
     rec["rate_scale"] = rate_scale;
-    rec["oracle_ok"] = oracle_ok;
+    rec["oracle_ok"] = res.oracle.ok;
     rec["watchdog_fired"] = res.watchdogFired;
     rec["oracle_summary"] = res.oracle.summary();
     rec["op_log"] = true;
@@ -272,40 +266,30 @@ main(int argc, char **argv)
                           mixPlan("spurious", 0.25, hotLineOf(wl))});
     }
 
-    struct Outcome
-    {
-        workload::RunSummary res;
-        bool oracleOk = false;
-    };
-    const auto outcomes = bench::runPoints(
+    const auto results = bench::runPoints(
         std::vector<unsigned>(points.size(), chaosCpus), [&](std::size_t i) {
             sim::MachineConfig mcfg = bench::benchMachine();
             mcfg.faults = points[i].plan;
             mcfg.watchdogCycles = watchdogWindow;
-            Outcome out;
-            out.res = runWorkload(points[i].wl, points[i].iterations,
-                                  mcfg, out.oracleOk);
-            return out;
+            return runWorkload(points[i].wl, points[i].iterations,
+                               mcfg);
         });
 
     bool all_ok = true;
     for (std::size_t i = 0; i < points.size(); ++i) {
         const Point &point = points[i];
-        const auto &res = outcomes[i].res;
-        const bool oracle_ok = outcomes[i].oracleOk;
+        const auto &res = results[i];
         bool point_ok = false;
         if (i < large_begin) {
-            // A non-linearizable history already failed the oracle
-            // (the runner folds it in); an *unchecked* one on a run
-            // the watchdog let finish means the log or the checker
+            // A non-linearizable history or a watchdog firing
+            // already failed the oracle (the runner folds both in);
+            // an *unchecked* history means the log or the checker
             // gave up — fail the point rather than under-report. A
             // *truncated* log is an explicit, expected verdict (the
             // ring overflowed), not a violation: the point passes
             // so long as the structure oracle is clean.
-            const bool lincheck_ok = res.lincheck.checked ||
-                                     res.lincheck.truncated ||
-                                     res.watchdogFired;
-            point_ok = oracle_ok && !res.watchdogFired && lincheck_ok;
+            point_ok = res.oracle.ok && (res.lincheck.checked ||
+                                         res.lincheck.truncated);
             std::printf("  %-10s %-10s %-5.2g %10.5f %8llu %8llu  "
                         "%s%s\n",
                         point.wl.c_str(), point.mix, point.scale,
@@ -318,8 +302,8 @@ main(int argc, char **argv)
             // The whole point of the scale: a definitive verdict
             // from the inferred order. A fallback here (pending ops,
             // version gaps) or an unchecked verdict fails the point.
-            point_ok = oracle_ok && !res.watchdogFired &&
-                       res.lincheck.checked && res.orderInfer.inferred;
+            point_ok = res.oracle.ok && res.lincheck.checked &&
+                       res.orderInfer.inferred;
             std::printf(
                 "  %-10s %-10s %-5s %10.5f %8llu %8llu  "
                 "%s%s [order_infer: %llu ops, %llu edges%s]\n",
@@ -334,8 +318,8 @@ main(int argc, char **argv)
                 res.orderInfer.inferred ? "" : " FALLBACK");
         }
         all_ok = all_ok && point_ok;
-        addPoint(report, res, oracle_ok, point.wl, point.mix,
-                 point.scale, point.plan);
+        addPoint(report, res, point.wl, point.mix, point.scale,
+                 point.plan);
     }
 
     if (!report.write())

@@ -91,12 +91,6 @@ StatGroup::value(const std::string &stat_name) const
     return it == counters_.end() ? 0 : it->second.value();
 }
 
-Distribution &
-StatGroup::distribution(const std::string &stat_name)
-{
-    return distributions_[stat_name];
-}
-
 Histogram &
 StatGroup::histogram(const std::string &stat_name,
                      std::size_t buckets, double bucket_width)
@@ -111,34 +105,8 @@ StatGroup::resetAll()
 {
     for (auto &[unused_name, c] : counters_)
         c.reset();
-    for (auto &[unused_name, d] : distributions_)
-        d.reset();
     for (auto &[unused_name, h] : histograms_)
         h.reset();
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &[stat, c] : counters_)
-        os << name_ << '.' << stat << ' ' << c.value() << '\n';
-    for (const auto &[stat, d] : distributions_) {
-        os << name_ << '.' << stat << ".mean " << d.mean() << '\n';
-        os << name_ << '.' << stat << ".count " << d.count() << '\n';
-        os << name_ << '.' << stat << ".min " << d.min() << '\n';
-        os << name_ << '.' << stat << ".max " << d.max() << '\n';
-        os << name_ << '.' << stat << ".sum " << d.sum() << '\n';
-    }
-    for (const auto &[stat, h] : histograms_) {
-        for (std::size_t i = 0; i < h.buckets(); ++i) {
-            os << name_ << '.' << stat << ".bucket" << i << ' '
-               << h.bucketCount(i) << '\n';
-        }
-        os << name_ << '.' << stat << ".overflow "
-           << h.bucketCount(h.buckets()) << '\n';
-        os << name_ << '.' << stat << ".total " << h.total()
-           << '\n';
-    }
 }
 
 Json
@@ -152,17 +120,7 @@ StatGroup::toJson() const
         counters[stat] = c.value();
     group["counters"] = std::move(counters);
 
-    Json dists = Json::object();
-    for (const auto &[stat, d] : distributions_) {
-        Json entry = Json::object();
-        entry["count"] = d.count();
-        entry["mean"] = d.mean();
-        entry["min"] = d.min();
-        entry["max"] = d.max();
-        entry["sum"] = d.sum();
-        dists[stat] = std::move(entry);
-    }
-    group["distributions"] = std::move(dists);
+    group["distributions"] = Json::object();
 
     Json hists = Json::object();
     for (const auto &[stat, h] : histograms_) {

@@ -1,8 +1,9 @@
 /**
  * @file
  * Lightweight statistics containers in the spirit of gem5's stats
- * package: named scalar counters, means, and histograms that modules
- * register into a StatGroup, with a text formatter for dumps.
+ * package: named scalar counters and histograms that modules
+ * register into a StatGroup, written out as JSON, plus the running
+ * Distribution a module keeps as a plain member.
  */
 
 #ifndef ZTX_COMMON_STATS_HH
@@ -112,7 +113,7 @@ class Histogram
 
 /**
  * A registry of named stats owned by a component; supports nested
- * group names ("cpu0.l1.hits") and a flat text dump.
+ * group names ("cpu0.l1.hits") and a JSON dump.
  */
 class StatGroup
 {
@@ -129,9 +130,6 @@ class StatGroup
      */
     std::uint64_t value(const std::string &stat_name) const;
 
-    /** Create (or fetch) a distribution under this group. */
-    Distribution &distribution(const std::string &stat_name);
-
     /**
      * Create (or fetch) a histogram under this group. The shape
      * parameters apply on first registration only; later fetches
@@ -145,10 +143,6 @@ class StatGroup
     {
         return counters_;
     }
-    const std::map<std::string, Distribution> &distributions() const
-    {
-        return distributions_;
-    }
     const std::map<std::string, Histogram> &histograms() const
     {
         return histograms_;
@@ -158,13 +152,10 @@ class StatGroup
     /** Reset every stat in the group. */
     void resetAll();
 
-    /** Write "name.stat value" lines, sorted by name. */
-    void dump(std::ostream &os) const;
-
     /**
-     * The group as a JSON object: counters plus full distribution
-     * (count/mean/min/max/sum) and histogram (widths/buckets/
-     * overflow) detail.
+     * The group as a JSON object: counters and histogram (widths/
+     * buckets/overflow) detail. "distributions" is always an empty
+     * object, kept so every stats document keeps its shape.
      */
     Json toJson() const;
 
@@ -177,7 +168,6 @@ class StatGroup
   private:
     std::string name_;
     std::map<std::string, Counter> counters_;
-    std::map<std::string, Distribution> distributions_;
     std::map<std::string, Histogram> histograms_;
 };
 

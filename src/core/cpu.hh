@@ -376,7 +376,6 @@ class Cpu : public mem::CacheClient
      * An access touched a poisoned line (RAS model): abort the
      * transaction (transactional access) or take a machine check
      * with scrub/restart recovery (non-transactional access).
-     * Defers under local-only mode — recovery needs the OS.
      * @return Always false: the triggering step must not complete.
      */
     bool handlePoisonedAccess(Addr line, Cycles &cost);

@@ -53,19 +53,18 @@ OracleReport::summary() const
     return s;
 }
 
-OracleReport
+ListSetReport
 checkListSet(const mem::MainMemory &mem, bool all_cpus_halted,
              Addr head_sentinel, std::int64_t expected_length)
 {
-    OracleReport rep;
+    ListSetReport rep;
     if (refuseLiveWalk(rep, all_cpus_halted))
         return rep;
-    std::int64_t length = 0;
     std::int64_t last_key = 0;
-    bool sorted = true;
+    rep.sorted = true;
     Addr node = mem.read(head_sentinel + 8, 8);
     while (node != 0) {
-        if (std::uint64_t(length) >= walkBound) {
+        if (rep.length >= walkBound) {
             rep.fail("list walk exceeded " +
                      std::to_string(walkBound) +
                      " nodes (cycle in next pointers?)");
@@ -73,27 +72,28 @@ checkListSet(const mem::MainMemory &mem, bool all_cpus_halted,
         }
         const auto key = std::int64_t(mem.read(node + 0, 8));
         if (key <= last_key)
-            sorted = false;
+            rep.sorted = false;
         last_key = key;
-        ++length;
+        ++rep.length;
         node = mem.read(node + 8, 8);
     }
-    if (!sorted)
+    if (!rep.sorted)
         rep.fail("list keys not strictly ascending");
-    if (expected_length >= 0 && length != expected_length) {
-        rep.fail("list length " + std::to_string(length) +
+    if (expected_length >= 0 &&
+        rep.length != std::uint64_t(expected_length)) {
+        rep.fail("list length " + std::to_string(rep.length) +
                  " != expected " + std::to_string(expected_length) +
                  " (lost or duplicated committed inserts/deletes)");
     }
     return rep;
 }
 
-OracleReport
+QueueReport
 checkQueue(const mem::MainMemory &mem, bool all_cpus_halted,
            Addr head_ptr_addr, Addr tail_ptr_addr,
            std::int64_t expected_length)
 {
-    OracleReport rep;
+    QueueReport rep;
     if (refuseLiveWalk(rep, all_cpus_halted))
         return rep;
     const Addr head = mem.read(head_ptr_addr, 8);
@@ -103,18 +103,17 @@ checkQueue(const mem::MainMemory &mem, bool all_cpus_halted,
                  " tail=" + hex(tail) + ")");
         return rep;
     }
-    std::int64_t length = 0;
     Addr last = head;
     Addr node = mem.read(head + 8, 8);
     while (node != 0) {
-        if (std::uint64_t(length) >= walkBound) {
+        if (rep.length >= walkBound) {
             rep.fail("queue walk exceeded " +
                      std::to_string(walkBound) +
                      " nodes (cycle in next pointers?)");
             return rep;
         }
         last = node;
-        ++length;
+        ++rep.length;
         node = mem.read(node + 8, 8);
     }
     if (last != tail) {
@@ -123,32 +122,32 @@ checkQueue(const mem::MainMemory &mem, bool all_cpus_halted,
     }
     if (mem.read(tail + 8, 8) != 0)
         rep.fail("tail node's next pointer is not null");
-    if (expected_length >= 0 && length != expected_length) {
-        rep.fail("queue length " + std::to_string(length) +
+    if (expected_length >= 0 &&
+        rep.length != std::uint64_t(expected_length)) {
+        rep.fail("queue length " + std::to_string(rep.length) +
                  " != expected " + std::to_string(expected_length) +
                  " (lost or duplicated enqueues/dequeues)");
     }
     return rep;
 }
 
-OracleReport
+HashTableReport
 checkHashTable(
     const mem::MainMemory &mem, bool all_cpus_halted,
     Addr table_base, unsigned buckets, unsigned max_probes,
     const std::function<std::uint64_t(std::uint64_t)> &bucket_of,
     std::int64_t min_occupied, std::int64_t max_occupied)
 {
-    OracleReport rep;
+    HashTableReport rep;
     if (refuseLiveWalk(rep, all_cpus_halted))
         return rep;
     std::set<std::uint64_t> seen;
-    std::int64_t occupied = 0;
     for (std::uint64_t i = 0; i < buckets + max_probes; ++i) {
         const Addr slot = table_base + i * 256;
         const std::uint64_t key = mem.read(slot, 8);
         if (key == 0)
             continue;
-        ++occupied;
+        ++rep.occupied;
         const std::uint64_t value = mem.read(slot + 8, 8);
         if (value != key) {
             // The workload always stores value == key; anything else
@@ -169,6 +168,7 @@ checkHashTable(
             rep.fail("key " + std::to_string(key) +
                      " present in more than one slot");
     }
+    const auto occupied = std::int64_t(rep.occupied);
     if (occupied < min_occupied || occupied > max_occupied) {
         rep.fail("occupied slots " + std::to_string(occupied) +
                  " outside [" + std::to_string(min_occupied) + ", " +

@@ -1,11 +1,13 @@
 /**
  * @file
- * Consistency oracle for the chaos workloads: after a run under
- * fault injection, walk the shared data structures in simulated
- * memory and verify the invariants that every linearizable history
- * of the workload must preserve. A fault injector may slow a run
- * down arbitrarily, but committed state must never be corrupt —
- * any violation here means isolation or atomicity was broken.
+ * Consistency oracle for the workloads: after a run, walk the shared
+ * data structures in simulated memory and verify the invariants that
+ * every linearizable history of the workload must preserve. A fault
+ * injector may slow a run down arbitrarily, but committed state must
+ * never be corrupt — any violation here means isolation or atomicity
+ * was broken. These walks are the only post-run readers of a
+ * structure's layout: each check also returns what it measured for
+ * the runner's result.
  *
  * The checkers are deliberately host-side and structural (no timing
  * state): they can run after watchdog-interrupted machines too, as
@@ -51,6 +53,28 @@ struct OracleReport
     std::string summary() const;
 };
 
+/** checkListSet()'s verdict and what its walk measured. */
+struct ListSetReport : OracleReport
+{
+    /** Nodes reached from the head sentinel. */
+    std::uint64_t length = 0;
+    /** Keys strictly ascended along the walk. */
+    bool sorted = false;
+};
+
+/** checkQueue()'s verdict and the queue's residual length. */
+struct QueueReport : OracleReport
+{
+    /** Nodes reached past the dummy head. */
+    std::uint64_t length = 0;
+};
+
+/** checkHashTable()'s verdict and the table's occupied slots. */
+struct HashTableReport : OracleReport
+{
+    std::uint64_t occupied = 0;
+};
+
 /**
  * Check the sorted-list-set structure (workload/list_set.cc layout:
  * head sentinel with next at @p head_sentinel + 8; nodes key@+0,
@@ -62,9 +86,9 @@ struct OracleReport
  *        (e.g. Machine::allHalted()). False refuses the walk with a
  *        violation: mid-flight transactions hide buffered stores.
  */
-OracleReport checkListSet(const mem::MainMemory &mem, bool all_cpus_halted,
-                          Addr head_sentinel,
-                          std::int64_t expected_length);
+ListSetReport checkListSet(const mem::MainMemory &mem, bool all_cpus_halted,
+                           Addr head_sentinel,
+                           std::int64_t expected_length);
 
 /**
  * Check the linked queue (workload/queue.cc layout: head pointer at
@@ -76,9 +100,9 @@ OracleReport checkListSet(const mem::MainMemory &mem, bool all_cpus_halted,
  *
  * @param all_cpus_halted See checkListSet().
  */
-OracleReport checkQueue(const mem::MainMemory &mem, bool all_cpus_halted,
-                        Addr head_ptr_addr, Addr tail_ptr_addr,
-                        std::int64_t expected_length);
+QueueReport checkQueue(const mem::MainMemory &mem, bool all_cpus_halted,
+                       Addr head_ptr_addr, Addr tail_ptr_addr,
+                       std::int64_t expected_length);
 
 /**
  * Check the open-addressed hash table (workload/hashtable.cc
@@ -91,7 +115,7 @@ OracleReport checkQueue(const mem::MainMemory &mem, bool all_cpus_halted,
  *
  * @param all_cpus_halted See checkListSet().
  */
-OracleReport checkHashTable(
+HashTableReport checkHashTable(
     const mem::MainMemory &mem, bool all_cpus_halted,
     Addr table_base, unsigned buckets, unsigned max_probes,
     const std::function<std::uint64_t(std::uint64_t)> &bucket_of,

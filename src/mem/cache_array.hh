@@ -48,13 +48,6 @@ inline constexpr std::uint8_t txRead = 0x1;
 /** Line was stored to transactionally (paper's tx-dirty bit). */
 inline constexpr std::uint8_t txDirty = 0x2;
 
-/**
- * Cached image of the line is poisoned (RAS model). Best-effort
- * mirror of Hierarchy's poison map on L1 holders, surfaced in
- * XiContext; the map is the source of truth.
- */
-inline constexpr std::uint8_t poison = 0x4;
-
 } // namespace line_flag
 
 /** Set-associative tag array; addresses are line-aligned. */

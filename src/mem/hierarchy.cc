@@ -270,7 +270,7 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive)
 
     installLocal(cpu, line);
     if (poisonActive_)
-        propagatePoisonOnFill(cpu, line, other_holder, res.source);
+        propagatePoisonOnFill(line, other_holder, res.source);
     res.latency = std::max(lat_.fetch(res.source), xi_cost);
     fetchMiss_.inc();
     return res;
@@ -286,8 +286,8 @@ Hierarchy::replayL1Hits(CpuId cpu, std::uint64_t hits, const Addr *tail,
 }
 
 void
-Hierarchy::propagatePoisonOnFill(CpuId cpu, Addr line,
-                                 bool other_holder, DataSource source)
+Hierarchy::propagatePoisonOnFill(Addr line, bool other_holder,
+                                 DataSource source)
 {
     const auto it = poison_.find(line);
     if (it == poison_.end())
@@ -305,10 +305,7 @@ Hierarchy::propagatePoisonOnFill(CpuId cpu, Addr line,
         // The corrupt home image enters the cache hierarchy.
         it->second |= poisonCached;
         poisonSpreadFetch_.inc();
-    } else {
-        return; // memory-side only, fill came from a clean cache
     }
-    l1_[cpu].setFlags(line, line_flag::poison);
 }
 
 void
@@ -604,12 +601,6 @@ Hierarchy::poisonLine(Addr line, bool memory_side)
         bits |= poisonMemorySide;
     poisonActive_ = true;
     stats_.counter("poison.injected").inc();
-    // Best-effort flag mirror on the L1s of current holders, so
-    // XiContext and introspection see the poison without a map walk.
-    dir_.forEachHolderExcept(line, invalidCpu, [&](CpuId h) {
-        if (l1_[h].contains(line))
-            l1_[h].setFlags(line, line_flag::poison);
-    });
 }
 
 bool
@@ -622,8 +613,6 @@ Hierarchy::scrubLine(Addr line)
     if (it->second & poisonMemorySide)
         return false; // no clean copy exists anywhere
     poison_.erase(it);
-    for (auto &l1 : l1_)
-        l1.clearFlags(line, line_flag::poison);
     stats_.counter("poison.scrubbed").inc();
     poisonActive_ = !poison_.empty();
     return true;
@@ -633,11 +622,8 @@ void
 Hierarchy::reloadLine(Addr line)
 {
     line = lineAlign(line);
-    if (poison_.erase(line)) {
+    if (poison_.erase(line))
         stats_.counter("poison.reloaded").inc();
-        for (auto &l1 : l1_)
-            l1.clearFlags(line, line_flag::poison);
-    }
     poisonActive_ = !poison_.empty();
 }
 

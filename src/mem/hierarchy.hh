@@ -324,7 +324,7 @@ class Hierarchy
     /**
      * @param other_holder Another CPU held @p line before the fill.
      */
-    void propagatePoisonOnFill(CpuId cpu, Addr line, bool other_holder,
+    void propagatePoisonOnFill(Addr line, bool other_holder,
                                DataSource source);
     XiResponse sendXi(XiKind kind, Addr line, CpuId target,
                       CpuId requester);

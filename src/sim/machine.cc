@@ -407,20 +407,6 @@ Machine::drainIo()
     }
 }
 
-void
-Machine::dumpStats(std::ostream &out)
-{
-    stats_.dump(out);
-    hierarchy_.stats().dump(out);
-    os_.stats().dump(out);
-    if (io_)
-        io_->stats().dump(out);
-    if (injector_)
-        injector_->stats().dump(out);
-    for (const auto &c : cpus_)
-        c->stats().dump(out);
-}
-
 Json
 Machine::statsJson() const
 {

@@ -166,9 +166,6 @@ class Machine : public core::CpuEnv
     /** Functional memory read merging all CPUs' store buffers. */
     std::uint64_t peekMem(Addr addr, unsigned size);
 
-    /** Write all stats (machine, hierarchy, OS, CPUs) to @p os. */
-    void dumpStats(std::ostream &out);
-
     /**
      * The complete machine state as one JSON document: run metadata
      * (seed, topology, active CPUs, TM configuration, elapsed

@@ -134,53 +134,41 @@ buildHashTableProgram(const HashTableBenchConfig &cfg)
 HashTableBenchResult
 runHashTableBench(const HashTableBenchConfig &cfg)
 {
-    sim::MachineConfig mcfg = cfg.machine;
-    mcfg.activeCpus = cfg.cpus;
-    mcfg.seed = cfg.seed;
-    sim::Machine machine(mcfg);
-
+    const auto bucket_of = [&](std::uint64_t key) {
+        return bucketOf(key, cfg.buckets);
+    };
     // Pre-fill the table with the whole key space so the read-
     // mostly mix mostly hits (the paper's steady-state hashtable).
+    // The slot array doubles as the checker's initial state, and its
+    // occupancy is the oracle's floor: puts only ever add keys.
+    std::vector<std::uint64_t> initial_slots(cfg.buckets +
+                                             cfg.maxProbes);
+    std::int64_t prefill_occupied = 0;
     for (std::uint64_t key = 1; key <= cfg.keySpace; ++key) {
-        std::uint64_t b = bucketOf(key, cfg.buckets);
         for (unsigned probe = 0; probe < cfg.maxProbes; ++probe) {
-            const Addr slot = hashTableBase + (b + probe) * 256;
-            if (machine.memory().read(slot, 8) == 0 ||
-                machine.memory().read(slot, 8) == key) {
-                machine.memory().write(slot, key, 8);
-                machine.memory().write(slot + 8, key, 8);
+            std::uint64_t &slot = initial_slots[bucket_of(key) + probe];
+            if (slot == 0) {
+                slot = key;
+                ++prefill_occupied;
                 break;
             }
         }
     }
 
-    // Slots occupied by the prefill: puts only ever add keys, so
-    // the oracle's occupancy floor after any chaotic run. The full
-    // slot array doubles as the checker's initial state.
-    std::int64_t prefill_occupied = 0;
-    std::vector<std::uint64_t> initial_slots;
-    for (unsigned b = 0; b < cfg.buckets + cfg.maxProbes; ++b) {
-        const std::uint64_t key =
-            machine.memory().read(hashTableBase + Addr(b) * 256, 8);
-        initial_slots.push_back(key);
-        if (key)
-            ++prefill_occupied;
-    }
-
-    const Program program = buildHashTableProgram(cfg);
-    machine.setProgramAll(&program);
-    OpLog oplog(machine.numCpus(), cfg.opLogCapacity);
-    if (cfg.opLog) {
-        for (unsigned i = 0; i < machine.numCpus(); ++i)
-            machine.cpu(i).setOpRecorder(&oplog);
-    }
-    const Cycles elapsed = machine.run();
-    HashTableBenchResult res{summarizeRun(machine, elapsed)};
-    if (!machine.allHalted() && !res.watchdogFired)
-        ztx_fatal("hash-table benchmark did not run to completion");
-
-    const bool structure_checkable = checkRunHistory(
-        res, cfg.opLog ? &oplog : nullptr,
+    HashTableBenchResult res;
+    runAndJudge(
+        res, "hash-table", cfg.machine, cfg.cpus, cfg.seed,
+        buildHashTableProgram(cfg),
+        [&](sim::Machine &machine) {
+            for (std::size_t b = 0; b < initial_slots.size(); ++b) {
+                if (const std::uint64_t key = initial_slots[b]) {
+                    const Addr slot = hashTableBase + Addr(b) * 256;
+                    machine.memory().write(slot, key, 8);
+                    machine.memory().write(slot + 8, key, 8);
+                }
+            }
+        },
+        cfg.opLog, cfg.opLogCapacity,
         [&](const OpRecord &rec, inject::LinOp &op) {
             op.code = rec.a1 < cfg.putPercent
                           ? inject::LinOpCode::MapPut
@@ -191,29 +179,16 @@ runHashTableBench(const HashTableBenchConfig &cfg)
         [&](const std::vector<inject::LinOp> &history) {
             return inject::inferMapLinearizable(
                 history, initial_slots, cfg.buckets, cfg.maxProbes,
-                [&](std::uint64_t key) {
-                    return bucketOf(key, cfg.buckets);
-                });
-        });
-    if (!structure_checkable)
-        return res;
-
-    machine.drainAllStores();
-    for (unsigned b = 0; b < cfg.buckets + cfg.maxProbes; ++b) {
-        if (machine.memory().read(hashTableBase + Addr(b) * 256, 8))
-            ++res.occupiedBuckets;
-    }
-    inject::OracleReport structural = inject::checkHashTable(
-        machine.memory(), machine.allHalted(), hashTableBase,
-        cfg.buckets, cfg.maxProbes,
-        [&](std::uint64_t key) {
-            return bucketOf(key, cfg.buckets);
+                bucket_of);
         },
-        prefill_occupied, std::int64_t(cfg.keySpace));
-    for (auto &v : structural.violations)
-        res.oracle.fail(std::move(v));
-    if (std::string why = indexOracleCheck(machine); !why.empty())
-        res.oracle.fail("hot-path index inconsistent: " + why);
+        [&](sim::Machine &machine) {
+            const inject::HashTableReport walk = inject::checkHashTable(
+                machine.memory(), machine.allHalted(), hashTableBase,
+                cfg.buckets, cfg.maxProbes, bucket_of, prefill_occupied,
+                std::int64_t(cfg.keySpace));
+            res.occupiedBuckets = unsigned(walk.occupied);
+            return walk;
+        });
     return res;
 }
 

@@ -45,10 +45,11 @@ struct HashTableBenchConfig
     sim::MachineConfig machine{};
 };
 
-/** Outcome of one hash-table run (`oracle`: inject::checkHashTable). */
+/** Outcome of one hash-table run; inject::checkHashTable's walk
+ *  gives occupiedBuckets (zero when the watchdog fired). */
 struct HashTableBenchResult : RunSummary
 {
-    /** Occupied buckets at the end (sanity). */
+    /** Occupied slots at the end. */
     unsigned occupiedBuckets = 0;
 };
 

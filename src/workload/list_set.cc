@@ -183,45 +183,31 @@ buildListSetProgram(const ListSetBenchConfig &cfg)
 ListSetBenchResult
 runListSetBench(const ListSetBenchConfig &cfg)
 {
-    sim::MachineConfig mcfg = cfg.machine;
-    mcfg.activeCpus = cfg.cpus;
-    mcfg.seed = cfg.seed;
-    sim::Machine machine(mcfg);
-
     // Pre-fill: a sorted chain of the selected keys.
     Rng prefill_rng(cfg.seed ^ 0xBEEF);
     std::vector<std::uint64_t> keys;
     for (std::uint64_t k = 1; k <= cfg.keySpace; ++k)
         if (prefill_rng.nextBool(cfg.prefillPercent / 100.0))
             keys.push_back(k);
-    Addr prev = listBase;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        const Addr node = listPrefillArena + Addr(i) * 256;
-        machine.memory().write(node + 0, keys[i], 8);
-        machine.memory().write(prev + 8, node, 8);
-        prev = node;
-    }
-    machine.memory().write(prev + 8, 0, 8);
 
-    const Program program = buildListSetProgram(cfg);
-    machine.setProgramAll(&program);
-    OpLog oplog(machine.numCpus(), cfg.opLogCapacity);
-    for (unsigned i = 0; i < cfg.cpus; ++i) {
-        machine.cpu(i).setGr(
-            15, arenaBase + Addr(i) * arenaStride);
-        if (cfg.opLog)
-            machine.cpu(i).setOpRecorder(&oplog);
-    }
-    const Cycles elapsed = machine.run();
-    ListSetBenchResult res{summarizeRun(machine, elapsed)};
-    if (!machine.allHalted() && !res.watchdogFired)
-        ztx_fatal("list-set benchmark did not run to completion");
-    std::int64_t net_inserts = 0;
-    for (unsigned i = 0; i < machine.numCpus(); ++i)
-        net_inserts += std::int64_t(machine.cpu(i).gr(14));
-
-    const bool structure_checkable = checkRunHistory(
-        res, cfg.opLog ? &oplog : nullptr,
+    ListSetBenchResult res;
+    runAndJudge(
+        res, "list-set", cfg.machine, cfg.cpus, cfg.seed,
+        buildListSetProgram(cfg),
+        [&](sim::Machine &machine) {
+            Addr prev = listBase;
+            for (std::size_t i = 0; i < keys.size(); ++i) {
+                const Addr node = listPrefillArena + Addr(i) * 256;
+                machine.memory().write(node + 0, keys[i], 8);
+                machine.memory().write(prev + 8, node, 8);
+                prev = node;
+            }
+            machine.memory().write(prev + 8, 0, 8);
+            for (unsigned i = 0; i < cfg.cpus; ++i)
+                machine.cpu(i).setGr(
+                    15, arenaBase + Addr(i) * arenaStride);
+        },
+        cfg.opLog, cfg.opLogCapacity,
         [](const OpRecord &rec, inject::LinOp &op) {
             op.code = inject::LinOpCode(rec.code);
             op.arg = rec.a0;
@@ -229,34 +215,22 @@ runListSetBench(const ListSetBenchConfig &cfg)
         },
         [&](const std::vector<inject::LinOp> &history) {
             return inject::inferSetLinearizable(history, keys);
+        },
+        [&](sim::Machine &machine) {
+            // Prefill plus the CPUs' net insert counters: the
+            // linearizable effect count.
+            auto expected = std::int64_t(keys.size());
+            for (unsigned i = 0; i < machine.numCpus(); ++i)
+                expected += std::int64_t(machine.cpu(i).gr(14));
+            const inject::ListSetReport walk = inject::checkListSet(
+                machine.memory(), machine.allHalted(), listBase,
+                expected);
+            res.finalLength = unsigned(walk.length);
+            res.sorted = walk.sorted;
+            res.lengthConsistent =
+                walk.length == std::uint64_t(expected);
+            return walk;
         });
-    if (!structure_checkable)
-        return res;
-
-    // Validate the structure.
-    machine.drainAllStores();
-    res.sorted = true;
-    std::int64_t last_key = 0;
-    Addr node = machine.memory().read(listBase + 8, 8);
-    while (node != 0 && res.finalLength <= 100000) {
-        const auto key =
-            std::int64_t(machine.memory().read(node + 0, 8));
-        if (key <= last_key)
-            res.sorted = false;
-        last_key = key;
-        ++res.finalLength;
-        node = machine.memory().read(node + 8, 8);
-    }
-    res.lengthConsistent =
-        std::int64_t(keys.size()) + net_inserts ==
-        std::int64_t(res.finalLength);
-    inject::OracleReport structural = inject::checkListSet(
-        machine.memory(), machine.allHalted(), listBase,
-        std::int64_t(keys.size()) + net_inserts);
-    for (auto &v : structural.violations)
-        res.oracle.fail(std::move(v));
-    if (std::string why = indexOracleCheck(machine); !why.empty())
-        res.oracle.fail("hot-path index inconsistent: " + why);
     return res;
 }
 

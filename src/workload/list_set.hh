@@ -48,10 +48,11 @@ struct ListSetBenchConfig
     sim::MachineConfig machine{};
 };
 
-/** Outcome of one list-set run (`oracle`: inject::checkListSet). */
+/** Outcome of one list-set run; inject::checkListSet's walk gives
+ *  the structure fields (zero when the watchdog fired). */
 struct ListSetBenchResult : RunSummary
 {
-    /** Final list length (walked host-side). */
+    /** Final list length. */
     unsigned finalLength = 0;
     /** Keys strictly ascending along the walk. */
     bool sorted = false;

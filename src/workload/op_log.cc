@@ -1,9 +1,5 @@
 #include "op_log.hh"
 
-#include <iostream>
-
-#include "debug/replay_dump.hh"
-
 namespace ztx::workload {
 
 OpLog::OpLog(unsigned cpus, std::size_t capacity)
@@ -141,74 +137,6 @@ OpLog::history(const std::function<void(const OpRecord &,
         }
     }
     return ops;
-}
-
-inject::LinVerdict
-checkLoggedHistory(const OpLog &log,
-                   const std::function<inject::LinVerdict()> &check)
-{
-    inject::LinVerdict v;
-    v.numOps = log.totalOps();
-    if (log.truncated()) {
-        v.truncated = true;
-        v.reason = "operation log truncated (ring overflow "
-                   "dropped records)";
-        return v;
-    }
-    if (log.protocolErrors()) {
-        v.reason = std::to_string(log.protocolErrors()) +
-                   " op-log protocol error(s): the generated "
-                   "program mis-nested OPLOGB/OPLOGE";
-        return v;
-    }
-    return check();
-}
-
-inject::OrderInferReport
-checkLoggedHistoryOrdered(
-    const OpLog &log,
-    const std::function<inject::OrderInferReport()> &infer)
-{
-    inject::OrderInferReport r;
-    r.verdict = checkLoggedHistory(
-        log, [] { return inject::LinVerdict(); });
-    if (log.truncated() || log.protocolErrors()) {
-        // Neither oracle can vouch for this history; the verdict
-        // above already says why.
-        r.fallbackReason = r.verdict.reason;
-        return r;
-    }
-    return infer();
-}
-
-bool
-checkRunHistory(
-    RunSummary &res, const OpLog *log,
-    const std::function<void(const OpRecord &, inject::LinOp &)>
-        &decode,
-    const std::function<inject::OrderInferReport(
-        const std::vector<inject::LinOp> &)> &infer)
-{
-    if (log) {
-        const auto history = log->history(decode);
-        res.orderInfer = checkLoggedHistoryOrdered(
-            *log, [&] { return infer(history); });
-        res.lincheck = res.orderInfer.verdict;
-        if (res.lincheck.checked && !res.lincheck.linearizable) {
-            res.oracle.fail("operation history not linearizable: " +
-                            res.lincheck.reason);
-            std::cerr << debug::replayScheduleDump(history,
-                                                   res.orderInfer);
-        }
-    }
-    if (res.watchdogFired) {
-        // Mid-flight transactions hold buffered state; the
-        // structure cannot be judged. The run itself is the failure.
-        res.oracle.fail("forward-progress watchdog fired; "
-                        "structures unchecked");
-        return false;
-    }
-    return true;
 }
 
 } // namespace ztx::workload

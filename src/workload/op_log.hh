@@ -38,7 +38,6 @@
 #include "core/op_recorder.hh"
 #include "inject/lincheck.hh"
 #include "inject/order_infer.hh"
-#include "workload/report.hh"
 
 namespace ztx::workload {
 
@@ -138,44 +137,6 @@ class OpLog : public core::OpRecorder
     /** Per-line version table, shared across CPUs. */
     std::unordered_map<Addr, std::uint64_t> lineVersions_;
 };
-
-/**
- * Run @p check unless @p log cannot vouch for its history
- * (truncation or marker protocol errors) — then return an unchecked
- * verdict saying why instead of guessing. A truncated log yields
- * `truncated = true` so harnesses can report overflow distinctly.
- */
-inject::LinVerdict checkLoggedHistory(
-    const OpLog &log,
-    const std::function<inject::LinVerdict()> &check);
-
-/**
- * Order-inference counterpart of checkLoggedHistory: run @p infer
- * (one of the inject::infer*Linearizable entry points, which fall
- * back to the DFS themselves) unless the log is truncated or
- * protocol-broken — those can never be checked by either oracle.
- */
-inject::OrderInferReport checkLoggedHistoryOrdered(
-    const OpLog &log,
-    const std::function<inject::OrderInferReport()> &infer);
-
-/**
- * The verdict tail the op-logged ADT runners share. With @p log set
- * (op logging on), decode its history with @p decode and check it
- * with @p infer — even after a watchdog halt, since the checker
- * reads recorded registers only and in-flight operations stay
- * pending — into `orderInfer` and `lincheck`; a non-linearizable
- * history fails `oracle` and dumps its replay schedule to stderr.
- * A watchdog firing then fails `oracle` too.
- * @return True when the runner may go on to check its structure
- *         (the watchdog did not fire).
- */
-bool checkRunHistory(
-    RunSummary &res, const OpLog *log,
-    const std::function<void(const OpRecord &, inject::LinOp &)>
-        &decode,
-    const std::function<inject::OrderInferReport(
-        const std::vector<inject::LinOp> &)> &infer);
 
 } // namespace ztx::workload
 

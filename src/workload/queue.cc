@@ -123,34 +123,22 @@ buildQueueProgram(const QueueBenchConfig &cfg)
 QueueBenchResult
 runQueueBench(const QueueBenchConfig &cfg)
 {
-    sim::MachineConfig mcfg = cfg.machine;
-    mcfg.activeCpus = cfg.cpus;
-    mcfg.seed = cfg.seed;
-    sim::Machine machine(mcfg);
-
-    // Initial state: head = tail = dummy node with next = nullptr.
-    machine.memory().write(queueBase + headDisp, dummyNodeAddr, 8);
-    machine.memory().write(queueBase + tailDisp, dummyNodeAddr, 8);
-    machine.memory().write(dummyNodeAddr + 8, 0, 8);
-
-    const Program program = buildQueueProgram(cfg);
-    machine.setProgramAll(&program);
-    OpLog oplog(machine.numCpus(), cfg.opLogCapacity);
-    for (unsigned i = 0; i < cfg.cpus; ++i) {
-        machine.cpu(i).setGr(
-            15, arenaBase + Addr(i) * arenaStride);
-        if (cfg.opLog)
-            machine.cpu(i).setOpRecorder(&oplog);
-    }
-    const Cycles elapsed = machine.run();
-    QueueBenchResult res{summarizeRun(machine, elapsed)};
-    if (!machine.allHalted() && !res.watchdogFired)
-        ztx_fatal("queue benchmark did not run to completion");
-    for (unsigned i = 0; i < machine.numCpus(); ++i)
-        res.dequeuedNonEmpty += machine.cpu(i).gr(14);
-
-    const bool structure_checkable = checkRunHistory(
-        res, cfg.opLog ? &oplog : nullptr,
+    QueueBenchResult res;
+    runAndJudge(
+        res, "queue", cfg.machine, cfg.cpus, cfg.seed,
+        buildQueueProgram(cfg),
+        [&](sim::Machine &machine) {
+            // Head = tail = dummy node with next = nullptr.
+            machine.memory().write(queueBase + headDisp, dummyNodeAddr,
+                                   8);
+            machine.memory().write(queueBase + tailDisp, dummyNodeAddr,
+                                   8);
+            machine.memory().write(dummyNodeAddr + 8, 0, 8);
+            for (unsigned i = 0; i < cfg.cpus; ++i)
+                machine.cpu(i).setGr(
+                    15, arenaBase + Addr(i) * arenaStride);
+        },
+        cfg.opLog, cfg.opLogCapacity,
         [](const OpRecord &rec, inject::LinOp &op) {
             op.code = inject::LinOpCode(rec.code);
             op.arg = rec.a0;
@@ -158,28 +146,19 @@ runQueueBench(const QueueBenchConfig &cfg)
         },
         [](const std::vector<inject::LinOp> &history) {
             return inject::inferQueueLinearizable(history, {});
+        },
+        [&](sim::Machine &machine) {
+            for (unsigned i = 0; i < machine.numCpus(); ++i)
+                res.dequeuedNonEmpty += machine.cpu(i).gr(14);
+            // Enqueues minus successful dequeues.
+            const inject::QueueReport walk = inject::checkQueue(
+                machine.memory(), machine.allHalted(),
+                queueBase + headDisp, queueBase + tailDisp,
+                std::int64_t(cfg.cpus) * cfg.iterations -
+                    std::int64_t(res.dequeuedNonEmpty));
+            res.finalLength = walk.length;
+            return walk;
         });
-    if (!structure_checkable)
-        return res;
-
-    // Walk the queue for the final length (bounded: a corrupted
-    // next chain must not hang the harness); enqueues - successful
-    // dequeues must match it.
-    machine.drainAllStores();
-    Addr node = machine.memory().read(queueBase + headDisp, 8);
-    while ((node = machine.memory().read(node + 8, 8)) != 0 &&
-           res.finalLength <= 1000000)
-        ++res.finalLength;
-    const std::int64_t expected =
-        std::int64_t(cfg.cpus) * cfg.iterations -
-        std::int64_t(res.dequeuedNonEmpty);
-    inject::OracleReport structural = inject::checkQueue(
-        machine.memory(), machine.allHalted(), queueBase + headDisp,
-        queueBase + tailDisp, expected);
-    for (auto &v : structural.violations)
-        res.oracle.fail(std::move(v));
-    if (std::string why = indexOracleCheck(machine); !why.empty())
-        res.oracle.fail("hot-path index inconsistent: " + why);
     return res;
 }
 

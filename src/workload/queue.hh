@@ -41,7 +41,8 @@ struct QueueBenchConfig
     sim::MachineConfig machine{};
 };
 
-/** Outcome of one queue run (`oracle`: inject::checkQueue). */
+/** Outcome of one queue run; inject::checkQueue's walk gives
+ *  finalLength (both fields zero when the watchdog fired). */
 struct QueueBenchResult : RunSummary
 {
     std::uint64_t dequeuedNonEmpty = 0;

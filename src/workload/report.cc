@@ -1,10 +1,13 @@
 #include "report.hh"
 
 #include <cstdio>
+#include <iostream>
 #include <utility>
 
 #include "common/log.hh"
+#include "debug/replay_dump.hh"
 #include "sim/machine.hh"
+#include "workload/op_log.hh"
 
 namespace ztx::workload {
 
@@ -68,6 +71,85 @@ indexOracleCheck(const sim::Machine &machine)
                    " store cache: " + why;
     }
     return "";
+}
+
+bool
+checkRunHistory(RunSummary &res, const OpLog *log,
+                const HistoryDecode &decode, const HistoryInfer &infer)
+{
+    if (log) {
+        const auto history = log->history(decode);
+        std::string refused;
+        if (log->truncated()) {
+            refused = "operation log truncated (ring overflow "
+                      "dropped records)";
+        } else if (log->protocolErrors()) {
+            refused = std::to_string(log->protocolErrors()) +
+                      " op-log protocol error(s): the generated "
+                      "program mis-nested OPLOGB/OPLOGE";
+        }
+        if (refused.empty()) {
+            res.orderInfer = infer(history);
+        } else {
+            // Neither oracle can vouch for this history.
+            res.orderInfer.verdict.numOps = log->totalOps();
+            res.orderInfer.verdict.truncated = log->truncated();
+            res.orderInfer.verdict.reason = refused;
+            res.orderInfer.fallbackReason = refused;
+        }
+        res.lincheck = res.orderInfer.verdict;
+        if (res.lincheck.checked && !res.lincheck.linearizable) {
+            res.oracle.fail("operation history not linearizable: " +
+                            res.lincheck.reason);
+            std::cerr << debug::replayScheduleDump(history,
+                                                   res.orderInfer);
+        }
+    }
+    if (res.watchdogFired) {
+        // Mid-flight transactions hold buffered state; the
+        // structure cannot be judged. The run itself is the failure.
+        res.oracle.fail("forward-progress watchdog fired; "
+                        "structures unchecked");
+        return false;
+    }
+    return true;
+}
+
+void
+runAndJudge(
+    RunSummary &res, const char *name,
+    const sim::MachineConfig &machine, unsigned cpus,
+    std::uint64_t seed, const isa::Program &program,
+    const std::function<void(sim::Machine &)> &prepare, bool op_log,
+    std::size_t op_log_capacity, const HistoryDecode &decode,
+    const HistoryInfer &infer,
+    const std::function<inject::OracleReport(sim::Machine &)>
+        &structure)
+{
+    sim::MachineConfig mcfg = machine;
+    mcfg.activeCpus = cpus;
+    mcfg.seed = seed;
+    sim::Machine m(mcfg);
+    if (prepare)
+        prepare(m);
+    m.setProgramAll(&program);
+    OpLog log(m.numCpus(), op_log_capacity);
+    if (op_log) {
+        for (unsigned i = 0; i < m.numCpus(); ++i)
+            m.cpu(i).setOpRecorder(&log);
+    }
+    const Cycles elapsed = m.run();
+    res = summarizeRun(m, elapsed);
+    if (!m.allHalted() && !res.watchdogFired)
+        ztx_fatal(name, " benchmark did not run to completion");
+    if (!checkRunHistory(res, op_log ? &log : nullptr, decode, infer))
+        return;
+    m.drainAllStores();
+    inject::OracleReport structural = structure(m);
+    for (auto &v : structural.violations)
+        res.oracle.fail(std::move(v));
+    if (std::string why = indexOracleCheck(m); !why.empty())
+        res.oracle.fail("hot-path index inconsistent: " + why);
 }
 
 SeriesTable::SeriesTable(std::string x_label,

@@ -2,14 +2,17 @@
  * @file
  * What the benchmark runners report: the plain-text series table
  * (one x column, e.g. "CPUs", plus one column per series, printed
- * aligned — the rows/series that regenerate the paper's figures) and
- * the RunSummary every workload runner fills the same way.
+ * aligned — the rows/series that regenerate the paper's figures),
+ * the RunSummary every workload runner fills the same way, and the
+ * run tail that fills it: run, summarize, then judge the history and
+ * the structure.
  */
 
 #ifndef ZTX_WORKLOAD_REPORT_HH
 #define ZTX_WORKLOAD_REPORT_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -20,11 +23,19 @@
 #include "inject/oracle.hh"
 #include "inject/order_infer.hh"
 
+namespace ztx::isa {
+class Program;
+} // namespace ztx::isa
+
 namespace ztx::sim {
 class Machine;
+struct MachineConfig;
 } // namespace ztx::sim
 
 namespace ztx::workload {
+
+class OpLog;
+struct OpRecord;
 
 /** Column-aligned x/series table. */
 class SeriesTable
@@ -139,11 +150,60 @@ RunSummary summarizeRun(const sim::Machine &machine, Cycles elapsed);
  * First hot-path index-consistency violation across the machine —
  * every cache array's tag/valid/flag index and every CPU's
  * gathering-store-cache block index verified against ground truth —
- * or "" when all indexes are consistent. The chaos oracles run this
- * after every campaign so fault injection cross-checks the O(1)
+ * or "" when all indexes are consistent. runAndJudge() runs this
+ * after every workload run, so fault injection cross-checks the O(1)
  * lookup structures, not just the architectural state.
  */
 std::string indexOracleCheck(const sim::Machine &machine);
+
+/** Maps one op-log record to the runner's ADT operation (code, arg,
+ *  result); OpLog::history() fills the timing fields. */
+using HistoryDecode =
+    std::function<void(const OpRecord &, inject::LinOp &)>;
+/** The runner's history oracle (an inject::infer*Linearizable). */
+using HistoryInfer = std::function<inject::OrderInferReport(
+    const std::vector<inject::LinOp> &)>;
+
+/**
+ * The history half of a run's verdict. With @p log set (op logging
+ * on), decode its history with @p decode and check it with @p infer
+ * — even after a watchdog halt, since the checker reads recorded
+ * registers only and in-flight operations stay pending — into
+ * `orderInfer` and `lincheck`. A log that cannot vouch for its
+ * history (ring overflow: `truncated`; OPLOGB/OPLOGE mis-nesting) is
+ * not checked and says why. A non-linearizable history fails
+ * `oracle` and dumps its replay schedule to stderr. A watchdog
+ * firing then fails `oracle` too.
+ * @return True when the structure may be judged (the watchdog did
+ *         not fire).
+ */
+bool checkRunHistory(RunSummary &res, const OpLog *log,
+                     const HistoryDecode &decode,
+                     const HistoryInfer &infer);
+
+/**
+ * The run tail the workload runners share. Builds a machine of
+ * @p cpus CPUs from @p machine and @p seed, lets @p prepare (may be
+ * empty) write the initial memory image and per-CPU registers, sets
+ * @p program on every CPU, attaches an OpLog of @p op_log_capacity
+ * records per CPU when @p op_log is set, runs it, and summarizes the
+ * run into @p res. Fatal unless every CPU halted or the watchdog
+ * fired. Then checks the history (checkRunHistory()) and, when the
+ * structure may be judged, drains every CPU's stores and folds
+ * @p structure's report and indexOracleCheck() into `res.oracle`.
+ * @p structure is the runner's only post-run reader of simulated
+ * memory and fills the runner's own result fields, which stay zero
+ * when the watchdog fired.
+ */
+void runAndJudge(
+    RunSummary &res, const char *name,
+    const sim::MachineConfig &machine, unsigned cpus,
+    std::uint64_t seed, const isa::Program &program,
+    const std::function<void(sim::Machine &)> &prepare, bool op_log,
+    std::size_t op_log_capacity, const HistoryDecode &decode,
+    const HistoryInfer &infer,
+    const std::function<inject::OracleReport(sim::Machine &)>
+        &structure);
 
 } // namespace ztx::workload
 

@@ -134,33 +134,23 @@ buildUpdateProgram(const UpdateBenchConfig &cfg)
 UpdateBenchResult
 runUpdateBench(const UpdateBenchConfig &cfg)
 {
-    sim::MachineConfig mcfg = cfg.machine;
-    mcfg.activeCpus = cfg.cpus;
-    mcfg.seed = cfg.seed;
-    sim::Machine machine(mcfg);
-
-    const Program program = buildUpdateProgram(cfg);
-    machine.setProgramAll(&program);
-    const Cycles elapsed = machine.run();
-
-    if (!machine.allHalted())
-        ztx_fatal("update benchmark did not run to completion");
-
-    UpdateBenchResult res{summarizeRun(machine, elapsed)};
+    UpdateBenchResult res;
+    runAndJudge(res, "update", cfg.machine, cfg.cpus, cfg.seed,
+                buildUpdateProgram(cfg), {}, false, 0, {}, {},
+                [&](sim::Machine &machine) {
+                    // The 4-consecutive-lines variant of the
+                    // single-variable pool reads four lines.
+                    const unsigned lines =
+                        cfg.poolSize == 1 && cfg.varsPerOp == 4
+                            ? 4
+                            : cfg.poolSize;
+                    for (unsigned i = 0; i < lines; ++i)
+                        res.poolSum += machine.memory().read(
+                            poolBase + Addr(i) * 256, 8);
+                    return inject::OracleReport{};
+                });
     if (res.meanRegionCycles == 0)
         ztx_fatal("no measured regions recorded");
-
-    machine.drainAllStores();
-    for (unsigned i = 0; i < cfg.poolSize; ++i) {
-        res.poolSum += machine.memory().read(
-            poolBase + Addr(i) * 256, 8);
-    }
-    // The 4-consecutive-lines variant of the single-variable pool.
-    if (cfg.poolSize == 1 && cfg.varsPerOp == 4) {
-        for (unsigned v = 1; v < 4; ++v)
-            res.poolSum += machine.memory().read(
-                poolBase + Addr(v) * 256, 8);
-    }
     return res;
 }
 

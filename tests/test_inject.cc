@@ -75,6 +75,8 @@ TEST_F(OracleListSet, ValidListPasses)
     const auto rep = inject::checkListSet(mem, true, sentinel, 2);
     EXPECT_TRUE(rep.ok) << rep.summary();
     EXPECT_EQ(rep.summary(), "ok");
+    EXPECT_EQ(rep.length, 2u);
+    EXPECT_TRUE(rep.sorted);
 }
 
 TEST_F(OracleListSet, UnsortedKeysCaught)
@@ -82,6 +84,9 @@ TEST_F(OracleListSet, UnsortedKeysCaught)
     mem.write(nodeA + 0, 30, 8); // 30 before 20: not ascending
     const auto rep = inject::checkListSet(mem, true, sentinel, 2);
     EXPECT_FALSE(rep.ok);
+    // The walk still measures the corrupt list.
+    EXPECT_EQ(rep.length, 2u);
+    EXPECT_FALSE(rep.sorted);
 }
 
 TEST_F(OracleListSet, DuplicateKeyCaught)
@@ -92,7 +97,15 @@ TEST_F(OracleListSet, DuplicateKeyCaught)
 
 TEST_F(OracleListSet, WrongLengthCaught)
 {
-    EXPECT_FALSE(inject::checkListSet(mem, true, sentinel, 3).ok);
+    const auto rep = inject::checkListSet(mem, true, sentinel, 3);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.length, 2u);
+    EXPECT_TRUE(rep.sorted);
+
+    mem.write(sentinel + 8, nodeB, 8); // a lost node: A unlinked
+    const auto lost = inject::checkListSet(mem, true, sentinel, 2);
+    EXPECT_FALSE(lost.ok);
+    EXPECT_EQ(lost.length, 1u);
 }
 
 TEST_F(OracleListSet, CycleCaughtWithoutHanging)
@@ -130,6 +143,7 @@ TEST_F(OracleQueue, ValidQueuePasses)
 {
     const auto rep = inject::checkQueue(mem, true, headPtr, tailPtr, 2);
     EXPECT_TRUE(rep.ok) << rep.summary();
+    EXPECT_EQ(rep.length, 2u);
 }
 
 TEST_F(OracleQueue, NullHeadCaught)
@@ -141,7 +155,9 @@ TEST_F(OracleQueue, NullHeadCaught)
 TEST_F(OracleQueue, StaleTailCaught)
 {
     mem.write(tailPtr, nodeA, 8); // tail is not the last node
-    EXPECT_FALSE(inject::checkQueue(mem, true, headPtr, tailPtr, 2).ok);
+    const auto rep = inject::checkQueue(mem, true, headPtr, tailPtr, 2);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.length, 2u);
 }
 
 TEST_F(OracleQueue, DanglingTailNextCaught)
@@ -152,7 +168,9 @@ TEST_F(OracleQueue, DanglingTailNextCaught)
 
 TEST_F(OracleQueue, WrongLengthCaught)
 {
-    EXPECT_FALSE(inject::checkQueue(mem, true, headPtr, tailPtr, 1).ok);
+    const auto rep = inject::checkQueue(mem, true, headPtr, tailPtr, 1);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.length, 2u);
 }
 
 TEST_F(OracleQueue, CycleCaughtWithoutHanging)
@@ -181,7 +199,7 @@ class OracleHashTable : public ::testing::Test
         mem.write(base + Addr(slot) * 256 + 8, value, 8);
     }
 
-    inject::OracleReport
+    inject::HashTableReport
     check(std::int64_t min_occ, std::int64_t max_occ)
     {
         return inject::checkHashTable(mem, true, base, buckets,
@@ -198,19 +216,24 @@ TEST_F(OracleHashTable, ValidTablePasses)
     put(4, 3 + buckets, 3 + buckets); // probed one past bucket 3
     const auto rep = check(2, 2);
     EXPECT_TRUE(rep.ok) << rep.summary();
+    EXPECT_EQ(rep.occupied, 2u);
 }
 
 TEST_F(OracleHashTable, CorruptValueCaught)
 {
     put(3, 3, 99); // workload invariant is value == key
-    EXPECT_FALSE(check(0, 8).ok);
+    const auto rep = check(0, 8);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.occupied, 1u);
 }
 
 TEST_F(OracleHashTable, DuplicateKeyCaught)
 {
     put(3, 3, 3);
     put(4, 3, 3); // same key claimed twice (lost isolation)
-    EXPECT_FALSE(check(0, 8).ok);
+    const auto rep = check(0, 8);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.occupied, 2u);
 }
 
 TEST_F(OracleHashTable, KeyOutsideProbeWindowCaught)
@@ -224,6 +247,7 @@ TEST_F(OracleHashTable, OccupancyBoundsEnforced)
     put(3, 3, 3);
     EXPECT_FALSE(check(2, 8).ok); // fewer than the prefill floor
     EXPECT_FALSE(check(0, 0).ok); // more than the key space
+    EXPECT_EQ(check(0, 0).occupied, 1u);
 }
 
 // A structural walk over a machine with CPUs still running would
@@ -241,6 +265,9 @@ TEST(OracleHaltGuard, MidFlightWalkRejected)
     EXPECT_FALSE(list.ok);
     EXPECT_NE(list.summary().find("still running"),
               std::string::npos);
+    // A refused walk measures nothing.
+    EXPECT_EQ(list.length, 0u);
+    EXPECT_FALSE(list.sorted);
 
     // Valid empty queue: head = tail = dummy, dummy->next = null.
     mem.write(0x100, 0x3000, 8);

@@ -19,6 +19,7 @@
 #include "inject/lincheck.hh"
 #include "isa/assembler.hh"
 #include "workload/op_log.hh"
+#include "workload/report.hh"
 #include "ztx_test_util.hh"
 
 namespace {
@@ -594,6 +595,26 @@ TEST(OpLogIsa, PendingOpSurfacesInWatchdogDiagnosis)
     EXPECT_NE(report.find("invoke_cycle"), std::string::npos);
 }
 
+/**
+ * checkRunHistory() over a log that cannot vouch for its history:
+ * the history oracle must never be reached.
+ */
+bool
+checkUncheckable(workload::RunSummary &res, const workload::OpLog &log)
+{
+    return workload::checkRunHistory(
+        res, &log,
+        [](const workload::OpRecord &rec, LinOp &op) {
+            op.code = LinOpCode(rec.code);
+            op.arg = rec.a0;
+            op.result = rec.result;
+        },
+        [](const std::vector<LinOp> &) {
+            ADD_FAILURE() << "history oracle ran on a tainted log";
+            return inject::OrderInferReport{};
+        });
+}
+
 TEST(OpLogIsa, ProtocolErrorsCounted)
 {
     isa::Assembler as;
@@ -611,12 +632,15 @@ TEST(OpLogIsa, ProtocolErrorsCounted)
     m.run();
     EXPECT_EQ(log.protocolErrors(), 2u);
 
-    // A tainted log must refuse to produce a verdict.
-    const LinVerdict v = workload::checkLoggedHistory(log, [] {
-        return inject::checkSetLinearizable({}, {});
-    });
-    EXPECT_FALSE(v.checked);
-    EXPECT_NE(v.reason.find("protocol"), std::string::npos);
+    // A tainted log must refuse to produce a verdict, and the
+    // refusal alone fails no check.
+    workload::RunSummary res;
+    EXPECT_TRUE(checkUncheckable(res, log));
+    EXPECT_FALSE(res.lincheck.checked);
+    EXPECT_FALSE(res.lincheck.truncated);
+    EXPECT_NE(res.lincheck.reason.find("protocol"), std::string::npos);
+    EXPECT_EQ(res.orderInfer.fallbackReason, res.lincheck.reason);
+    EXPECT_TRUE(res.oracle.ok) << res.oracle.summary();
 }
 
 TEST(OpLogIsa, OverflowMarksTruncation)
@@ -630,11 +654,14 @@ TEST(OpLogIsa, OverflowMarksTruncation)
     EXPECT_EQ(log.dropped(0), 1u);
     EXPECT_EQ(log.ops(0).size(), 2u);
 
-    const LinVerdict v = workload::checkLoggedHistory(log, [] {
-        return inject::checkSetLinearizable({}, {});
-    });
-    EXPECT_FALSE(v.checked);
-    EXPECT_NE(v.reason.find("truncated"), std::string::npos);
+    workload::RunSummary res;
+    EXPECT_TRUE(checkUncheckable(res, log));
+    EXPECT_TRUE(res.lincheck.truncated);
+    EXPECT_FALSE(res.lincheck.checked);
+    EXPECT_EQ(res.lincheck.numOps, 2u);
+    EXPECT_NE(res.lincheck.reason.find("truncated"), std::string::npos);
+    EXPECT_EQ(res.orderInfer.fallbackReason, res.lincheck.reason);
+    EXPECT_TRUE(res.oracle.ok) << res.oracle.summary();
 }
 
 } // namespace

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "common/json.hh"
@@ -226,10 +225,11 @@ TEST(Machine, StatsDumpContainsComponents)
     sim::Machine m(smallConfig(1));
     m.setProgram(0, &p);
     m.run();
-    std::ostringstream os;
-    m.dumpStats(os);
-    const std::string dump = os.str();
-    EXPECT_NE(dump.find("cpu0.instructions"), std::string::npos);
+    const Json doc = m.statsJson();
+    const Json &cpu0 = doc.find("cpus")->at(0);
+    EXPECT_EQ(cpu0.find("name")->str(), "cpu0");
+    EXPECT_GT(cpu0.find("counters")->find("instructions")->asUint(),
+              0u);
 }
 
 TEST(Machine, CountersRegisterOnFirstIncrement)

@@ -704,21 +704,30 @@ TEST(OpLogVIsa, PendingAtWatchdogHaltRoutesToDfsFallback)
     workload::OpLog log(1);
     m.cpu(0).setOpRecorder(&log);
     m.setProgram(0, &p);
-    m.run(1'000'000);
-    ASSERT_TRUE(m.watchdogFired());
+    workload::RunSummary res =
+        workload::summarizeRun(m, m.run(1'000'000));
+    ASSERT_TRUE(res.watchdogFired);
 
-    const auto history = log.history(
+    // The history is checked even though the watchdog fired; the
+    // firing alone fails the run and leaves the structure unjudged.
+    std::size_t history_size = 0;
+    EXPECT_FALSE(workload::checkRunHistory(
+        res, &log,
         [](const workload::OpRecord &rec, LinOp &op) {
             op.code = LinOpCode(rec.code);
             op.arg = rec.a0;
             op.result = rec.result;
-        });
-    ASSERT_EQ(history.size(), 1u);
-    EXPECT_TRUE(history[0].pending);
-
-    const OrderInferReport r = workload::checkLoggedHistoryOrdered(
-        log,
-        [&] { return inject::inferSetLinearizable(history, {}); });
+        },
+        [&](const std::vector<LinOp> &history) {
+            history_size = history.size();
+            EXPECT_TRUE(history.at(0).pending);
+            return inject::inferSetLinearizable(history, {});
+        }));
+    EXPECT_EQ(history_size, 1u);
+    EXPECT_FALSE(res.oracle.ok);
+    EXPECT_NE(res.oracle.summary().find("watchdog"), std::string::npos);
+    const OrderInferReport &r = res.orderInfer;
+    EXPECT_EQ(res.lincheck.checked, r.verdict.checked);
     EXPECT_FALSE(r.inferred);
     EXPECT_NE(r.fallbackReason.find("pending"), std::string::npos);
     ASSERT_TRUE(r.verdict.checked) << r.verdict.reason;

@@ -11,6 +11,7 @@
 #include "workload/footprint.hh"
 #include "workload/hashtable.hh"
 #include "workload/layout.hh"
+#include "workload/list_set.hh"
 #include "workload/queue.hh"
 #include "workload/update_bench.hh"
 #include "ztx_test_util.hh"
@@ -221,6 +222,52 @@ TEST(Queue, ConstrainedTxFasterThanLock)
     const auto lock_res = runQueueBench(lock_cfg);
     const auto tx_res = runQueueBench(tx_cfg);
     EXPECT_GT(tx_res.throughput, lock_res.throughput);
+}
+
+// ---------------------------------------------------------------
+// Each ADT runner's structure fields at seed 1, pinned to the values
+// the runners gave when each walked its structure itself, before the
+// oracle's walk became the only one.
+// ---------------------------------------------------------------
+
+TEST(AdtRunnerPinned, ListSetSeed1)
+{
+    ListSetBenchConfig cfg;
+    cfg.cpus = 4;
+    cfg.useElision = true;
+    cfg.iterations = 100;
+    cfg.opLog = true;
+    const auto res = runListSetBench(cfg);
+    EXPECT_EQ(res.finalLength, 37u);
+    EXPECT_TRUE(res.sorted);
+    EXPECT_TRUE(res.lengthConsistent);
+    EXPECT_TRUE(res.oracle.ok) << res.oracle.summary();
+}
+
+TEST(AdtRunnerPinned, QueueSeed1)
+{
+    QueueBenchConfig cfg;
+    cfg.cpus = 4;
+    cfg.iterations = 100;
+    cfg.opLog = true;
+    const auto res = runQueueBench(cfg);
+    EXPECT_EQ(res.finalLength, 0u);
+    EXPECT_EQ(res.dequeuedNonEmpty, 400u);
+    EXPECT_TRUE(res.oracle.ok) << res.oracle.summary();
+}
+
+TEST(AdtRunnerPinned, HashTableSeed1)
+{
+    HashTableBenchConfig cfg;
+    cfg.cpus = 4;
+    cfg.useElision = true;
+    cfg.putPercent = 50;
+    cfg.keySpace = 700;
+    cfg.iterations = 100;
+    cfg.opLog = true;
+    const auto res = runHashTableBench(cfg);
+    EXPECT_EQ(res.occupiedBuckets, 620u);
+    EXPECT_TRUE(res.oracle.ok) << res.oracle.summary();
 }
 
 TEST(Footprint, SmallTransactionsNeverAbort)
