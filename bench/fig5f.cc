@@ -62,10 +62,10 @@ main(int argc, char **argv)
     SeriesTable table("Lines", {"NoLruExt-64x6", "LruExt-512x8"});
     for (unsigned lines = 100; lines <= 800; lines += 50) {
         FootprintConfig without;
-        without.lruExtension = false;
+        without.machine.tm.lruExtensionEnabled = false;
         without.trials = trials;
         FootprintConfig with;
-        with.lruExtension = true;
+        with.machine.tm.lruExtensionEnabled = true;
         with.trials = trials;
         const auto r_without = measureFootprint(lines, without);
         const auto r_with = measureFootprint(lines, with);

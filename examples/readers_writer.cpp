@@ -66,7 +66,7 @@ throughput(bool transactional, unsigned cpus)
     std::uint64_t count = 0;
     for (unsigned i = 0; i < cpus; ++i) {
         sum += machine.cpu(i).regionCycles().sum();
-        count += machine.cpu(i).regionCycles().count();
+        count += machine.cpu(i).regionCycles().total();
     }
     return double(cpus) / (sum / double(count));
 }

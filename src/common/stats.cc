@@ -8,35 +8,6 @@
 
 namespace ztx {
 
-void
-Distribution::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    sum_ += v;
-    ++count_;
-}
-
-double
-Distribution::mean() const
-{
-    return count_ ? sum_ / double(count_) : 0.0;
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
-
 Histogram::Histogram(std::size_t buckets, double bucket_width)
     : counts_(buckets + 1, 0), bucketWidth_(bucket_width)
 {
@@ -57,6 +28,7 @@ Histogram::sample(double v)
     }
     ++counts_[idx];
     ++total_;
+    sum_ += v;
 }
 
 std::uint64_t
@@ -72,6 +44,7 @@ Histogram::reset()
 {
     std::fill(counts_.begin(), counts_.end(), 0);
     total_ = 0;
+    sum_ = 0.0;
 }
 
 StatGroup::StatGroup(std::string name) : name_(std::move(name))

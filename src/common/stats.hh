@@ -2,8 +2,7 @@
  * @file
  * Lightweight statistics containers in the spirit of gem5's stats
  * package: named scalar counters and histograms that modules
- * register into a StatGroup, written out as JSON, plus the running
- * Distribution a module keeps as a plain member.
+ * register into a StatGroup, written out as JSON.
  */
 
 #ifndef ZTX_COMMON_STATS_HH
@@ -42,40 +41,6 @@ class Counter
     std::uint64_t value_ = 0;
 };
 
-/** Running mean/min/max over a stream of samples. */
-class Distribution
-{
-  public:
-    Distribution() = default;
-
-    /** Record one sample. */
-    void sample(double v);
-
-    /** Number of samples recorded. */
-    std::uint64_t count() const { return count_; }
-
-    /** Arithmetic mean; 0 if no samples. */
-    double mean() const;
-
-    /** Sum of all samples. */
-    double sum() const { return sum_; }
-
-    /** Smallest sample; 0 if no samples. */
-    double min() const { return count_ ? min_ : 0.0; }
-
-    /** Largest sample; 0 if no samples. */
-    double max() const { return count_ ? max_ : 0.0; }
-
-    /** Forget all samples. */
-    void reset();
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /** Fixed-bucket histogram over [0, bucketWidth * buckets). */
 class Histogram
 {
@@ -102,6 +67,9 @@ class Histogram
     /** Total samples recorded. */
     std::uint64_t total() const { return total_; }
 
+    /** Sum of the samples as given (before bucket clamping). */
+    double sum() const { return sum_; }
+
     /** Forget all samples. */
     void reset();
 
@@ -109,6 +77,7 @@ class Histogram
     std::vector<std::uint64_t> counts_; // last entry is overflow
     double bucketWidth_;
     std::uint64_t total_ = 0;
+    double sum_ = 0.0;
 };
 
 /**

@@ -947,7 +947,6 @@ Cpu::execute(const isa::Program::Slot &slot)
         if (regionOpen_) {
             const double cycles =
                 double(env_.now() - regionStart_);
-            regionCycles_.sample(cycles);
             regionHist_->sample(cycles);
             regionOpen_ = false;
             ++progressEvents_;

@@ -130,11 +130,8 @@ class Cpu : public mem::CacheClient
     std::uint64_t gr(unsigned r) const { return regs_.gr.at(r); }
     void setGr(unsigned r, std::uint64_t v) { regs_.gr.at(r) = v; }
     std::uint32_t ar(unsigned r) const { return regs_.ar.at(r); }
-    void setAr(unsigned r, std::uint32_t v) { regs_.ar.at(r) = v; }
     std::uint64_t fpr(unsigned r) const { return regs_.fpr.at(r); }
-    void setFpr(unsigned r, std::uint64_t v) { regs_.fpr.at(r) = v; }
     const isa::Psw &psw() const { return psw_; }
-    void setIa(Addr ia) { psw_.ia = ia; }
     /** @} */
 
     /** @name Transactional state @{ */
@@ -246,8 +243,8 @@ class Cpu : public mem::CacheClient
     /** @} */
 
     /** @name Measurement (MARKB/MARKE pseudo-ops) @{ */
-    const Distribution &regionCycles() const { return regionCycles_; }
-    void resetMeasurement() { regionCycles_.reset(); }
+    /** Cycles of each MARKB..MARKE region ("region.cycles"). */
+    const Histogram &regionCycles() const { return *regionHist_; }
     /** @} */
 
     /** @name Operation log (OPLOGB/OPLOGE pseudo-ops) @{ */
@@ -261,7 +258,6 @@ class Cpu : public mem::CacheClient
     {
         opRecorder_ = recorder;
     }
-    OpRecorder *opRecorder() const { return opRecorder_; }
     /** @} */
 
     /** Per-CPU stats ("cpuN.*"): commits, aborts by reason, ... */
@@ -455,7 +451,6 @@ class Cpu : public mem::CacheClient
     /** @name Region measurement @{ */
     bool regionOpen_ = false;
     Cycles regionStart_ = 0;
-    Distribution regionCycles_;
     /** Latency tail of the measured regions (64-cycle buckets). */
     Histogram *regionHist_ = nullptr;
     /** @} */

@@ -14,9 +14,11 @@
 #ifndef ZTX_INJECT_ADT_SPEC_HH
 #define ZTX_INJECT_ADT_SPEC_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -59,6 +61,48 @@ describeOp(const LinOp &op)
         os << op.response;
     os << ']';
     return os.str();
+}
+
+/**
+ * Reject histories the ring buffer cannot vouch for: an operation
+ * responding before it is invoked, per-CPU operations overlapping
+ * each other, or a pending operation followed by more operations on
+ * the same CPU (a lost response). On false, @p why names the first
+ * offending operation and contains "malformed".
+ */
+inline bool
+validateHistory(const std::vector<LinOp> &ops, std::string &why)
+{
+    std::map<CpuId, std::vector<const LinOp *>> per_cpu;
+    for (const LinOp &op : ops) {
+        if (!op.pending && op.response < op.invoke) {
+            why = "malformed history: " + describeOp(op) +
+                  " responds before it is invoked";
+            return false;
+        }
+        per_cpu[op.cpu].push_back(&op);
+    }
+    for (auto &[cpu, list] : per_cpu) {
+        std::stable_sort(list.begin(), list.end(),
+                         [](const LinOp *a, const LinOp *b) {
+                             return a->invoke < b->invoke;
+                         });
+        for (std::size_t i = 0; i + 1 < list.size(); ++i) {
+            if (list[i]->pending) {
+                why = "malformed history: pending " +
+                      describeOp(*list[i]) + " is not cpu" +
+                      std::to_string(cpu) + "'s last operation";
+                return false;
+            }
+            if (list[i]->response > list[i + 1]->invoke) {
+                why = "malformed history: " + describeOp(*list[i]) +
+                      " overlaps " + describeOp(*list[i + 1]) +
+                      " on the same CPU";
+                return false;
+            }
+        }
+    }
+    return true;
 }
 
 /** Sorted-set specification (list_set workload). */

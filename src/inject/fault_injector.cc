@@ -61,26 +61,18 @@ faultPlanJson(const FaultPlan &plan)
     p["delayed_xi_rate"] = plan.delayedXiRate;
     p["targeted_conflict_rate"] = plan.targetedConflictRate;
     p["poison_rate"] = plan.poisonRate;
-    p["xi_storm_burst"] = plan.xiStormBurst;
-    p["squeeze_l1_ways"] = plan.squeezeL1Ways;
-    p["squeeze_l2_ways"] = plan.squeezeL2Ways;
+    p["xi_storm_burst"] = FaultPlan::xiStormBurst;
+    p["squeeze_l1_ways"] = FaultPlan::squeezeL1Ways;
+    p["squeeze_l2_ways"] = FaultPlan::squeezeL2Ways;
     p["squeeze_duration"] = std::uint64_t(plan.squeezeDuration);
-    p["interrupt_burst"] = plan.interruptBurst;
+    p["interrupt_burst"] = FaultPlan::interruptBurst;
     p["xi_delay_max"] = std::uint64_t(plan.xiDelayMax);
     p["targeted_line"] = std::uint64_t(plan.targetedLine);
     p["seed"] = plan.seed;
-    Json sched = Json::array();
-    for (const auto &f : plan.schedule) {
-        Json s = Json::object();
-        s["at"] = std::uint64_t(f.at);
-        s["kind"] = faultKindName(f.kind);
-        s["target"] = f.target == invalidCpu ? std::int64_t(-1)
-                                             : std::int64_t(f.target);
-        s["line"] = std::uint64_t(f.line);
-        s["poison_memory"] = f.poisonMemory;
-        sched.push(std::move(s));
-    }
-    p["schedule"] = std::move(sched);
+    // Always empty: scenario steps are the only cycle-pinned faults.
+    // The key stays so archived reports, chaos records, json_check
+    // and the benchmark's digests keep one document shape.
+    p["schedule"] = Json::array();
     Json scen = Json::array();
     for (const auto &st : plan.scenario) {
         Json s = Json::object();
@@ -117,11 +109,6 @@ FaultInjector::FaultInjector(const FaultPlan &plan,
 {
     if (plan_.xiDelayMax == 0)
         plan_.xiDelayMax = 1;
-    // Scheduled faults are consumed front to back; demand order so
-    // a mis-written plan fails loudly instead of silently skipping.
-    for (std::size_t i = 1; i < plan_.schedule.size(); ++i)
-        if (plan_.schedule[i].at < plan_.schedule[i - 1].at)
-            ztx_fatal("FaultPlan schedule not sorted by cycle");
     // Scenario steps: normalize degenerate shapes, reject plans
     // whose dependency graph or repetition can never be honoured.
     for (std::size_t i = 0; i < plan_.scenario.size(); ++i) {
@@ -171,24 +158,6 @@ FaultInjector::beforeStep(CpuId id, Cycles now)
         hier_.squeezeCapacity(id, 0, 0);
         squeezeUntil_[id] = 0;
         squeezeRestored_.inc();
-    }
-
-    // Scheduled faults that came due. A fault without an explicit
-    // target hits the CPU about to step — except line-addressed
-    // kinds, where the directory picks the victim (the line's
-    // holder) inside apply().
-    while (nextScheduled_ < plan_.schedule.size() &&
-           plan_.schedule[nextScheduled_].at <= now) {
-        const ScheduledFault &f = plan_.schedule[nextScheduled_++];
-        const CpuId target =
-            f.kind == FaultKind::TargetedConflict
-                ? f.target
-                : (f.target == invalidCpu ? id : f.target);
-        if (target != invalidCpu && target >= cpus_.size())
-            ztx_fatal("scheduled fault targets CPU ", target,
-                      " but only ", cpus_.size(), " attached");
-        stats_.counter("scheduled.fired").inc();
-        apply(f.kind, target, now, f.line, f.poisonMemory);
     }
 
     // Probabilistic faults against the CPU about to step: one draw
@@ -311,7 +280,6 @@ FaultInjector::evaluateScenario(Cycles now)
             break;
         }
         if (!ok) {
-            ++scenarioAssertFailures_;
             stats_.counter("scenario.assert_failed").inc();
             ztx_warn("scenario step ", i, " assertion ",
                      stepAssertName(s.check), " failed at cycle ",
@@ -334,7 +302,6 @@ FaultInjector::recordFire(FaultKind kind, CpuId target, Cycles now,
                           Addr line)
 {
     RecentRing &ring = recent_.at(target);
-    ++ring.byKind[std::size_t(kind)];
     ring.slots[ring.n % recentDepth] = {now, kind, target, line,
                                         ring.n};
     ++ring.n;
@@ -368,7 +335,7 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
             return; // no transactional footprint to attack
         stats_.counter("xi_storm.fired").inc();
         recordFire(kind, target, now, 0);
-        for (unsigned i = 0; i < plan_.xiStormBurst; ++i) {
+        for (unsigned i = 0; i < FaultPlan::xiStormBurst; ++i) {
             // Line picks come from the target's own stream so the
             // sequence survives reordering of other CPUs' storms.
             const Addr line =
@@ -384,20 +351,20 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
       case FaultKind::CapacitySqueeze:
         squeezeFired_.inc();
         recordFire(kind, target, now, 0);
-        hier_.squeezeCapacity(target, plan_.squeezeL1Ways,
-                              plan_.squeezeL2Ways);
+        hier_.squeezeCapacity(target, FaultPlan::squeezeL1Ways,
+                              FaultPlan::squeezeL2Ways);
         squeezeUntil_[target] = now + plan_.squeezeDuration;
         return;
 
       case FaultKind::InterruptStorm:
         interruptStormFired_.inc();
         recordFire(kind, target, now, 0);
-        for (unsigned i = 0; i < plan_.interruptBurst; ++i)
+        for (unsigned i = 0; i < FaultPlan::interruptBurst; ++i)
             cpus_.at(target)->deliverExternalInterrupt();
         return;
 
       case FaultKind::DelayedXi:
-        // Delay is drawn per XI in xiDelay(); a scheduled entry of
+        // Delay is drawn per XI in xiDelay(); a scenario step of
         // this kind is a plan-documentation no-op.
         return;
 
@@ -458,16 +425,17 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
 Json
 FaultInjector::firedCountsJson() const
 {
-    std::array<std::uint64_t, faultKindCount> sum{};
-    for (const RecentRing &r : recent_)
-        for (std::size_t k = 0; k < faultKindCount; ++k)
-            sum[k] += r.byKind[k];
+    // One key per FaultKind, in enumerator order, each read from the
+    // counter its fire path increments. value() never registers, so
+    // reading leaves the inject.* stats unchanged.
+    static constexpr const char *counter[faultKindCount] = {
+        "spurious_abort.fired", "xi_storm.fired", "squeeze.fired",
+        "interrupt_storm.fired", "xi_delay.fired",
+        "targeted_conflict.fired", "poison_line.fired",
+    };
     Json j = Json::object();
     for (std::size_t k = 0; k < faultKindCount; ++k)
-        j[faultKindName(FaultKind(k))] = sum[k];
-    // XI delays never pass through apply(); report the counter
-    // (covers the unattached-target stream too).
-    j["delayed_xi"] = xiDelayFired_.value();
+        j[faultKindName(FaultKind(k))] = stats_.value(counter[k]);
     return j;
 }
 

@@ -3,8 +3,8 @@
  * Turns a FaultPlan into concrete adversarial events against a live
  * machine. The Machine scheduler calls beforeStep() for the CPU
  * about to execute; the injector draws its per-kind Bernoulli rates
- * and fires any scheduled faults that came due, then the step runs
- * into whatever hostile state was created. All randomness comes
+ * and fires any scenario steps whose trigger holds, then the step
+ * runs into whatever hostile state was created. All randomness comes
  * from per-CPU ztx::Rng streams derived from the plan/machine seed,
  * so a chaotic run is a pure function of (program, config, seed)
  * just like a benign one; CPU i's draws depend only on CPU i's step
@@ -67,9 +67,8 @@ class FaultInjector : public mem::XiDelayProbe
 
     /**
      * Called by the scheduler right before CPU @p id steps at
-     * global cycle @p now: expires due capacity squeezes, fires due
-     * scheduled faults and scenario steps, and draws the
-     * probabilistic ones.
+     * global cycle @p now: expires due capacity squeezes, draws the
+     * probabilistic faults, and fires due scenario steps.
      */
     void beforeStep(CpuId id, Cycles now);
 
@@ -80,16 +79,11 @@ class FaultInjector : public mem::XiDelayProbe
     /** The plan being executed. */
     const FaultPlan &plan() const { return plan_; }
 
-    /** Scenario-step assertions that failed (counted, not fatal). */
-    std::uint64_t scenarioAssertFailures() const
-    {
-        return scenarioAssertFailures_;
-    }
-
     /**
      * Per-kind fire counts as a JSON object — one key per FaultKind
-     * name, zero-filled so the shape is plan-independent. Goes into
-     * watchdog diagnosis bundles.
+     * name, read from the kind's `*.fired` counter and zero-filled
+     * so the shape is plan-independent. Goes into watchdog
+     * diagnosis bundles.
      */
     Json firedCountsJson() const;
 
@@ -138,12 +132,11 @@ class FaultInjector : public mem::XiDelayProbe
     /** Fires recorded per ring (watchdog bundles keep this many). */
     static constexpr std::size_t recentDepth = 8;
 
-    /** Per-CPU recent-fire ring + per-kind fire tallies. */
+    /** Per-CPU recent-fire ring. */
     struct RecentRing
     {
         std::array<FiredFault, recentDepth> slots{};
         std::uint64_t n = 0;
-        std::array<std::uint64_t, faultKindCount> byKind{};
     };
 
     /** Firing bookkeeping of one scenario step. */
@@ -160,7 +153,6 @@ class FaultInjector : public mem::XiDelayProbe
     std::vector<core::Cpu *> cpus_;
     /** Per-CPU cycle at which a squeeze expires; 0 = not squeezed. */
     std::vector<Cycles> squeezeUntil_;
-    std::size_t nextScheduled_ = 0;
     std::uint64_t baseSeed_;
     /** Per-CPU Bernoulli streams (rates), indexed by CpuId. */
     std::vector<Rng> cpuRng_;
@@ -178,7 +170,6 @@ class FaultInjector : public mem::XiDelayProbe
     std::vector<ScenarioState> scen_;
     /** abortsTotal() snapshots from the last scenario evaluation. */
     std::vector<std::uint64_t> lastAborts_;
-    std::uint64_t scenarioAssertFailures_ = 0;
     std::vector<RecentRing> recent_;
     /** XI delays for unattached targets. */
     Rng rng_;

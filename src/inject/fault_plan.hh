@@ -4,11 +4,14 @@
  *
  * A FaultPlan names *what* chaos to create and *how much* of it;
  * the FaultInjector (fault_injector.hh) turns the plan into concrete
- * adversarial events against a running machine. Plans are plain data
+ * adversarial events against a running machine. A fault comes
+ * either from a per-step Bernoulli rate or from a ScenarioStep, the
+ * one way to pin a fault to a trigger (a cycle, an abort, a line
+ * entering a footprint, or an earlier step). Plans are plain data
  * so a MachineConfig can embed one, a bench sweep can scale one, and
- * a JSON report can archive one. All randomness is drawn from one
- * ztx::Rng derived from the plan/machine seed, so a chaotic run
- * replays bit-identically.
+ * a JSON report can archive one. All randomness is drawn from
+ * ztx::Rng streams derived from the plan/machine seed, so a chaotic
+ * run replays bit-identically.
  *
  * The fault kinds mirror the paper's environmental abort groups
  * (tx/abort.hh): spurious millicode-visible aborts, conflict XIs,
@@ -57,26 +60,6 @@ inline constexpr std::size_t faultKindCount = 7;
 
 /** Stable name for stats keys and reports. */
 const char *faultKindName(FaultKind kind);
-
-/** A fault pinned to a cycle point (deterministic scenarios). */
-struct ScheduledFault
-{
-    /** Global cycle at (or after) which the fault fires. */
-    Cycles at = 0;
-    FaultKind kind = FaultKind::SpuriousAbort;
-    /**
-     * Victim CPU. invalidCpu means "no explicit victim": the fault
-     * fires from the injector's beforeStep() and the victim is the
-     * CPU about to step (DESIGN.md §5c). Line-addressed kinds
-     * resolve their victim from the directory instead. Scenario
-     * steps (below) resolve untargeted victims by machine state.
-     */
-    CpuId target = invalidCpu;
-    /** Line operand (TargetedConflict, PoisonLine); 0 for others. */
-    Addr line = 0;
-    /** PoisonLine: also corrupt the memory image (no scrub source). */
-    bool poisonMemory = false;
-};
 
 /** What arms a ScenarioStep (the scenario trigger grammar). */
 enum class TriggerKind : std::uint8_t
@@ -151,7 +134,7 @@ struct ScenarioStep
     StepAssert check = StepAssert::None;
 };
 
-/** A complete injection campaign: per-step rates plus a schedule. */
+/** A complete injection campaign: per-step rates plus a scenario. */
 struct FaultPlan
 {
     /**
@@ -174,23 +157,20 @@ struct FaultPlan
 
     /** @name Fault shape parameters @{ */
     /** XIs per storm (sampled from the victim's tx footprint). */
-    unsigned xiStormBurst = 4;
-    /** Effective L1 ways while squeezed (0 keeps the geometry). */
-    unsigned squeezeL1Ways = 1;
-    /** Effective L2 ways while squeezed (0 keeps the geometry). */
-    unsigned squeezeL2Ways = 2;
+    static constexpr unsigned xiStormBurst = 4;
+    /** Effective L1 ways while squeezed. */
+    static constexpr unsigned squeezeL1Ways = 1;
+    /** Effective L2 ways while squeezed. */
+    static constexpr unsigned squeezeL2Ways = 2;
+    /** External interruptions per storm. */
+    static constexpr unsigned interruptBurst = 2;
     /** Cycles a capacity squeeze lasts before ways are restored. */
     Cycles squeezeDuration = 4000;
-    /** External interruptions per storm. */
-    unsigned interruptBurst = 2;
     /** Maximum extra cycles added to a delayed XI response. */
     Cycles xiDelayMax = 256;
     /** Line rate-driven TargetedConflict faults aim at. */
     Addr targetedLine = 0;
     /** @} */
-
-    /** Cycle-pinned faults, applied in order of appearance. */
-    std::vector<ScheduledFault> schedule;
 
     /** Scripted trigger-driven steps (see ScenarioStep). */
     std::vector<ScenarioStep> scenario;
@@ -209,8 +189,7 @@ struct FaultPlan
         return spuriousAbortRate > 0 || xiStormRate > 0 ||
                capacitySqueezeRate > 0 || interruptStormRate > 0 ||
                delayedXiRate > 0 || targetedConflictRate > 0 ||
-               poisonRate > 0 || !schedule.empty() ||
-               !scenario.empty();
+               poisonRate > 0 || !scenario.empty();
     }
 };
 

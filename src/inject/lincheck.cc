@@ -1,7 +1,6 @@
 #include "lincheck.hh"
 
 #include <algorithm>
-#include <map>
 #include <unordered_set>
 #include <utility>
 
@@ -43,7 +42,7 @@ class Engine
             if (op.pending)
                 ++v.numPending;
 
-        if (!validate(v))
+        if (!spec::validateHistory(ops_, v.reason))
             return v; // malformed: checked stays false
 
         // The simulator's global cycle order: sorting by invoke
@@ -80,51 +79,6 @@ class Engine
     }
 
   private:
-    /**
-     * Reject histories the ring buffer cannot vouch for: windows
-     * running backwards, per-CPU operations overlapping each other,
-     * or a pending operation followed by more operations on the
-     * same CPU (a lost response).
-     */
-    bool
-    validate(LinVerdict &v) const
-    {
-        std::map<CpuId, std::vector<const LinOp *>> per_cpu;
-        for (const auto &op : ops_) {
-            if (!op.pending && op.response < op.invoke) {
-                v.reason = "malformed history: " + describeOp(op) +
-                           " responds before it is invoked";
-                return false;
-            }
-            per_cpu[op.cpu].push_back(&op);
-        }
-        for (auto &[cpu, list] : per_cpu) {
-            std::stable_sort(list.begin(), list.end(),
-                             [](const LinOp *a, const LinOp *b) {
-                                 return a->invoke < b->invoke;
-                             });
-            for (std::size_t i = 0; i + 1 < list.size(); ++i) {
-                if (list[i]->pending) {
-                    v.reason = "malformed history: pending " +
-                               describeOp(*list[i]) +
-                               " is not cpu" +
-                               std::to_string(cpu) +
-                               "'s last operation";
-                    return false;
-                }
-                if (list[i]->response > list[i + 1]->invoke) {
-                    v.reason = "malformed history: " +
-                               describeOp(*list[i]) +
-                               " overlaps " +
-                               describeOp(*list[i + 1]) +
-                               " on the same CPU";
-                    return false;
-                }
-            }
-        }
-        return true;
-    }
-
     bool
     bumpExplored()
     {

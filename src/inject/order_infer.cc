@@ -49,7 +49,7 @@ class Inference
                 return false;
             }
         }
-        if (!validate(why))
+        if (!spec::validateHistory(ops_, why))
             return false;
         for (std::size_t i = 0; i < n; ++i) {
             if (ops_[i].accesses.empty()) {
@@ -64,36 +64,6 @@ class Inference
     }
 
   private:
-    bool
-    validate(std::string &why) const
-    {
-        std::map<CpuId, std::vector<const LinOp *>> per_cpu;
-        for (const LinOp &op : ops_) {
-            if (op.response < op.invoke) {
-                why = "malformed history: " + describeOp(op) +
-                      " responds before it is invoked";
-                return false;
-            }
-            per_cpu[op.cpu].push_back(&op);
-        }
-        for (auto &[cpu, list] : per_cpu) {
-            std::stable_sort(list.begin(), list.end(),
-                             [](const LinOp *a, const LinOp *b) {
-                                 return a->invoke < b->invoke;
-                             });
-            for (std::size_t i = 0; i + 1 < list.size(); ++i) {
-                if (list[i]->response > list[i + 1]->invoke) {
-                    why = "malformed history: " +
-                          describeOp(*list[i]) + " overlaps " +
-                          describeOp(*list[i + 1]) +
-                          " on cpu" + std::to_string(cpu);
-                    return false;
-                }
-            }
-        }
-        return true;
-    }
-
     bool
     buildChains(std::string &why)
     {

@@ -75,7 +75,6 @@ class Assembler
     void jz(const std::string &target) { brc(maskZero, target); }
     void jnz(const std::string &target) { brc(maskNotZero, target); }
     void jl(const std::string &target) { brc(maskLow, target); }
-    void jh(const std::string &target) { brc(maskHigh, target); }
     void jo(const std::string &target) { brc(maskOnes, target); }
     void brct(unsigned r1, const std::string &target);
     /** Compare r1 with imm; branch if mask selects the compare CC. */

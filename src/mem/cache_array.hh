@@ -171,8 +171,8 @@ class CacheArray
 
     /**
      * True if insert(@p line) would displace a victim right now:
-     * the congruence class already holds effectiveAssoc() valid
-     * lines. O(1) on the row head's valid mask.
+     * the congruence class already holds as many valid lines as
+     * its effective ways. O(1) on the row head's valid mask.
      */
     bool insertWouldEvict(Addr line) const;
 
@@ -201,9 +201,6 @@ class CacheArray
      * configured geometry. Resident lines are never flushed eagerly.
      */
     void setEffectiveAssoc(unsigned ways);
-
-    /** Current effective ways (== assoc() when not squeezed). */
-    unsigned effectiveAssoc() const { return effAssoc_; }
 
     /** Count of valid entries (for tests/stats). */
     std::size_t validCount() const;

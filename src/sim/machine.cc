@@ -141,7 +141,7 @@ Machine::releaseSolo(CpuId cpu_id)
 Cycles
 Machine::run(Cycles max_cycles)
 {
-    return cfg_.steer ? runSteered(max_cycles) : runLegacy(max_cycles);
+    return cfg_.steer ? runSteered(max_cycles) : runHeap(max_cycles);
 }
 
 void
@@ -187,7 +187,7 @@ Machine::stepCpu(CpuId id)
 }
 
 Cycles
-Machine::runLegacy(Cycles max_cycles)
+Machine::runHeap(Cycles max_cycles)
 {
     const Cycles start = now_;
     const bool bounded = max_cycles != ~Cycles(0);
@@ -311,7 +311,7 @@ Machine::runSteered(Cycles max_cycles)
     runnable.reserve(numCpus());
     while (true) {
         // A halted solo holder releases automatically (safety),
-        // exactly as in the legacy scheduler.
+        // exactly as in the heap scheduler (runHeap).
         while (soloCpu_ != invalidCpu && cpus_[soloCpu_]->halted())
             releaseSolo(soloCpu_);
 

@@ -257,7 +257,7 @@ class Machine : public core::CpuEnv
                             std::greater<ReadyEntry>>;
 
     /** The exact heap scheduler: smallest ready time first. */
-    Cycles runLegacy(Cycles max_cycles);
+    Cycles runHeap(Cycles max_cycles);
 
     /** Enumeration-mode stepping (cfg_.steer != nullptr). */
     Cycles runSteered(Cycles max_cycles);
@@ -321,7 +321,7 @@ class Machine : public core::CpuEnv
     void spinRecordStep(CpuId id);
     /**
      * Detection, recording and re-entry after CPU @p id stepped
-     * from @p ia0 (runLegacy calls it only for an active CPU or a
+     * from @p ia0 (runHeap calls it only for an active CPU or a
      * backward branch). @return True if the CPU left the heap to
      * replay.
      */

@@ -76,12 +76,6 @@ class ConstraintChecker
     std::optional<ConstraintViolationKind>
     checkDataAccess(Addr addr, unsigned size);
 
-    /** Instructions executed so far in this constrained TX. */
-    unsigned instructionCount() const { return instructions_; }
-
-    /** Distinct octowords touched so far. */
-    unsigned octowordCount() const { return numOctowords_; }
-
   private:
     bool trackOctoword(Addr octoword);
 

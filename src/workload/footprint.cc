@@ -14,11 +14,11 @@ measureFootprint(unsigned lines, const FootprintConfig &cfg)
     sim::MachineConfig mcfg = cfg.machine;
     mcfg.topology = mem::Topology(1, 1, 1);
     mcfg.activeCpus = 1;
-    mcfg.tm.lruExtensionEnabled = cfg.lruExtension;
     mcfg.seed = cfg.seed;
     // One machine is reused across trials: transactional marks are
-    // reset at every TBEGIN and stale lines from earlier trials only
-    // age out via LRU, so each trial sees effectively fresh state.
+    // reset at every TBEGIN and each trial first flushes CPU 0's L1
+    // and L2, so no earlier trial's line holds a way of the classes
+    // the statistic measures.
     sim::Machine machine(mcfg);
 
     Rng rng(cfg.seed ^ 0xF00DULL);

@@ -16,10 +16,12 @@
 
 namespace ztx::workload {
 
-/** Configuration of the footprint Monte-Carlo. */
+/**
+ * Configuration of the footprint Monte-Carlo. The LRU-extension
+ * scheme is `machine.tm.lruExtensionEnabled`.
+ */
 struct FootprintConfig
 {
-    bool lruExtension = true;
     unsigned trials = 100;
     std::uint64_t seed = 1;
     sim::MachineConfig machine{};

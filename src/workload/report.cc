@@ -23,7 +23,7 @@ summarizeRun(const sim::Machine &machine, Cycles elapsed)
     for (unsigned i = 0; i < machine.numCpus(); ++i) {
         const core::Cpu &cpu = machine.cpu(i);
         region_sum += cpu.regionCycles().sum();
-        region_count += cpu.regionCycles().count();
+        region_count += cpu.regionCycles().total();
         const StatGroup &stats = cpu.stats();
         sum.txCommits += stats.value("tx.commits");
         sum.txAborts += stats.value("tx.aborts");

@@ -282,11 +282,12 @@ TEST(CpuBasic, RegionMeasurement)
     as.halt();
     const Program p = as.finish();
     auto m = runProgram(p);
-    EXPECT_EQ(m->cpu(0).regionCycles().count(), 2u);
-    EXPECT_GT(m->cpu(0).regionCycles().mean(), 0.0);
-    // Second region is an L1 hit: cheaper than the cold first one.
-    EXPECT_LT(m->cpu(0).regionCycles().min(),
-              m->cpu(0).regionCycles().max());
+    const Histogram &regions = m->cpu(0).regionCycles();
+    EXPECT_EQ(regions.total(), 2u);
+    EXPECT_GT(regions.sum(), 0.0);
+    // Second region is an L1 hit: cheaper than the cold first one,
+    // which misses all the way out (64-cycle buckets).
+    EXPECT_EQ(regions.bucketCount(0), 1u);
 }
 
 TEST(CpuBasic, InvalidOpcodeTerminates)

@@ -466,7 +466,7 @@ TEST(Inject, ConstrainedLadderEscalatesAndRecovers)
 }
 
 // ---------------------------------------------------------------
-// Capacity squeeze: scheduled fault shrinks effective ways.
+// Capacity squeeze: a scenario step shrinks effective ways.
 // ---------------------------------------------------------------
 
 namespace {
@@ -474,7 +474,7 @@ namespace {
 /**
  * A transaction reading four lines 128 KB apart: all in one L2 row
  * (512 rows x 256 B lines), comfortably within the full 8-way L2
- * but impossible in a single way. On abort CC != 0 branches out.
+ * but impossible in two ways. On abort CC != 0 branches out.
  */
 Program
 rowConflictProgram()
@@ -508,15 +508,15 @@ TEST(Inject, CapacitySqueezeForcesCacheAborts)
         EXPECT_EQ(m.cpu(0).gr(7), 1u);
     }
 
-    // With L1/L2 squeezed to one way the four-line read set cannot
-    // be kept: the LRU eviction XIs the tx line and aborts with a
-    // cache-related reason.
+    // With L1 squeezed to one way and L2 to two, the four-line read
+    // set cannot be kept: the LRU eviction XIs the tx line and aborts
+    // with a cache-related reason.
     sim::MachineConfig cfg = smallConfig(1);
-    cfg.faults.schedule.push_back(
-        {.at = 0, .kind = inject::FaultKind::CapacitySqueeze,
+    cfg.faults.scenario.push_back(
+        {.trigger = inject::TriggerKind::AtCycle,
+         .at = 0,
+         .kind = inject::FaultKind::CapacitySqueeze,
          .target = 0});
-    cfg.faults.squeezeL1Ways = 1;
-    cfg.faults.squeezeL2Ways = 1;
     cfg.faults.squeezeDuration = 100'000'000;
     sim::Machine m(cfg);
     const Program p = rowConflictProgram();

@@ -200,6 +200,20 @@ TEST(LincheckSet, MalformedOverlapOnOneCpuUnchecked)
     EXPECT_NE(v.reason.find("malformed"), std::string::npos);
 }
 
+TEST(LincheckSet, MalformedPendingBeforeLaterOpUnchecked)
+{
+    // A pending operation must be its CPU's last: one followed by a
+    // later operation on the same CPU lost its response.
+    const std::vector<LinOp> h = {
+        mkPending(0, 0, 0, LinOpCode::SetInsert, 1),
+        mk(0, 1, 10, 20, LinOpCode::SetInsert, 2, 1),
+    };
+    const LinVerdict v = inject::checkSetLinearizable(h, {});
+    EXPECT_FALSE(v.checked);
+    EXPECT_NE(v.reason.find("malformed"), std::string::npos);
+    EXPECT_NE(v.reason.find("last operation"), std::string::npos);
+}
+
 TEST(LincheckSet, BackwardsWindowUnchecked)
 {
     const std::vector<LinOp> h = {

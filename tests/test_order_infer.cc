@@ -248,6 +248,22 @@ TEST(OrderInferFallback, PendingOperationRoutesToDfs)
     EXPECT_EQ(r.verdict.numPending, 1u);
 }
 
+TEST(OrderInferFallback, MalformedOverlapRoutesToDfs)
+{
+    // Two operations in flight on one CPU: the shared history
+    // validator rejects it before any version chain is built, and
+    // the DFS refuses it the same way.
+    const std::vector<LinOp> h = {
+        mk(0, 0, 0, 50, LinOpCode::SetInsert, 1, 1, {wr(objA, 1)}),
+        mk(0, 1, 10, 60, LinOpCode::SetInsert, 2, 1, {wr(objB, 1)}),
+    };
+    const OrderInferReport r = inject::inferSetLinearizable(h, {});
+    EXPECT_FALSE(r.inferred);
+    EXPECT_NE(r.fallbackReason.find("malformed"), std::string::npos);
+    EXPECT_FALSE(r.verdict.checked);
+    EXPECT_NE(r.verdict.reason.find("malformed"), std::string::npos);
+}
+
 TEST(OrderInferFallback, MissingVersionBatchRoutesToDfs)
 {
     const std::vector<LinOp> h = {

@@ -1,4 +1,4 @@
-/** @file Unit tests for counters, distributions, and histograms. */
+/** @file Unit tests for counters and histograms. */
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 namespace {
 
 using ztx::Counter;
-using ztx::Distribution;
 using ztx::Histogram;
 using ztx::Json;
 using ztx::StatGroup;
@@ -24,36 +23,6 @@ TEST(Counter, StartsAtZeroAndIncrements)
     EXPECT_EQ(c.value(), 6u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Distribution, MeanMinMax)
-{
-    Distribution d;
-    d.sample(2.0);
-    d.sample(4.0);
-    d.sample(9.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 9.0);
-    EXPECT_EQ(d.count(), 3u);
-}
-
-TEST(Distribution, EmptyIsZero)
-{
-    Distribution d;
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.min(), 0.0);
-    EXPECT_DOUBLE_EQ(d.max(), 0.0);
-}
-
-TEST(Distribution, ResetForgets)
-{
-    Distribution d;
-    d.sample(100.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    d.sample(1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 1.0);
 }
 
 TEST(Histogram, BucketsAndOverflow)
@@ -71,6 +40,19 @@ TEST(Histogram, BucketsAndOverflow)
     EXPECT_EQ(h.bucketCount(3), 1u);
     EXPECT_EQ(h.bucketCount(4), 2u);
     EXPECT_EQ(h.total(), 6u);
+    EXPECT_DOUBLE_EQ(h.sum(), 0.0 + 9.9 + 10.0 + 35.0 + 40.0 + 999.0);
+}
+
+TEST(Histogram, ResetForgets)
+{
+    Histogram h(2, 1.0);
+    h.sample(100.0);
+    h.reset();
+    EXPECT_EQ(h.total(), 0u);
+    EXPECT_DOUBLE_EQ(h.sum(), 0.0);
+    h.sample(-1.0); // summed as given, counted in bucket 0
+    EXPECT_EQ(h.bucketCount(0), 1u);
+    EXPECT_DOUBLE_EQ(h.sum(), -1.0);
 }
 
 TEST(Histogram, NegativeClampsToFirstBucket)

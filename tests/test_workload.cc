@@ -282,7 +282,7 @@ TEST(Footprint, ExtensionMovesTheWall)
     FootprintConfig with;
     with.trials = 40;
     FootprintConfig without = with;
-    without.lruExtension = false;
+    without.machine.tm.lruExtensionEnabled = false;
     // At 300 lines the L1-limited machine aborts nearly always; the
     // L2-limited (extension) machine nearly never.
     const double r_without = measureFootprintAbortRate(300, without);
