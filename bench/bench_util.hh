@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "isa/assembler.hh"
 #include "point_runner.hh"
 #include "sim/machine.hh"
 #include "workload/update_bench.hh"
@@ -81,6 +82,41 @@ benchMachine()
     cfg.geometry.l3 = {8ULL << 20, 12};
     cfg.geometry.l4 = {32ULL << 20, 24};
     return cfg;
+}
+
+/**
+ * Per-CPU private-region transactions: CPU i commits @p iterations
+ * transactions of 4 read-modify-writes against its own lines at
+ * 0x400000 + i * 0x10000. No two CPUs touch a line, so a run
+ * measures the simulator's per-step cost.
+ */
+inline std::vector<isa::Program>
+privateTxPrograms(unsigned cpus, unsigned iterations)
+{
+    std::vector<isa::Program> programs;
+    programs.reserve(cpus);
+    for (unsigned c = 0; c < cpus; ++c) {
+        isa::Assembler as;
+        as.la(9, 0, std::int64_t(0x40'0000 + std::uint64_t(c) * 0x1'0000));
+        as.lhi(8, std::int64_t(iterations));
+        as.label("loop");
+        as.tbegin(0xFF);
+        as.jnz("skip"); // private lines: aborts are incidental
+        for (int i = 0; i < 4; ++i) {
+            as.lg(1, 9, std::int64_t(i * 256));
+            as.ahi(1, 1);
+            as.lr(2, 9);
+            if (i != 0)
+                as.ahi(2, std::int64_t(i * 256));
+            as.stg(1, 2);
+        }
+        as.tend();
+        as.label("skip");
+        as.brct(8, "loop");
+        as.halt();
+        programs.push_back(as.finish());
+    }
+    return programs;
 }
 
 /**

@@ -3,9 +3,11 @@
  * google-benchmark micro-benchmarks of the simulator's hot
  * components (host-side costs): cache-array operations, the
  * coherence directory, the gathering store cache, the PRNG, machine
- * construction, and a whole simulated transaction round trip.
+ * construction, a whole simulated transaction round trip, and the
+ * scheduler's per-step cost on full-topology machines.
  */
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -152,6 +154,44 @@ BM_SimulatedTransactionRoundTrip(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimulatedTransactionRoundTrip);
+
+/**
+ * The scheduler at scale: host ns per simulated step of bench/scale's
+ * private-region machine (zEC12-144, or the 1024-CPU stretch point),
+ * each iteration a run of every CPU's transactions to their halt.
+ */
+void
+BM_RunPrivateRegion(benchmark::State &state)
+{
+    sim::MachineConfig cfg = bench::benchMachine();
+    cfg.topology = state.range(0) == 144 ? mem::Topology(6, 6, 4)
+                                         : mem::Topology(32, 8, 4);
+    sim::Machine machine(cfg);
+    const std::vector<isa::Program> programs =
+        bench::privateTxPrograms(machine.numCpus(), 4);
+    const Counter &steps = machine.stats().counter("scheduler.steps");
+    double seconds = 0.0;
+    std::uint64_t stepped = 0;
+    for (auto _ : state) {
+        for (unsigned i = 0; i < machine.numCpus(); ++i)
+            machine.setProgram(i, &programs[i]);
+        const std::uint64_t before = steps.value();
+        const auto t0 = std::chrono::steady_clock::now();
+        machine.run();
+        const auto t1 = std::chrono::steady_clock::now();
+        const double s = std::chrono::duration<double>(t1 - t0).count();
+        state.SetIterationTime(s);
+        seconds += s;
+        stepped += steps.value() - before;
+    }
+    state.counters["ns_per_step"] =
+        stepped ? seconds * 1e9 / double(stepped) : 0.0;
+}
+BENCHMARK(BM_RunPrivateRegion)
+    ->Arg(144)
+    ->Arg(1024)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -21,42 +21,11 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "isa/assembler.hh"
 #include "json_report.hh"
 
 namespace {
 
 using namespace ztx;
-
-/**
- * Per-CPU private-region transactions: each CPU commits
- * @p iterations transactions of 4 read-modify-writes against its
- * own lines — no conflicts, so the run measures the per-step cost
- * of the simulator.
- */
-isa::Program
-privateTxProgram(Addr base, unsigned iterations)
-{
-    isa::Assembler as;
-    as.la(9, 0, std::int64_t(base));
-    as.lhi(8, std::int64_t(iterations));
-    as.label("loop");
-    as.tbegin(0xFF);
-    as.jnz("skip"); // private lines: aborts are incidental
-    for (int i = 0; i < 4; ++i) {
-        as.lg(1, 9, std::int64_t(i * 256));
-        as.ahi(1, 1);
-        as.lr(2, 9);
-        if (i != 0)
-            as.ahi(2, std::int64_t(i * 256));
-        as.stg(1, 2);
-    }
-    as.tend();
-    as.label("skip");
-    as.brct(8, "loop");
-    as.halt();
-    return as.finish();
-}
 
 struct RunResult
 {
@@ -76,11 +45,8 @@ runOnce(const mem::Topology &topo, unsigned iterations)
     cfg.seed = 17;
     sim::Machine m(cfg);
 
-    std::vector<isa::Program> programs;
-    programs.reserve(m.numCpus());
-    for (unsigned i = 0; i < m.numCpus(); ++i)
-        programs.push_back(privateTxProgram(
-            Addr(0x40'0000) + Addr(i) * 0x1'0000, iterations));
+    const std::vector<isa::Program> programs =
+        bench::privateTxPrograms(m.numCpus(), iterations);
     for (unsigned i = 0; i < m.numCpus(); ++i)
         m.setProgram(i, &programs[i]);
 

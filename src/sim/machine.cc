@@ -40,7 +40,7 @@ Machine::Machine(const MachineConfig &config)
     : cfg_(config),
       hierarchy_(config.topology, config.latency, config.geometry,
                  cachedCpus(config)),
-      os_(pageTable_)
+      os_(pageTable_), ready_(checkedActiveCpus(config))
 {
     const unsigned n = checkedActiveCpus(cfg_);
     cpus_.reserve(n);
@@ -81,7 +81,7 @@ void
 Machine::setProgram(CpuId id, const isa::Program *program)
 {
     cpu(id).setProgram(program);
-    readyAt_.at(id) = now_;
+    setReady(id, now_);
 }
 
 void
@@ -183,7 +183,7 @@ Machine::stepCpu(CpuId id)
     cost += cpus_[id]->consumePendingStall();
     // Zero-cost steps model superscalar grouping; the CPU's dispatch
     // credit bounds how many occur per cycle.
-    readyAt_[id] = now_ + cost;
+    setReady(id, now_ + cost);
 }
 
 Cycles
@@ -194,10 +194,10 @@ Machine::runHeap(Cycles max_cycles)
     const Cycles end_cycle =
         bounded ? start + max_cycles : ~Cycles(0);
 
-    ReadyHeap heap;
-    for (unsigned i = 0; i < numCpus(); ++i)
-        if (!cpus_[i]->halted())
-            heap.push({readyAt_[i], i});
+    // A CPU stepped directly (Cpu::step, outside run()) may have
+    // halted since its key was set.
+    for (CpuId i = 0; i < numCpus(); ++i)
+        setReady(i, readyAt_[i]);
     spinOn_ = spinAllowed();
     if (spinOn_)
         spinReset();
@@ -208,27 +208,9 @@ Machine::runHeap(Cycles max_cycles)
         lastProgressSum_ = progressSum();
     }
 
-    // The CPU just stepped is held out of the heap. Each pick takes
-    // the minimum of the heap top and the held entry, i.e. the
-    // minimum of the same set the heap alone would hold, so the step
-    // order is unchanged; a CPU that is still the minimum (zero-cost
-    // steps, a leader) runs again without a push/pop pair.
-    ReadyEntry held;
-    bool holding = false;
-    while (holding || !heap.empty()) {
-        ReadyEntry pick;
-        if (holding && (heap.empty() || !(heap.top() < held))) {
-            pick = held;
-        } else {
-            if (holding)
-                heap.push(held);
-            pick = heap.top();
-            heap.pop();
-        }
-        holding = false;
-        const auto [t, id] = pick;
-        if (t != readyAt_[id] || cpus_[id]->halted())
-            continue; // stale entry
+    while (!ready_.empty()) {
+        const CpuId id = ready_.minId();
+        const Cycles t = ready_.minTime();
 
         // Solo mode: park everyone but the solo CPU. A halted
         // holder releases automatically (safety).
@@ -238,23 +220,21 @@ Machine::runHeap(Cycles max_cycles)
             } else {
                 // Small per-CPU jitter disperses the wake-up herd
                 // when the holder releases.
-                readyAt_[id] = std::max(readyAt_[soloCpu_], t) + 1 +
-                               (id & 7);
-                heap.push({readyAt_[id], id});
+                setReady(id, std::max(readyAt_[soloCpu_], t) + 1 +
+                                 (id & 7));
                 continue;
             }
         }
 
         now_ = std::max(now_, t);
         if (now_ >= end_cycle) {
-            heap.push({readyAt_[id], id});
             now_ = end_cycle;
             break;
         }
 
         const bool watched = spinOn_ && spinActive_[id];
         if (watched) {
-            // A replaying CPU's live entry is its wake step.
+            // A replaying CPU's key is its wake step.
             if (spin_[id].replaying) {
                 spinAdvance(id, spin_[id].wake);
                 spinLeave(id);
@@ -265,18 +245,12 @@ Machine::runHeap(Cycles max_cycles)
         const Addr ia0 = cpus_[id]->psw().ia;
         stepping_ = id;
         stepCpu(id);
-        bool replaying = false;
         if (spinOn_) {
             if (!spinWoken_.empty())
-                spinSettle(heap);
-            replaying = (spinActive_[id] ||
-                         cpus_[id]->psw().ia <= ia0) &&
-                        !cpus_[id]->halted() &&
-                        spinAfterStep(id, ia0, heap);
-        }
-        if (!cpus_[id]->halted() && !replaying) {
-            held = {readyAt_[id], id};
-            holding = true;
+                spinSettle();
+            if ((spinActive_[id] || cpus_[id]->psw().ia <= ia0) &&
+                !cpus_[id]->halted())
+                spinAfterStep(id, ia0);
         }
 
         if (cfg_.watchdogCycles != 0) {

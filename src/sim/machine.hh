@@ -24,7 +24,6 @@
 #include <deque>
 #include <memory>
 #include <ostream>
-#include <queue>
 #include <vector>
 
 #include "common/json.hh"
@@ -42,6 +41,7 @@
 #include "mem/latency_model.hh"
 #include "mem/main_memory.hh"
 #include "mem/topology.hh"
+#include "sim/ready_tree.hh"
 #include "sim/spin_profile.hh"
 
 namespace ztx::inject {
@@ -228,7 +228,13 @@ class Machine : public core::CpuEnv
     std::vector<std::unique_ptr<core::Cpu>> cpus_;
 
     Cycles now_ = 0;
+    /** Per CPU, its next step's cycle; written only by setReady(). */
     std::vector<Cycles> readyAt_;
+    /**
+     * runHeap's ready set: every runnable CPU's leaf is its
+     * readyAt_; a halted CPU's is absent.
+     */
+    ReadyTree ready_;
     std::vector<Cycles> nextInterrupt_;
     StatGroup stats_{"machine"};
     /** @name Hot-path counters, resolved once @{ */
@@ -251,12 +257,17 @@ class Machine : public core::CpuEnv
 
     void fireWatchdog();
 
-    using ReadyEntry = std::pair<Cycles, CpuId>;
-    using ReadyHeap =
-        std::priority_queue<ReadyEntry, std::vector<ReadyEntry>,
-                            std::greater<ReadyEntry>>;
+    /**
+     * CPU @p id's next step runs at cycle @p t (ReadyTree::never:
+     * not by itself); a halted CPU leaves the ready set.
+     */
+    void setReady(CpuId id, Cycles t)
+    {
+        readyAt_[id] = t;
+        ready_.set(id, cpus_[id]->halted() ? ReadyTree::never : t);
+    }
 
-    /** The exact heap scheduler: smallest ready time first. */
+    /** The exact scheduler: smallest ready time first. */
     Cycles runHeap(Cycles max_cycles);
 
     /** Enumeration-mode stepping (cfg_.steer != nullptr). */
@@ -272,9 +283,9 @@ class Machine : public core::CpuEnv
 
     /**
      * @name Spin replay (spin_replay.cc; DESIGN.md §5b)
-     * A CPU that runs a recorded fixed-point iteration leaves the
-     * heap and its steps are replayed arithmetically; its heap entry,
-     * if any, sits at its wake step.
+     * A CPU that runs a recorded fixed-point iteration is not
+     * stepped: its steps are replayed arithmetically, and its ready
+     * key sits at its wake step (absent if it never wakes).
      * @{
      */
     /** Per-CPU spin detection, profile and replay cursor. */
@@ -322,13 +333,11 @@ class Machine : public core::CpuEnv
     /**
      * Detection, recording and re-entry after CPU @p id stepped
      * from @p ia0 (runHeap calls it only for an active CPU or a
-     * backward branch). @return True if the CPU left the heap to
-     * replay.
+     * backward branch).
      */
-    bool spinAfterStep(CpuId id, Addr ia0, ReadyHeap &heap);
+    void spinAfterStep(CpuId id, Addr ia0);
     /** Start replaying CPU @p id at step @p next; see SpinTrack. */
-    bool spinEnter(CpuId id, std::uint64_t next, std::int64_t origin,
-                   ReadyHeap &heap);
+    void spinEnter(CpuId id, std::uint64_t next, std::int64_t origin);
     /**
      * First step from the cursor that must run for real: a load of a
      * line no longer in the L1, or a step at or after the CPU's next
@@ -350,8 +359,8 @@ class Machine : public core::CpuEnv
     void spinLeave(CpuId id);
     /** Solo acquisition: every replaying CPU goes back to stepping. */
     void spinWakeAll();
-    /** Give the CPUs woken during the last step their heap entries. */
-    void spinSettle(ReadyHeap &heap);
+    /** Give the CPUs woken during the last step their ready keys. */
+    void spinSettle();
     /** End of run: catch every replaying CPU up to @p end_cycle. */
     void spinFinish(bool bounded, Cycles end_cycle);
 

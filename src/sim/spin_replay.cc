@@ -16,8 +16,8 @@ namespace ztx::sim {
 
 namespace {
 
-/** Ready time of a replaying CPU with no wake step: never popped. */
-constexpr Cycles noWakeAt = ~Cycles(0);
+/** Ready time of a replaying CPU with no wake step: never picked. */
+constexpr Cycles noWakeAt = ReadyTree::never;
 
 } // namespace
 
@@ -69,8 +69,8 @@ Machine::spinRecordStep(CpuId id)
     }
 }
 
-bool
-Machine::spinAfterStep(CpuId id, Addr ia0, ReadyHeap &heap)
+void
+Machine::spinAfterStep(CpuId id, Addr ia0)
 {
     SpinTrack &tr = spin_[id];
     const core::Cpu &cpu = *cpus_[id];
@@ -80,17 +80,18 @@ Machine::spinAfterStep(CpuId id, Addr ia0, ReadyHeap &heap)
         tr.pending.setLastCost(readyAt_[id] - now_);
         if (ia != tr.pending.loopPc() ||
             !(cpu.spinState() == tr.pending.step(0).before))
-            return false;
+            return;
         // Back in the state the recording started from: the profile
         // is one period of the loop (one iteration, or a few while
         // the dispatch credit cycles).
         tr.recording = false;
         if (cpu.spinQuiet() && tr.pending.seal()) {
             std::swap(tr.profile, tr.pending);
-            return spinEnter(id, 0, std::int64_t(readyAt_[id]), heap);
+            spinEnter(id, 0, std::int64_t(readyAt_[id]));
+            return;
         }
         spinActive_[id] = tr.profile.size() != 0;
-        return false;
+        return;
     }
 
     // Re-entry: back in a profiled state, e.g. after the real load
@@ -99,15 +100,14 @@ Machine::spinAfterStep(CpuId id, Addr ia0, ReadyHeap &heap)
         const std::size_t at = tr.profile.indexOf(cpu.spinState());
         if (at != SpinProfile::npos) {
             const Cycles offset = tr.profile.timeOf(0, at);
-            return spinEnter(
-                id, at, std::int64_t(readyAt_[id]) - std::int64_t(offset),
-                heap);
+            spinEnter(id, at,
+                      std::int64_t(readyAt_[id]) - std::int64_t(offset));
+            return;
         }
     }
 
     if (ia <= ia0 && cpu.spinQuiet() && cpu.isBranchAt(ia0))
         spinArrive(id, ia);
-    return false;
 }
 
 void
@@ -134,13 +134,12 @@ Machine::spinArrive(CpuId id, Addr ia)
     ++tr.arrivals;
 }
 
-bool
-Machine::spinEnter(CpuId id, std::uint64_t next, std::int64_t origin,
-                   ReadyHeap &heap)
+void
+Machine::spinEnter(CpuId id, std::uint64_t next, std::int64_t origin)
 {
     // Solo parking rewrites ready times, so nobody replays under it.
     if (soloCpu_ != invalidCpu)
-        return false;
+        return;
     SpinTrack &tr = spin_[id];
     // The loads read the memory image: each line must be L1-resident
     // with no store-cache entry of the CPU's own over it.
@@ -148,21 +147,16 @@ Machine::spinEnter(CpuId id, std::uint64_t next, std::int64_t origin,
     for (const Addr line : tr.profile.lines())
         if (!hierarchy_.inL1(id, line) ||
             cpu.storeCache().hasAnyLine(line))
-            return false;
+            return;
     tr.next = next;
     tr.origin = origin;
     tr.wake = spinInterruptStep(id);
     if (tr.wake == next)
-        return false;
+        return;
     tr.replaying = true;
     ++spinReplaying_;
-    if (tr.wake == noWake) {
-        readyAt_[id] = noWakeAt;
-    } else {
-        readyAt_[id] = tr.profile.timeOf(origin, tr.wake);
-        heap.push({readyAt_[id], id});
-    }
-    return true;
+    setReady(id, tr.wake == noWake ? noWakeAt
+                                   : tr.profile.timeOf(origin, tr.wake));
 }
 
 std::uint64_t
@@ -234,7 +228,7 @@ Machine::spinLeave(CpuId id)
     tr.replaying = false;
     --spinReplaying_;
     cpus_[id]->restoreSpinState(tr.profile.step(tr.next).before);
-    readyAt_[id] = tr.profile.timeOf(tr.origin, tr.next);
+    setReady(id, tr.profile.timeOf(tr.origin, tr.next));
 }
 
 void
@@ -270,27 +264,22 @@ Machine::spinWakeAll()
 }
 
 void
-Machine::spinSettle(ReadyHeap &heap)
+Machine::spinSettle()
 {
     for (const CpuId c : spinWoken_) {
         SpinTrack &tr = spin_[c];
         tr.woken = false;
-        if (!tr.replaying) {
-            heap.push({readyAt_[c], c});
+        // A CPU that left replay already holds its key (spinLeave).
+        if (!tr.replaying)
             continue;
-        }
         // The XI has taken its line by now: wake at the next load of
         // a line the CPU no longer holds.
         const std::uint64_t wake = spinWakeStep(c);
         if (wake == tr.wake)
             continue;
         tr.wake = wake;
-        if (wake == noWake) {
-            readyAt_[c] = noWakeAt;
-        } else {
-            readyAt_[c] = tr.profile.timeOf(tr.origin, wake);
-            heap.push({readyAt_[c], c});
-        }
+        setReady(c, wake == noWake ? noWakeAt
+                                   : tr.profile.timeOf(tr.origin, wake));
     }
     spinWoken_.clear();
 }
@@ -301,7 +290,7 @@ Machine::spinFinish(bool bounded, Cycles end_cycle)
     if (spinReplaying_ == 0)
         return;
     if (!bounded) {
-        // The heap ran dry with CPUs left that can only spin: without
+        // No CPU is ready, with CPUs left that can only spin: without
         // replay this run would never return.
         std::ostringstream who;
         for (CpuId c = 0; c < numCpus(); ++c)

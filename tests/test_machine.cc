@@ -44,6 +44,21 @@ TEST(Machine, RunsToCompletion)
     EXPECT_EQ(m.cpu(1).gr(5), 100u);
 }
 
+TEST(Machine, CpuHaltedOutsideRunIsNotStepped)
+{
+    // A CPU stepped to its halt through Cpu::step, not run(), must
+    // not be scheduled again: every scheduler step is CPU 1's.
+    const Program p = counterProgram(3);
+    sim::Machine m(smallConfig(2));
+    m.setProgramAll(&p);
+    while (!m.cpu(0).halted())
+        m.cpu(0).step();
+    m.run();
+    EXPECT_TRUE(m.allHalted());
+    EXPECT_EQ(m.stats().counter("scheduler.steps").value(),
+              m.cpu(1).stats().value("instructions"));
+}
+
 TEST(Machine, BoundedRunStops)
 {
     Assembler as;
