@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/json.hh"
 #include "common/log.hh"
@@ -34,6 +35,7 @@ void
 Cpu::setProgram(const isa::Program *program)
 {
     program_ = program;
+    nextSlot_ = nullptr;
     psw_ = isa::Psw{};
     psw_.ia = program->entry();
     halted_ = false;
@@ -93,11 +95,29 @@ Cpu::consumePendingStall()
     return stall;
 }
 
+const std::uint8_t *
+Cpu::lineData(Addr line) const
+{
+    LineRef &ref = lineRefs_[(line >> lineSizeLog2) % lineRefs_.size()];
+    if (ref.line != line) {
+        const std::uint8_t *data = memory_.lineData(line);
+        if (!data)
+            return nullptr;
+        ref = {line, data};
+    }
+    return ref.data;
+}
+
 std::uint64_t
 Cpu::readMerged(Addr addr, unsigned size) const
 {
     std::uint8_t buf[8] = {};
-    memory_.readBlock(addr, buf, size);
+    if (lineOffset(addr) + size <= lineSizeBytes) {
+        if (const std::uint8_t *data = lineData(lineAlign(addr)))
+            std::memcpy(buf, data + lineOffset(addr), size);
+    } else {
+        memory_.readBlock(addr, buf, size);
+    }
     storeCache_.overlay(addr, size, buf);
     std::uint64_t value = 0;
     for (unsigned i = 0; i < size; ++i)
@@ -125,6 +145,7 @@ Cpu::accessLines(Addr addr, unsigned size, bool exclusive,
     const Addr last = lineAlign(addr + size - 1);
     for (Addr line = first; line <= last; line += lineSizeBytes) {
         const mem::AccessResult res = hier_.fetch(id_, line, exclusive);
+        accessSlots_[line == first ? 0 : 1] = res.l1Slot;
         // Pipelining hides most of an L1 hit's use latency.
         cost += (!res.rejected && res.source == mem::DataSource::L1)
                     ? cfg_.l1HitCharge
@@ -142,7 +163,7 @@ Cpu::accessLines(Addr addr, unsigned size, bool exclusive,
         if (hier_.anyPoisoned() && hier_.poisonedCached(line))
             return handlePoisonedAccess(line, cost);
         if (inTx())
-            hier_.markTxRead(id_, line);
+            hier_.markTxRead(id_, line, res.l1Slot);
     }
 
     // Speculative over-marking (§III.C): a wrong-path/prefetch load
@@ -154,7 +175,7 @@ Cpu::accessLines(Addr addr, unsigned size, bool exclusive,
         const Addr spec_line = lineAlign(addr) + lineSizeBytes;
         const mem::AccessResult res = hier_.fetch(id_, spec_line, false);
         if (!res.rejected && !abortedDuringStep_ && inTx()) {
-            hier_.markTxRead(id_, spec_line);
+            hier_.markTxRead(id_, spec_line, res.l1Slot);
             txOvermarks_.inc();
         }
         if (abortedDuringStep_)
@@ -203,7 +224,8 @@ Cpu::storeData(Addr addr, std::uint64_t value, unsigned size,
         const Addr first = lineAlign(addr);
         const Addr last = lineAlign(addr + size - 1);
         for (Addr line = first; line <= last; line += lineSizeBytes)
-            hier_.markTxDirty(id_, line);
+            hier_.markTxDirty(id_, line,
+                              accessSlots_[line == first ? 0 : 1]);
     }
     return true;
 }
@@ -1019,12 +1041,16 @@ Cpu::step()
     abortedDuringStep_ = false;
     Cycles cost = 0;
 
-    const isa::Program::Slot *slot = program_->fetch(psw_.ia);
+    const isa::Program::Slot *slot =
+        nextSlot_ && nextSlot_->addr == psw_.ia
+            ? nextSlot_
+            : program_->fetch(psw_.ia);
     if (!slot) {
         programException(tx::InterruptCode::Operation, psw_.ia, true,
                          cost);
         return std::max<Cycles>(cost, 1);
     }
+    nextSlot_ = program_->next(slot);
 
     // Instruction-fetch page fault: never filtered (§II.C).
     if (pages_.faults(slot->addr)) {

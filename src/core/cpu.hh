@@ -312,6 +312,12 @@ class Cpu : public mem::CacheClient
     std::uint64_t readMerged(Addr addr, unsigned size) const;
 
     /**
+     * MainMemory's storage of @p line through lineRefs_, or nullptr
+     * while the line was never written (it reads as zero).
+     */
+    const std::uint8_t *lineData(Addr line) const;
+
+    /**
      * Access half of every data access: page fault, constrained-TX
      * operand check, then accessLines().
      * @return false if the step cannot complete.
@@ -393,11 +399,38 @@ class Cpu : public mem::CacheClient
     Rng rng_;
 
     const isa::Program *program_ = nullptr;
+    /**
+     * The slot after the one step() last fetched; step() runs it
+     * without Program::fetch when psw_.ia is its address (every step
+     * but a taken branch, interruption or abort). setProgram()
+     * clears it.
+     */
+    const isa::Program::Slot *nextSlot_ = nullptr;
     isa::RegisterFile regs_;
     isa::Psw psw_;
     bool halted_ = false;
 
     GatheringStoreCache storeCache_;
+
+    /**
+     * Direct-mapped by line number: MainMemory line storage this CPU
+     * has loaded from. A line's storage never moves or is freed, so
+     * an entry stays valid and sees every later write; an unwritten
+     * line is not entered.
+     */
+    struct LineRef
+    {
+        Addr line = ~Addr(0);
+        const std::uint8_t *data = nullptr;
+    };
+    mutable std::array<LineRef, 16> lineRefs_{};
+
+    /**
+     * L1 slots of the lines the last accessLines() fetched, first
+     * line first (a data access spans at most two lines); storeData()
+     * marks tx-dirty through them.
+     */
+    std::array<std::size_t, 2> accessSlots_{};
 
     /** @name Transaction state @{ */
     struct TxLevel

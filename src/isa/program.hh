@@ -43,6 +43,18 @@ class Program
      */
     const Slot *fetch(Addr addr) const;
 
+    /**
+     * The slot after @p slot (one of this program's) in address
+     * order, or nullptr after the last. Valid while the program
+     * lives unchanged.
+     */
+    const Slot *
+    next(const Slot *slot) const
+    {
+        return slot + 1 != slots_.data() + slots_.size() ? slot + 1
+                                                         : nullptr;
+    }
+
     /** Address of the first instruction. */
     Addr entry() const;
 

@@ -58,14 +58,36 @@ CacheArray::flagsOf(Addr line) const
 }
 
 void
+CacheArray::orFlags(std::size_t i, std::uint8_t bits)
+{
+    if (flags_[i] == 0 && bits != 0)
+        ++flagged_;
+    flags_[i] |= bits;
+}
+
+void
 CacheArray::setFlags(Addr line, std::uint8_t bits)
 {
     const std::size_t i = findIdx(line);
     if (i == npos)
         ztx_panic("setFlags on absent line in ", name_);
-    if (flags_[i] == 0 && bits != 0)
-        ++flagged_;
-    flags_[i] |= bits;
+    orFlags(i, bits);
+}
+
+void
+CacheArray::setFlagsAt(std::size_t idx, Addr line, std::uint8_t bits)
+{
+    // The slot holds the line while it is a valid way of the line's
+    // row tagged with the line. The row test comes first: a pool slot
+    // never written holds tag 0, which matches line 0.
+    const RowHead &head = heads_[row(line)];
+    const std::size_t way = idx - base(head);
+    if (head.end != 0 && way < assoc_ && (head.valid >> way & 1) != 0 &&
+        tags_[idx] == line) {
+        orFlags(idx, bits);
+        return;
+    }
+    setFlags(line, bits);
 }
 
 void
@@ -201,6 +223,7 @@ CacheArray::insertAt(const Probe &p, Addr line, std::uint8_t flags)
     head.valid |= bit;
     if (flags != 0)
         ++flagged_;
+    victim.slot = i;
     return victim;
 }
 

@@ -69,7 +69,12 @@ class CacheArray
         bool valid = false;
         Addr line = 0;
         std::uint8_t flags = 0;
+        /** Pool slot the inserted line now occupies. */
+        std::size_t slot = 0;
     };
+
+    /** No slot: an absent line, or Probe::slot of a row without any. */
+    static constexpr std::size_t npos = ~std::size_t(0);
 
     /**
      * Result of one fused probe (probeForInsert): presence, the
@@ -107,6 +112,14 @@ class CacheArray
 
     /** OR @p bits into the flags of @p line; line must be present. */
     void setFlags(Addr line, std::uint8_t bits);
+
+    /**
+     * setFlags() through a slot the caller kept (an L1 hit's or
+     * fill's Probe::idx / Victim::slot): OR @p bits into slot @p idx
+     * when it still holds @p line, else probe for it like
+     * setFlags() (the slot went stale, or @p idx is npos).
+     */
+    void setFlagsAt(std::size_t idx, Addr line, std::uint8_t bits);
 
     /** Clear @p bits from the flags of @p line if present. */
     void clearFlags(Addr line, std::uint8_t bits);
@@ -269,8 +282,8 @@ class CacheArray
     /** Entry slot of @p line, or npos when absent. */
     std::size_t findIdx(Addr line) const;
 
-    /** No slot: an absent line, or Probe::slot of a row without any. */
-    static constexpr std::size_t npos = ~std::size_t(0);
+    /** OR @p bits into the flags of valid slot @p i. */
+    void orFlags(std::size_t i, std::uint8_t bits);
 
     std::uint64_t rows_;
     unsigned assoc_;

@@ -98,14 +98,14 @@ Hierarchy::client(CpuId cpu) const
 }
 
 AccessResult
-Hierarchy::localHit(CpuId cpu, Addr line)
+Hierarchy::localHit(CpuId cpu, Addr line, const CacheArray::Probe &p1)
 {
     AccessResult res;
-    const auto p1 = l1_[cpu].probeForInsert(line);
     if (p1.hit) {
         l1_[cpu].touchAt(p1);
         res.source = DataSource::L1;
         res.latency = lat_.l1Hit;
+        res.l1Slot = p1.idx;
         l1Hit_.inc();
         return res;
     }
@@ -114,7 +114,7 @@ Hierarchy::localHit(CpuId cpu, Addr line)
     if (!p2.hit)
         ztx_panic("directory says cpu ", cpu, " holds line but L2 miss");
     l2_[cpu].touchAt(p2);
-    insertL1At(cpu, line, p1);
+    res.l1Slot = insertL1At(cpu, line, p1);
     res.source = DataSource::L2;
     res.latency = lat_.l2Hit;
     l2Hit_.inc();
@@ -218,11 +218,19 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive)
     if (lineOffset(line) != 0)
         ztx_panic("fetch of non-line-aligned address");
 
+    fetchTotal_.inc();
+    // A read's L1 probe comes first: on a hit it is the whole fetch.
+    CacheArray::Probe p1;
+    if (!exclusive) {
+        p1 = l1_[cpu].probeForInsert(line);
+        if (p1.hit)
+            return localHit(cpu, line, p1);
+    }
     const CoherenceDirectory::Slot slot = dir_.find(line);
     const CpuId owner = dir_.ownerAt(slot);
-    fetchTotal_.inc();
     if (dir_.holdsAt(slot, cpu) && (!exclusive || owner == cpu))
-        return localHit(cpu, line);
+        return localHit(cpu, line,
+                        exclusive ? l1_[cpu].probeForInsert(line) : p1);
 
     AccessResult res;
     res.source = findSource(cpu, line, slot);
@@ -268,7 +276,7 @@ Hierarchy::fetch(CpuId cpu, Addr line, bool exclusive)
     else
         dir_.addSharer(line, cpu);
 
-    installLocal(cpu, line);
+    res.l1Slot = installLocal(cpu, line);
     if (poisonActive_)
         propagatePoisonOnFill(line, other_holder, res.source);
     res.latency = std::max(lat_.fetch(res.source), xi_cost);
@@ -308,7 +316,7 @@ Hierarchy::propagatePoisonOnFill(Addr line, bool other_holder,
     }
 }
 
-void
+std::size_t
 Hierarchy::installLocal(CpuId cpu, Addr line)
 {
     const unsigned chip = topo_.chipOf(cpu);
@@ -342,19 +350,19 @@ Hierarchy::installLocal(CpuId cpu, Addr line)
             handleL2Evict(cpu, victim.line);
     }
     const auto p1 = l1_[cpu].probeForInsert(line);
-    if (p1.hit)
-        l1_[cpu].touchAt(p1);
-    else
-        insertL1At(cpu, line, p1);
+    if (!p1.hit)
+        return insertL1At(cpu, line, p1);
+    l1_[cpu].touchAt(p1);
+    return p1.idx;
 }
 
-void
+std::size_t
 Hierarchy::insertL1At(CpuId cpu, Addr line,
                       const CacheArray::Probe &probe)
 {
     const auto victim = l1_[cpu].insertAt(probe, line);
     if (!victim.valid)
-        return;
+        return victim.slot;
     // The displaced line stays L2-resident; only the transactional
     // read footprint needs bookkeeping (paper §III.C).
     if (victim.flags & line_flag::txRead) {
@@ -378,6 +386,7 @@ Hierarchy::insertL1At(CpuId cpu, Addr line,
     }
     client(cpu)->l1Evicted(victim.line, victim.flags);
     l1Evict_.inc();
+    return victim.slot;
 }
 
 void
@@ -428,15 +437,15 @@ Hierarchy::handleL4Evict(unsigned mcm, Addr victim)
 }
 
 void
-Hierarchy::markTxRead(CpuId cpu, Addr line)
+Hierarchy::markTxRead(CpuId cpu, Addr line, std::size_t l1_slot)
 {
-    l1_[cpu].setFlags(lineAlign(line), line_flag::txRead);
+    l1_[cpu].setFlagsAt(l1_slot, lineAlign(line), line_flag::txRead);
 }
 
 void
-Hierarchy::markTxDirty(CpuId cpu, Addr line)
+Hierarchy::markTxDirty(CpuId cpu, Addr line, std::size_t l1_slot)
 {
-    l1_[cpu].setFlags(lineAlign(line), line_flag::txDirty);
+    l1_[cpu].setFlagsAt(l1_slot, lineAlign(line), line_flag::txDirty);
 }
 
 void
@@ -657,7 +666,21 @@ Hierarchy::indexCheck() const
     for (const CacheArray &arr : l4_)
         if (std::string err = check(arr); !err.empty())
             return err;
-    return "";
+    // Inclusion as fetch() relies on it: an L1 read hit skips the
+    // directory.
+    std::string err;
+    for (CpuId cpu = 0; cpu < builtCpus() && err.empty(); ++cpu) {
+        l1_[cpu].forEachValid([&](const CacheArray::Entry &e) {
+            if (!err.empty())
+                return;
+            if (!l2_[cpu].contains(e.line))
+                err = l1_[cpu].name() + ": valid line not in the L2";
+            else if (!dir_.holds(cpu, e.line))
+                err = l1_[cpu].name() +
+                      ": valid line not held in the directory";
+        });
+    }
+    return err;
 }
 
 void

@@ -46,6 +46,13 @@ struct AccessResult
 
     /** Where the data came from (valid when !rejected). */
     DataSource source = DataSource::L1;
+
+    /**
+     * The requester's L1 pool slot now holding the line (valid when
+     * !rejected): the tx marks of this access go through it
+     * (Hierarchy::markTxRead/markTxDirty).
+     */
+    std::size_t l1Slot = CacheArray::npos;
 };
 
 /**
@@ -79,7 +86,10 @@ class Hierarchy
 
     /**
      * Bring @p line into @p cpu's L1 in shared (read) or exclusive
-     * (write) state, driving the full coherence protocol.
+     * (write) state, driving the full coherence protocol. A read
+     * that hits the L1 is answered from the L1 alone: L1 within L2
+     * within the directory's holders (indexCheck()) means the
+     * directory would find the line held.
      *
      * @param cpu Requesting CPU.
      * @param line Line-aligned address.
@@ -103,11 +113,17 @@ class Hierarchy
      * @name Transactional bit plane (paper §III.C)
      * @{
      */
-    /** Set the tx-read latch for @p line (must be L1-resident). */
-    void markTxRead(CpuId cpu, Addr line);
+    /**
+     * Set the tx-read latch for @p line (must be L1-resident).
+     * @param l1_slot The AccessResult::l1Slot of the fetch that
+     *        brought the line; a stale slot (or npos) costs a probe.
+     */
+    void markTxRead(CpuId cpu, Addr line,
+                    std::size_t l1_slot = CacheArray::npos);
 
-    /** Set the tx-dirty latch for @p line (must be L1-resident). */
-    void markTxDirty(CpuId cpu, Addr line);
+    /** Set the tx-dirty latch for @p line; as markTxRead(). */
+    void markTxDirty(CpuId cpu, Addr line,
+                     std::size_t l1_slot = CacheArray::npos);
 
     /** Clear tx latches and the LRU-extension vector (TBEGIN/end). */
     void clearTxMarks(CpuId cpu);
@@ -166,9 +182,11 @@ class Hierarchy
     /**
      * Verify every cache array's per-set metadata (valid masks,
      * tag-to-set mapping, flagged-entry counts) against a
-     * ground-truth walk. @return Empty string when consistent, else
-     * the first violation (chaos-oracle hook; soft-failing
-     * counterpart of checkInvariants()).
+     * ground-truth walk, and that every valid L1 line of each built
+     * CPU is in its L2 and held by it in the directory (fetch()
+     * answers L1 read hits on that rule). @return Empty string when
+     * consistent, else the first violation (chaos-oracle hook;
+     * soft-failing counterpart of checkInvariants()).
      */
     std::string indexCheck() const;
 
@@ -312,7 +330,12 @@ class Hierarchy
   private:
     /** Panic, naming @p what, unless @p cpu's caches were built. */
     void checkBuilt(CpuId cpu, const char *what) const;
-    AccessResult localHit(CpuId cpu, Addr line);
+    /**
+     * Fetch of a line @p cpu holds (with ownership, if asked);
+     * @p p1 is its L1 probe, taken before any state moved.
+     */
+    AccessResult localHit(CpuId cpu, Addr line,
+                          const CacheArray::Probe &p1);
     /** Topology::distance from the precomputed ranges (no division). */
     Distance distance(CpuId cpu, CpuId other) const;
     /**
@@ -330,13 +353,14 @@ class Hierarchy
                       CpuId requester);
     Cycles probeDelay(XiKind kind, CpuId target, CpuId requester);
     void removeFromCpu(CpuId cpu, Addr line);
-    void installLocal(CpuId cpu, Addr line);
+    /** Fill @p line into @p cpu's L1-L4; @return its L1 slot. */
+    std::size_t installLocal(CpuId cpu, Addr line);
     /**
      * Insert @p line into @p cpu's L1 at the slot a probeForInsert
-     * miss found, handling the displaced line.
+     * miss found, handling the displaced line. @return The slot.
      */
-    void insertL1At(CpuId cpu, Addr line,
-                    const CacheArray::Probe &probe);
+    std::size_t insertL1At(CpuId cpu, Addr line,
+                           const CacheArray::Probe &probe);
     void handleL2Evict(CpuId cpu, Addr victim);
     void handleL3Evict(unsigned chip, Addr victim);
     void handleL4Evict(unsigned mcm, Addr victim);

@@ -67,6 +67,19 @@ class MainMemory
     void writeMasked(Addr addr, const std::uint8_t *in, std::size_t len,
                      const std::uint64_t *mask);
 
+    /**
+     * The lineSizeBytes bytes of storage of @p line (line-aligned),
+     * or nullptr while the line was never written (it reads as
+     * zero). The storage never moves or is freed while the memory
+     * lives, so the pointer sees every later write.
+     */
+    const std::uint8_t *
+    lineData(Addr line) const
+    {
+        const Line *l = findLine(line);
+        return l ? l->data() : nullptr;
+    }
+
     /** Number of distinct lines ever written. */
     std::size_t linesAllocated() const;
 

@@ -65,6 +65,9 @@ class ReadyTree
             key = t << idBits_ | id;
         }
         std::size_t i = leaves_ + id;
+        // Every inner node is already the minimum of its children.
+        if (nodes_[i] == key)
+            return;
         nodes_[i] = key;
         for (; i > 1; i >>= 1) {
             key = std::min(key, nodes_[i ^ 1]);

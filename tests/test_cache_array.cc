@@ -170,6 +170,22 @@ TEST(CacheArray, FlaggedCountTracksEveryTransition)
     EXPECT_EQ(a.indexCheck(), "");
 }
 
+TEST(CacheArray, SetFlagsAtProbesForASlotOfAnotherRow)
+{
+    auto a = tinyArray();
+    // Row 1 takes pool slots 0 and 1 (slot 1 never written, tag 0);
+    // line 0 lands in row 0, at slot 2.
+    a.insert(lineInRow(1, 0));
+    a.insert(0);
+    a.setFlagsAt(1, 0, line_flag::txRead);
+    EXPECT_EQ(a.flagsOf(0), line_flag::txRead);
+    EXPECT_EQ(a.flagsOf(lineInRow(1, 0)), 0u);
+    a.setFlagsAt(CacheArray::npos, lineInRow(1, 0), line_flag::txDirty);
+    EXPECT_EQ(a.flagsOf(lineInRow(1, 0)), line_flag::txDirty);
+    EXPECT_EQ(a.flaggedCount(), 2u);
+    EXPECT_EQ(a.indexCheck(), "");
+}
+
 TEST(CacheArray, ClearFlagsAllShortCircuitStaysCorrect)
 {
     auto a = tinyArray();

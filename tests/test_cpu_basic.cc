@@ -365,4 +365,112 @@ TEST(CpuBasic, DelayCostsCycles)
     EXPECT_GE(m->cpu(0).gr(3) - m->cpu(0).gr(1), 500u);
 }
 
+// The CPU runs the slot after the one it executed without a program
+// lookup when the PSW points at it; everything below must still see
+// the instruction at the PSW's address.
+
+TEST(CpuNextSlot, SetProgramRunsTheNewProgramsInstruction)
+{
+    // a's second instruction and b's first share an address.
+    Assembler as_a(0x10'0000);
+    as_a.lhi(1, 1);
+    as_a.lhi(2, 2);
+    as_a.halt();
+    const Program a = as_a.finish();
+    Assembler as_b(a.slots().at(1).addr);
+    as_b.lhi(2, 99);
+    as_b.halt();
+    const Program b = as_b.finish();
+    ASSERT_EQ(b.entry(), a.slots().at(1).addr);
+
+    sim::Machine m(smallConfig(1));
+    m.setProgram(0, &a);
+    m.cpu(0).step();
+    ASSERT_EQ(m.cpu(0).gr(1), 1u);
+    m.setProgram(0, &b);
+    m.cpu(0).step();
+    EXPECT_EQ(m.cpu(0).gr(2), 99u);
+    m.cpu(0).step();
+    EXPECT_TRUE(m.cpu(0).halted());
+}
+
+TEST(CpuNextSlot, TakenBranchSkipsTheFollowingSlot)
+{
+    Assembler as;
+    as.lhi(1, 0);
+    as.lhi(3, 3);
+    as.label("loop");
+    as.ahi(1, 1);
+    as.j("over");
+    as.ahi(1, 100); // never runs
+    as.label("over");
+    as.brct(3, "loop");
+    as.ahi(1, 1000);
+    as.halt();
+    const Program p = as.finish();
+    auto m = runProgram(p);
+    EXPECT_TRUE(m->cpu(0).halted());
+    EXPECT_EQ(m->cpu(0).gr(1), 1003u);
+}
+
+TEST(CpuNextSlot, ProgramInterruptRetriesTheFaultingSlot)
+{
+    Assembler as;
+    as.la(2, 0, std::int64_t(dataBase));
+    as.lg(1, 2);
+    as.ahi(1, 1);
+    as.halt();
+    const Program p = as.finish();
+    sim::Machine m(smallConfig(1));
+    m.memory().write(dataBase, 55, 8);
+    m.pageTable().markAbsent(dataBase);
+    m.setProgram(0, &p);
+    m.cpu(0).step();
+    const Addr lg_ia = m.cpu(0).psw().ia;
+    m.cpu(0).step(); // faults; the OS pages the operand in
+    EXPECT_EQ(m.os().countOf(tx::InterruptCode::PageFault), 1u);
+    EXPECT_EQ(m.cpu(0).psw().ia, lg_ia);
+    m.cpu(0).step(); // the LG again, not the AHI after it
+    EXPECT_EQ(m.cpu(0).gr(1), 55u);
+    m.cpu(0).step();
+    EXPECT_EQ(m.cpu(0).gr(1), 56u);
+    m.cpu(0).step();
+    EXPECT_TRUE(m.cpu(0).halted());
+}
+
+TEST(CpuNextSlot, AbortResumesAfterTheTbegin)
+{
+    Assembler as;
+    as.lhi(5, 0);
+    as.tbegin(0x00); // GR 5 keeps its in-transaction value
+    as.jnz("aborted");
+    as.lhi(5, 1);
+    as.tabort(0, 256);
+    as.lhi(5, 2); // never runs: the abort leaves the transaction
+    as.tend();
+    as.halt();
+    as.label("aborted");
+    as.ahi(5, 10);
+    as.halt();
+    const Program p = as.finish();
+    auto m = runProgram(p);
+    EXPECT_TRUE(m->cpu(0).halted());
+    EXPECT_EQ(m->cpu(0).gr(5), 11u);
+    EXPECT_EQ(m->cpu(0).stats().counter("tx.aborts").value(), 1u);
+}
+
+TEST(CpuNextSlot, FallingOffTheLastInstructionIsAnOperationException)
+{
+    Assembler as;
+    as.lhi(1, 1);
+    as.lhi(2, 2);
+    const Program p = as.finish();
+    auto m = runProgram(p);
+    EXPECT_TRUE(m->cpu(0).halted());
+    EXPECT_EQ(m->cpu(0).gr(2), 2u);
+    EXPECT_EQ(m->os().countOf(tx::InterruptCode::Operation), 1u);
+    EXPECT_EQ(m->os().records().back().addr,
+              p.slots().back().addr + p.slots().back().length);
+}
+
 } // namespace

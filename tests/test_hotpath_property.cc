@@ -591,6 +591,9 @@ checkAgainstTrueLru(const LruCase &g, std::uint64_t seed)
     RefCacheArray ref(g.rows, kAssoc);
     std::set<Addr> seen;
     std::set<std::uint64_t> inserted_rows;
+    // The slot of the last insert, kept (and going stale) as a
+    // caller of setFlagsAt keeps an access's L1 slot.
+    std::size_t kept = CacheArray::npos;
 
     const auto pickLine = [&] {
         Addr line;
@@ -626,6 +629,7 @@ checkAgainstTrueLru(const LruCase &g, std::uint64_t seed)
             } else {
                 dv = dut.insert(line, flags);
             }
+            kept = dv.slot;
             const auto rv = ref.insert(line, flags);
             ASSERT_EQ(dv.valid, rv.valid);
             if (dv.valid) {
@@ -648,7 +652,25 @@ checkAgainstTrueLru(const LruCase &g, std::uint64_t seed)
             if (dut.contains(line)) {
                 const std::uint8_t bits =
                     std::uint8_t(1 + rng.nextBounded(3));
-                dut.setFlags(line, bits);
+                // setFlagsAt marks the line whatever slot it is
+                // given: its own, the kept one, any pool slot, or
+                // none.
+                switch (rng.nextBounded(5)) {
+                  case 0: dut.setFlags(line, bits); break;
+                  case 1:
+                    dut.setFlagsAt(dut.probeForInsert(line).idx, line,
+                                   bits);
+                    break;
+                  case 2: dut.setFlagsAt(kept, line, bits); break;
+                  case 3:
+                    dut.setFlagsAt(
+                        std::size_t(rng.nextBounded(
+                            dut.rowsAllocated() * kAssoc + 1)),
+                        line, bits);
+                    break;
+                  default:
+                    dut.setFlagsAt(CacheArray::npos, line, bits);
+                }
                 ref.find(line)->flags |= bits;
             } else {
                 const std::uint8_t bits =

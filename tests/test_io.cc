@@ -161,4 +161,44 @@ TEST(IoSubsystem, TransactionalWorkSurvivesHeavyIo)
     EXPECT_EQ(m.memory().readByte(dataBase + 128), 0x77);
 }
 
+TEST(IoSubsystem, LoadsSeeLaterWritesToOnceUnwrittenLines)
+{
+    // Two never-written lines: the CPU's loads read zero before
+    // either is allocated, then see the channel's and the host's
+    // writes, first on the load that finds the line allocated and
+    // again through the line storage it kept from that load.
+    const Addr a = dataBase;
+    const Addr b = dataBase + lineSizeBytes;
+    Assembler as;
+    as.la(9, 0, std::int64_t(a));
+    as.la(8, 0, std::int64_t(b));
+    as.label("loop");
+    as.lg(1, 9);
+    as.lg(2, 8);
+    as.j("loop");
+    const Program p = as.finish();
+
+    sim::Machine m(ioConfig(1));
+    m.setProgram(0, &p);
+    const auto loadBoth = [&] {
+        for (int i = 0; i < 3; ++i)
+            m.cpu(0).step();
+    };
+    m.cpu(0).step(); // LA
+    loadBoth();      // LA, LG, LG
+    EXPECT_EQ(m.cpu(0).gr(1), 0u);
+    EXPECT_EQ(m.cpu(0).gr(2), 0u);
+    EXPECT_EQ(m.memory().linesAllocated(), 0u);
+
+    for (const std::uint8_t pattern : {0x11, 0x22}) {
+        m.io().submit({.write = true, .addr = a, .length = 8,
+                       .pattern = pattern});
+        m.drainIo();
+        m.memory().write(b, pattern, 8);
+        loadBoth(); // J, LG, LG
+        EXPECT_EQ(m.cpu(0).gr(1), 0x0101010101010101ULL * pattern);
+        EXPECT_EQ(m.cpu(0).gr(2), pattern);
+    }
+}
+
 } // namespace

@@ -6,6 +6,7 @@
 
 namespace {
 
+using ztx::Addr;
 using ztx::mem::MainMemory;
 
 TEST(MainMemory, ReadsZeroWhenUntouched)
@@ -74,6 +75,25 @@ TEST(MainMemory, LinesAllocatedCountsDistinctLines)
     m.writeByte(255, 1);   // same line
     m.writeByte(256, 1);   // next line
     EXPECT_EQ(m.linesAllocated(), 2u);
+}
+
+TEST(MainMemory, LineStorageStaysPutWhenTheTableGrows)
+{
+    MainMemory m;
+    EXPECT_EQ(m.lineData(0x4000), nullptr); // never written
+    m.write(0x4008, 0x1122334455667788ULL, 8);
+    const std::uint8_t *data = m.lineData(0x4000);
+    ASSERT_NE(data, nullptr);
+    EXPECT_EQ(data[8], 0x11);
+    // Thousands of lines: the table grows several times over.
+    for (Addr line = 0x10'0000; line < 0x10'0000 + 4096 * 256;
+         line += 256)
+        m.writeByte(line, 1);
+    ASSERT_GE(m.linesAllocated(), 4097u);
+    EXPECT_EQ(m.lineData(0x4000), data);
+    m.writeByte(0x4010, 0x99);
+    EXPECT_EQ(data[0x10], 0x99); // the pointer sees later writes
+    EXPECT_EQ(data[8], 0x11);
 }
 
 } // namespace

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+
 #include "ztx_test_util.hh"
 
 namespace {
@@ -130,6 +133,108 @@ TEST(Overmark, SpeculationRestoredAfterSuccess)
     m.setProgram(0, &p);
     m.run();
     EXPECT_GE(m.cpu(0).stats().counter("tx.overmarks").value(), 2u);
+}
+
+/**
+ * Run @p p on one CPU whose L1 has geometry @p l1, over-marking on
+ * every access, and check after every step each line's tx-read and
+ * tx-dirty latches against a per-line reference: an access marks its
+ * line (and its over-marked neighbour) read, a store marks its line
+ * dirty, and a line leaving the L1 or the transaction ending drops
+ * the marks. The marks go through the L1 slot each fetch returned.
+ */
+void
+expectMarksOnAccessedLines(const mem::CacheGeometry &l1,
+                           const Program &p)
+{
+    auto cfg = smallConfig(1);
+    cfg.tm.speculativeOvermarkProb = 1.0;
+    cfg.geometry.l1 = l1;
+    sim::Machine m(cfg);
+    m.setProgram(0, &p);
+    const core::Cpu &cpu = m.cpu(0);
+    const mem::Hierarchy &hier = m.hierarchy();
+    constexpr unsigned lines = 8;
+    std::array<std::uint8_t, lines> ref{};
+    const auto bit = [](Addr line) {
+        return std::size_t((line - dataBase) / lineSizeBytes);
+    };
+    for (int step = 0; !cpu.halted(); ++step) {
+        ASSERT_LT(step, 500);
+        const Program::Slot *slot = p.fetch(cpu.psw().ia);
+        ASSERT_NE(slot, nullptr);
+        const isa::Instruction &inst = slot->inst;
+        const Addr line =
+            lineAlign(Addr(inst.disp) + (inst.base ? cpu.gr(inst.base)
+                                                   : 0));
+        m.cpu(0).step();
+        if (inst.op == isa::Opcode::LG || inst.op == isa::Opcode::STG) {
+            ref.at(bit(line)) |= mem::line_flag::txRead;
+            ref.at(bit(line) + 1) |= mem::line_flag::txRead;
+            if (inst.op == isa::Opcode::STG)
+                ref.at(bit(line)) |= mem::line_flag::txDirty;
+        }
+        for (unsigned i = 0; i < lines; ++i) {
+            const Addr x = dataBase + i * lineSizeBytes;
+            if (!cpu.inTx() || !hier.inL1(0, x))
+                ref[i] = 0;
+            ASSERT_EQ(hier.txRead(0, x),
+                      bool(ref[i] & mem::line_flag::txRead))
+                << "step " << step << " line 0x" << std::hex << x;
+            ASSERT_EQ(hier.txDirty(0, x),
+                      bool(ref[i] & mem::line_flag::txDirty))
+                << "step " << step << " line 0x" << std::hex << x;
+        }
+    }
+    EXPECT_EQ(cpu.stats().value("tx.commits"), 3u);
+    EXPECT_GT(cpu.stats().value("tx.overmarks"), 0u);
+}
+
+/** Three transactions of @p body, each opened by TBEGIN. */
+Program
+txLoop(const std::function<void(Assembler &)> &body)
+{
+    Assembler as;
+    as.la(9, 0, std::int64_t(dataBase));
+    as.lhi(8, 3);
+    as.label("loop");
+    as.tbegin(0xFF);
+    as.jnz("skip");
+    body(as);
+    as.tend();
+    as.label("skip");
+    as.brct(8, "loop");
+    as.halt();
+    return as.finish();
+}
+
+TEST(Overmark, MarksLandOnAccessedLinesWhenTheOvermarkDisplacesTheLoad)
+{
+    // One row of one way: each over-mark fill evicts the line its
+    // load just marked, into the LRU extension.
+    const Program p = txLoop([](Assembler &as) {
+        as.lg(1, 9, 0);
+        as.lg(2, 9, 3 * 256);
+        as.lg(3, 9, 256);
+        as.lg(4, 9, 5 * 256);
+    });
+    expectMarksOnAccessedLines({lineSizeBytes, 1}, p);
+}
+
+TEST(Overmark, StoreMarksLandOnAccessedLines)
+{
+    // Two rows of one way: an over-mark fill evicts the other row's
+    // line, never the stored one.
+    const Program p = txLoop([](Assembler &as) {
+        as.lg(1, 9, 0);
+        as.ahi(1, 1);
+        as.stg(1, 9, 0);
+        as.lg(2, 9, 3 * 256);
+        as.stg(2, 9, 4 * 256);
+        as.stg(1, 9, 256);
+        as.lg(3, 9, 0);
+    });
+    expectMarksOnAccessedLines({2 * lineSizeBytes, 1}, p);
 }
 
 } // namespace

@@ -81,7 +81,7 @@ TEST(ReadyTree, MatchesOrderedSetReference)
         for (unsigned op = 0; op < 20000; ++op) {
             const CpuId id = CpuId(rng.nextBounded(n));
             Cycles t;
-            switch (rng.nextBounded(6)) {
+            switch (rng.nextBounded(7)) {
               case 0:
                 t = ReadyTree::never;
                 break;
@@ -90,6 +90,11 @@ TEST(ReadyTree, MatchesOrderedSetReference)
                 break;
               case 2:
                 t = rng.nextBounded(tree.maxTime()) + 1;
+                break;
+              case 3:
+                // Rewrite the leaf with the key it holds (absent
+                // included): the write changes nothing.
+                t = at[id];
                 break;
               default:
                 // A few distinct times: many equal keys.
