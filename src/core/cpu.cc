@@ -223,9 +223,16 @@ Cpu::storeData(Addr addr, std::uint64_t value, unsigned size,
     if (inTx()) {
         const Addr first = lineAlign(addr);
         const Addr last = lineAlign(addr + size - 1);
-        for (Addr line = first; line <= last; line += lineSizeBytes)
-            hier_.markTxDirty(id_, line,
-                              accessSlots_[line == first ? 0 : 1]);
+        for (Addr line = first; line <= last; line += lineSizeBytes) {
+            // In a one-way L1 row the access's own later fills (its
+            // second line, an over-mark) can displace the line.
+            if (!hier_.markTxDirty(id_, line,
+                                   accessSlots_[line == first ? 0 : 1])) {
+                abortTransaction(
+                    {.reason = tx::AbortReason::CacheStoreRelated});
+                return false;
+            }
+        }
     }
     return true;
 }

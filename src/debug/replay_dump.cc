@@ -23,8 +23,8 @@ dumpOp(std::ostringstream &os, std::size_t pos,
         os << op.response;
     os << "]  ";
     for (const auto &a : op.accesses) {
-        os << (a.write ? " W" : " R") << "0x" << std::hex
-           << a.objid << std::dec << '@' << a.version;
+        os << (a.write() ? " W" : " R") << "0x" << std::hex
+           << a.objid() << std::dec << '@' << a.version;
     }
     os << '\n';
 }

@@ -29,12 +29,14 @@
 #ifndef ZTX_INJECT_LINCHECK_HH
 #define ZTX_INJECT_LINCHECK_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace ztx::inject {
@@ -57,15 +59,65 @@ const char *linOpCodeName(LinOpCode code);
 /**
  * One versioned line access of a committed region's footprint
  * (order_infer.hh): the region observed (read) or installed (write)
- * @p version of object @p objid. Writes bump the per-object version
- * by one, so version chains totally order the writers of an object
- * and place every reader between two writers.
+ * version @p version of the object at line address objid(). Writes
+ * bump the per-object version by one, so version chains totally
+ * order the writers of an object and place every reader between two
+ * writers.
+ *
+ * 16 bytes: objects are 256-byte lines, so the write flag rides in
+ * bit 0 of the line address (as a trace record marks a write in its
+ * object id); the version keeps all 64 bits.
  */
 struct VersionAccess
 {
-    Addr objid = 0; ///< cache-line address of the object
+    /** The object's line address with the write flag in bit 0. */
+    Addr lineAndWrite = 0;
     std::uint64_t version = 0;
-    bool write = false;
+
+    VersionAccess() = default;
+    /** @p line must be line-aligned (panics otherwise). */
+    VersionAccess(Addr line, std::uint64_t ver, bool write)
+        : lineAndWrite(line | Addr(write)), version(ver)
+    {
+        if (lineOffset(line) != 0)
+            ztx_panic("version record for unaligned object ", line);
+    }
+
+    /** Cache-line address of the object. */
+    Addr objid() const { return lineAndWrite & ~Addr(1); }
+    bool write() const { return (lineAndWrite & 1) != 0; }
+};
+
+static_assert(sizeof(VersionAccess) == 16,
+              "a version record is a line word and a version");
+
+/**
+ * A read-only view of one operation's version records. A history
+ * never owns its records: the operation log's per-CPU arena
+ * (workload/op_log.hh), or whatever storage built a hand-made
+ * history, must outlive every check of it.
+ */
+class VersionSpan
+{
+  public:
+    VersionSpan() = default;
+    VersionSpan(const VersionAccess *data, std::size_t size)
+        : data_(data), size_(size)
+    {
+    }
+
+    const VersionAccess *begin() const { return data_; }
+    const VersionAccess *end() const { return data_ + size_; }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const VersionAccess &operator[](std::size_t i) const
+    {
+        return data_[i];
+    }
+
+  private:
+    const VersionAccess *data_ = nullptr;
+    std::size_t size_ = 0;
 };
 
 /** One operation of a recorded history. */
@@ -93,7 +145,7 @@ struct LinOp
      * before the region committed). Consumed by order_infer.hh; the
      * DFS checker ignores them.
      */
-    std::vector<VersionAccess> accesses;
+    VersionSpan accesses;
 };
 
 /**

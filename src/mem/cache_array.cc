@@ -74,7 +74,7 @@ CacheArray::setFlags(Addr line, std::uint8_t bits)
     orFlags(i, bits);
 }
 
-void
+bool
 CacheArray::setFlagsAt(std::size_t idx, Addr line, std::uint8_t bits)
 {
     // The slot holds the line while it is a valid way of the line's
@@ -85,9 +85,13 @@ CacheArray::setFlagsAt(std::size_t idx, Addr line, std::uint8_t bits)
     if (head.end != 0 && way < assoc_ && (head.valid >> way & 1) != 0 &&
         tags_[idx] == line) {
         orFlags(idx, bits);
-        return;
+        return true;
     }
-    setFlags(line, bits);
+    const std::size_t i = findIdx(line);
+    if (i == npos)
+        return false;
+    orFlags(i, bits);
+    return true;
 }
 
 void

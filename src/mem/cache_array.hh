@@ -116,10 +116,11 @@ class CacheArray
     /**
      * setFlags() through a slot the caller kept (an L1 hit's or
      * fill's Probe::idx / Victim::slot): OR @p bits into slot @p idx
-     * when it still holds @p line, else probe for it like
-     * setFlags() (the slot went stale, or @p idx is npos).
+     * when it still holds @p line, else probe for it (the slot went
+     * stale, or @p idx is npos). Returns false, setting nothing,
+     * when @p line is absent.
      */
-    void setFlagsAt(std::size_t idx, Addr line, std::uint8_t bits);
+    bool setFlagsAt(std::size_t idx, Addr line, std::uint8_t bits);
 
     /** Clear @p bits from the flags of @p line if present. */
     void clearFlags(Addr line, std::uint8_t bits);

@@ -439,13 +439,16 @@ Hierarchy::handleL4Evict(unsigned mcm, Addr victim)
 void
 Hierarchy::markTxRead(CpuId cpu, Addr line, std::size_t l1_slot)
 {
-    l1_[cpu].setFlagsAt(l1_slot, lineAlign(line), line_flag::txRead);
+    if (!l1_[cpu].setFlagsAt(l1_slot, lineAlign(line),
+                             line_flag::txRead))
+        ztx_panic("tx-read mark on a line absent from l1.", cpu);
 }
 
-void
+bool
 Hierarchy::markTxDirty(CpuId cpu, Addr line, std::size_t l1_slot)
 {
-    l1_[cpu].setFlagsAt(l1_slot, lineAlign(line), line_flag::txDirty);
+    return l1_[cpu].setFlagsAt(l1_slot, lineAlign(line),
+                               line_flag::txDirty);
 }
 
 void

@@ -121,8 +121,12 @@ class Hierarchy
     void markTxRead(CpuId cpu, Addr line,
                     std::size_t l1_slot = CacheArray::npos);
 
-    /** Set the tx-dirty latch for @p line; as markTxRead(). */
-    void markTxDirty(CpuId cpu, Addr line,
+    /**
+     * Set the tx-dirty latch for @p line, as markTxRead(). Returns
+     * false when the line has left the L1 since its fetch (the
+     * caller aborts: a tx-dirty mark needs an L1-resident line).
+     */
+    bool markTxDirty(CpuId cpu, Addr line,
                      std::size_t l1_slot = CacheArray::npos);
 
     /** Clear tx latches and the LRU-extension vector (TBEGIN/end). */

@@ -1,5 +1,7 @@
 #include "op_log.hh"
 
+#include <algorithm>
+
 namespace ztx::workload {
 
 OpLog::OpLog(unsigned cpus, std::size_t capacity)
@@ -17,15 +19,21 @@ OpLog::opInvoke(CpuId cpu, Cycles now, std::uint32_t code,
         // OPLOGE. Keep the older record pending (maybe completed).
         ++pc.protocolErrors;
     }
-    if (pc.ring.size() >= capacity_) {
-        pc.ring.pop_front();
-        ++pc.dropped;
-    }
+    if (pc.ring.size() >= capacity_)
+        dropOldest(pc);
     OpRecord rec;
     rec.code = code;
     rec.a0 = a0;
     rec.a1 = a1;
     rec.invoke = now;
+    // The records will follow in the last chunk (or a later one).
+    if (!pc.arena.empty()) {
+        rec.accessChunk =
+            pc.chunkBase + std::uint32_t(pc.arena.size() - 1);
+        rec.firstAccess = std::uint32_t(pc.arena.back().size());
+    } else {
+        rec.accessChunk = pc.chunkBase;
+    }
     pc.ring.push_back(rec);
 }
 
@@ -54,12 +62,58 @@ OpLog::opCommit(CpuId cpu, Cycles now,
         return;
     }
     OpRecord &rec = pc.ring.back();
+    if (pc.arena.empty() ||
+        pc.arena.back().size() + n > pc.arena.back().capacity()) {
+        // A new chunk; records of an earlier commit of this op move
+        // along so that the op's records stay contiguous.
+        std::vector<inject::VersionAccess> next;
+        next.reserve(std::max<std::size_t>(arenaChunk,
+                                           rec.numAccesses + n));
+        if (rec.numAccesses) {
+            std::vector<inject::VersionAccess> &last = pc.arena.back();
+            next.assign(last.end() - rec.numAccesses, last.end());
+            last.resize(last.size() - rec.numAccesses);
+        }
+        pc.arena.push_back(std::move(next));
+        rec.accessChunk =
+            pc.chunkBase + std::uint32_t(pc.arena.size() - 1);
+        rec.firstAccess = 0;
+    }
+    std::vector<inject::VersionAccess> &chunk = pc.arena.back();
     for (std::size_t i = 0; i < n; ++i) {
         std::uint64_t &ver = lineVersions_[acc[i].line];
         if (acc[i].write)
             ++ver;
-        rec.accesses.push_back({acc[i].line, ver, acc[i].write});
+        chunk.emplace_back(acc[i].line, ver, acc[i].write);
     }
+    rec.numAccesses += std::uint32_t(n);
+}
+
+void
+OpLog::dropOldest(PerCpu &pc)
+{
+    pc.ring.pop_front();
+    ++pc.dropped;
+    // Free the chunks before the oldest live record's; the last
+    // chunk stays, the next records go there.
+    const std::uint32_t live =
+        pc.ring.empty() ? pc.chunkBase + std::uint32_t(pc.arena.size())
+                        : pc.ring.front().accessChunk;
+    while (pc.arena.size() > 1 && pc.chunkBase < live) {
+        pc.arena.pop_front();
+        ++pc.chunkBase;
+    }
+}
+
+inject::VersionSpan
+OpLog::accesses(CpuId cpu, const OpRecord &rec) const
+{
+    if (rec.numAccesses == 0)
+        return {};
+    const PerCpu &pc = cpus_.at(cpu);
+    return {pc.arena[rec.accessChunk - pc.chunkBase].data() +
+                rec.firstAccess,
+            rec.numAccesses};
 }
 
 Json
@@ -111,7 +165,7 @@ OpLog::versionRecords() const
     std::uint64_t n = 0;
     for (const auto &pc : cpus_)
         for (const OpRecord &rec : pc.ring)
-            n += rec.accesses.size();
+            n += rec.numAccesses;
     return n;
 }
 
@@ -131,7 +185,7 @@ OpLog::history(const std::function<void(const OpRecord &,
             op.pending = !rec.completed;
             op.cpu = cpu;
             op.seq = seq++;
-            op.accesses = rec.accesses;
+            op.accesses = accesses(cpu, rec);
             decode(rec, op);
             ops.push_back(op);
         }

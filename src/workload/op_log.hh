@@ -45,21 +45,26 @@ namespace ztx::workload {
 struct OpRecord
 {
     std::uint32_t code = 0; ///< workload-specific opcode (OPLOGB imm)
+    /**
+     * Versioned line accesses of the operation's committed region
+     * (OPLOGV): the log assigns each touched line a version at
+     * commit time — reads observe the current one, writes install
+     * the next — and appends the records to its CPU's arena:
+     * `numAccesses` of them from position `firstAccess` of chunk
+     * `accessChunk` (OpLog::accesses()); none when version recording
+     * is off or the region never committed.
+     */
+    std::uint32_t numAccesses = 0;
     std::uint64_t a0 = 0;   ///< first argument register at invoke
     std::uint64_t a1 = 0;   ///< second argument register at invoke
     std::uint64_t result = 0; ///< result register at response
     Cycles invoke = 0;
     Cycles response = 0;
+    /** Arena chunk of the records, counting freed chunks. */
+    std::uint32_t accessChunk = 0;
+    std::uint32_t firstAccess = 0;
     /** False: still pending when the run stopped (maybe completed). */
     bool completed = false;
-    /**
-     * Versioned line accesses of the operation's committed region
-     * (OPLOGV): the log assigns each touched line a version at
-     * commit time — reads observe the current one, writes install
-     * the next — and batches the pairs here. Empty when version
-     * recording is off or the region never committed.
-     */
-    std::vector<inject::VersionAccess> accesses;
 };
 
 /** Per-CPU ring buffers implementing the CPU-side recorder hook. */
@@ -90,6 +95,9 @@ class OpLog : public core::OpRecorder
         return cpus_.at(cpu).ring;
     }
 
+    /** The version records of @p rec, one of @p cpu's records. */
+    inject::VersionSpan accesses(CpuId cpu, const OpRecord &rec) const;
+
     /** Records dropped from @p cpu's ring (overflow). */
     std::uint64_t dropped(CpuId cpu) const
     {
@@ -114,9 +122,11 @@ class OpLog : public core::OpRecorder
 
     /**
      * Decode every record into a checker history. Timing fields
-     * (invoke/response/pending) and provenance (cpu/seq) are filled
-     * here; @p decode maps the raw record to the ADT operation
-     * (code, arg, result).
+     * (invoke/response/pending), provenance (cpu/seq) and the version
+     * records are filled here; @p decode maps the raw record to the
+     * ADT operation (code, arg, result). The operations view their
+     * records in the log's arenas: the history is valid while the
+     * log lives and records nothing more.
      */
     std::vector<inject::LinOp> history(
         const std::function<void(const OpRecord &,
@@ -127,9 +137,28 @@ class OpLog : public core::OpRecorder
     struct PerCpu
     {
         std::deque<OpRecord> ring;
+        /**
+         * The ring's version records in record order, in chunks of
+         * arenaChunk records (one operation's may need a larger
+         * one). A chunk never reallocates and an operation's records
+         * never straddle two. `arena.front()` is chunk `chunkBase`;
+         * a chunk that holds only dropped operations' records is
+         * freed.
+         */
+        std::deque<std::vector<inject::VersionAccess>> arena;
+        std::uint32_t chunkBase = 0;
         std::uint64_t dropped = 0;
         std::uint64_t protocolErrors = 0;
     };
+
+    /**
+     * Records per arena chunk (256 KiB): fixed-size blocks, so an
+     * arena grows without copying, and freed chunks fit the next.
+     */
+    static constexpr std::uint32_t arenaChunk = 1u << 14;
+
+    /** Drop @p pc's oldest record (ring overflow). */
+    static void dropOldest(PerCpu &pc);
 
     std::size_t capacity_;
     std::vector<PerCpu> cpus_;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <memory>
 #include <utility>
 
 #include "common/log.hh"
@@ -129,27 +130,33 @@ runAndJudge(
     sim::MachineConfig mcfg = machine;
     mcfg.activeCpus = cpus;
     mcfg.seed = seed;
-    sim::Machine m(mcfg);
+    auto m = std::make_unique<sim::Machine>(mcfg);
     if (prepare)
-        prepare(m);
-    m.setProgramAll(&program);
-    OpLog log(m.numCpus(), op_log_capacity);
+        prepare(*m);
+    m->setProgramAll(&program);
+    OpLog log(m->numCpus(), op_log_capacity);
     if (op_log) {
-        for (unsigned i = 0; i < m.numCpus(); ++i)
-            m.cpu(i).setOpRecorder(&log);
+        for (unsigned i = 0; i < m->numCpus(); ++i)
+            m->cpu(i).setOpRecorder(&log);
     }
-    const Cycles elapsed = m.run();
-    res = summarizeRun(m, elapsed);
-    if (!m.allHalted() && !res.watchdogFired)
+    const Cycles elapsed = m->run();
+    res = summarizeRun(*m, elapsed);
+    if (!m->allHalted() && !res.watchdogFired)
         ztx_fatal(name, " benchmark did not run to completion");
+    inject::OracleReport structural;
+    std::string index_why;
+    if (!res.watchdogFired) {
+        m->drainAllStores();
+        structural = structure(*m);
+        index_why = indexOracleCheck(*m);
+    }
+    m.reset();
     if (!checkRunHistory(res, op_log ? &log : nullptr, decode, infer))
         return;
-    m.drainAllStores();
-    inject::OracleReport structural = structure(m);
     for (auto &v : structural.violations)
         res.oracle.fail(std::move(v));
-    if (std::string why = indexOracleCheck(m); !why.empty())
-        res.oracle.fail("hot-path index inconsistent: " + why);
+    if (!index_why.empty())
+        res.oracle.fail("hot-path index inconsistent: " + index_why);
 }
 
 SeriesTable::SeriesTable(std::string x_label,

@@ -188,12 +188,14 @@ bool checkRunHistory(RunSummary &res, const OpLog *log,
  * @p program on every CPU, attaches an OpLog of @p op_log_capacity
  * records per CPU when @p op_log is set, runs it, and summarizes the
  * run into @p res. Fatal unless every CPU halted or the watchdog
- * fired. Then checks the history (checkRunHistory()) and, when the
- * structure may be judged, drains every CPU's stores and folds
- * @p structure's report and indexOracleCheck() into `res.oracle`.
- * @p structure is the runner's only post-run reader of simulated
- * memory and fills the runner's own result fields, which stay zero
- * when the watchdog fired.
+ * fired. Unless the watchdog fired, it then drains every CPU's
+ * stores and judges the structure with @p structure and
+ * indexOracleCheck(), and frees the machine before it checks the
+ * history (checkRunHistory()), so the two never hold memory at
+ * once. The structure's violations follow the history's in
+ * `res.oracle`. @p structure is the runner's only post-run reader
+ * of simulated memory and fills the runner's own result fields,
+ * which stay zero when the watchdog fired.
  */
 void runAndJudge(
     RunSummary &res, const char *name,

@@ -237,4 +237,51 @@ TEST(Overmark, StoreMarksLandOnAccessedLines)
     expectMarksOnAccessedLines({2 * lineSizeBytes, 1}, p);
 }
 
+TEST(Overmark, DisplacedStoreLineAbortsTheTransaction)
+{
+    // One row of one way: the STG's over-mark fill evicts the line it
+    // is about to mark tx-dirty. A tx-dirty mark needs the line in
+    // the L1, so the transaction aborts (cache-store) instead of
+    // marking an absent line.
+    auto cfg = smallConfig(1);
+    cfg.tm.speculativeOvermarkProb = 1.0;
+    cfg.geometry.l1 = {lineSizeBytes, 1};
+    Assembler as;
+    as.la(9, 0, std::int64_t(dataBase));
+    as.tbegin(0xFF);
+    as.jnz("out");
+    as.lg(1, 9);
+    as.stg(1, 9);
+    as.tend();
+    as.label("out");
+    as.halt();
+    const Program p = as.finish();
+    sim::Machine m(cfg);
+    m.setProgram(0, &p);
+    m.run();
+    ASSERT_TRUE(m.allHalted());
+    const auto &stats = m.cpu(0).stats();
+    EXPECT_EQ(stats.value("tx.commits"), 0u);
+    EXPECT_EQ(stats.value("tx.aborts"), 1u);
+    EXPECT_EQ(stats.value("tx.abort.cache-store"), 1u);
+    EXPECT_EQ(m.peekMem(dataBase, 8), 0u);
+
+    // A constrained retry commits once millicode stops speculating.
+    Assembler c;
+    c.la(9, 0, std::int64_t(dataBase));
+    c.lhi(1, 7);
+    c.tbeginc(0x00);
+    c.stg(1, 9);
+    c.tend();
+    c.halt();
+    const Program constrained = c.finish();
+    sim::Machine mc(cfg);
+    mc.setProgram(0, &constrained);
+    mc.run();
+    ASSERT_TRUE(mc.allHalted());
+    EXPECT_EQ(mc.cpu(0).stats().value("tx.commits_constrained"), 1u);
+    EXPECT_GE(mc.cpu(0).stats().value("tx.abort.cache-store"), 1u);
+    EXPECT_EQ(mc.peekMem(dataBase, 8), 7u);
+}
+
 } // namespace
