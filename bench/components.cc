@@ -3,8 +3,9 @@
  * google-benchmark micro-benchmarks of the simulator's hot
  * components (host-side costs): cache-array operations, the
  * coherence directory, the gathering store cache, the PRNG, machine
- * construction, a whole simulated transaction round trip, and the
- * scheduler's per-step cost on full-topology machines.
+ * construction, a whole simulated transaction round trip, the
+ * scheduler's per-step cost on full-topology machines, and the
+ * order-inference oracle on a large recorded history.
  */
 
 #include <chrono>
@@ -18,11 +19,14 @@
 #include "common/rng.hh"
 #include "json_report.hh"
 #include "core/store_cache.hh"
+#include "inject/order_infer.hh"
 #include "isa/assembler.hh"
 #include "mem/cache_array.hh"
 #include "mem/directory.hh"
 #include "mem/main_memory.hh"
 #include "sim/machine.hh"
+#include "workload/list_set.hh"
+#include "workload/op_log.hh"
 
 namespace {
 
@@ -192,6 +196,66 @@ BENCHMARK(BM_RunPrivateRegion)
     ->Arg(1024)
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
+
+/**
+ * The order-inference oracle alone: one list-set history of 25,000
+ * operations (4 CPUs x 6,250, the size of perfbench's `checked`
+ * large-history point, on the benchmarks' machine) recorded once,
+ * then inferred and replayed every iteration. Reports host ns per
+ * version record.
+ */
+void
+BM_InferLargeHistory(benchmark::State &state)
+{
+    workload::ListSetBenchConfig cfg;
+    cfg.cpus = 4;
+    cfg.useElision = true;
+    cfg.iterations = 6250;
+    cfg.opLog = true;
+    sim::MachineConfig mcfg = bench::benchMachine();
+    mcfg.activeCpus = cfg.cpus;
+    mcfg.seed = cfg.seed;
+    const std::vector<std::uint64_t> keys =
+        workload::listSetPrefillKeys(cfg);
+    const isa::Program program = workload::buildListSetProgram(cfg);
+    sim::Machine machine(mcfg);
+    workload::prepareListSet(machine, keys, cfg.cpus);
+    machine.setProgramAll(&program);
+    workload::OpLog log(machine.numCpus());
+    for (unsigned i = 0; i < machine.numCpus(); ++i)
+        machine.cpu(i).setOpRecorder(&log);
+    machine.run();
+    const std::vector<inject::LinOp> history = log.history(
+        [](const workload::OpRecord &rec, inject::LinOp &op) {
+            op.code = inject::LinOpCode(rec.code);
+            op.arg = rec.a0;
+            op.result = rec.result;
+        });
+
+    double seconds = 0.0;
+    std::uint64_t records = 0;
+    for (auto _ : state) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const inject::OrderInferReport r =
+            inject::inferSetLinearizable(history, keys);
+        const auto t1 = std::chrono::steady_clock::now();
+        const double s = std::chrono::duration<double>(t1 - t0).count();
+        state.SetIterationTime(s);
+        seconds += s;
+        records += r.versionRecords;
+        if (!r.inferred || !r.verdict.linearizable) {
+            state.SkipWithError("history not inferred as linearizable");
+            break;
+        }
+    }
+    state.counters["version_records"] =
+        double(log.versionRecords());
+    state.counters["ns_per_record"] =
+        records ? seconds * 1e9 / double(records) : 0.0;
+}
+BENCHMARK(BM_InferLargeHistory)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

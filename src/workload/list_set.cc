@@ -180,32 +180,43 @@ buildListSetProgram(const ListSetBenchConfig &cfg)
     return as.finish();
 }
 
-ListSetBenchResult
-runListSetBench(const ListSetBenchConfig &cfg)
+std::vector<std::uint64_t>
+listSetPrefillKeys(const ListSetBenchConfig &cfg)
 {
-    // Pre-fill: a sorted chain of the selected keys.
     Rng prefill_rng(cfg.seed ^ 0xBEEF);
     std::vector<std::uint64_t> keys;
     for (std::uint64_t k = 1; k <= cfg.keySpace; ++k)
         if (prefill_rng.nextBool(cfg.prefillPercent / 100.0))
             keys.push_back(k);
+    return keys;
+}
 
+void
+prepareListSet(sim::Machine &machine,
+               const std::vector<std::uint64_t> &keys, unsigned cpus)
+{
+    Addr prev = listBase;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const Addr node = listPrefillArena + Addr(i) * 256;
+        machine.memory().write(node + 0, keys[i], 8);
+        machine.memory().write(prev + 8, node, 8);
+        prev = node;
+    }
+    machine.memory().write(prev + 8, 0, 8);
+    for (unsigned i = 0; i < cpus; ++i)
+        machine.cpu(i).setGr(15, arenaBase + Addr(i) * arenaStride);
+}
+
+ListSetBenchResult
+runListSetBench(const ListSetBenchConfig &cfg)
+{
+    const std::vector<std::uint64_t> keys = listSetPrefillKeys(cfg);
     ListSetBenchResult res;
     runAndJudge(
         res, "list-set", cfg.machine, cfg.cpus, cfg.seed,
         buildListSetProgram(cfg),
         [&](sim::Machine &machine) {
-            Addr prev = listBase;
-            for (std::size_t i = 0; i < keys.size(); ++i) {
-                const Addr node = listPrefillArena + Addr(i) * 256;
-                machine.memory().write(node + 0, keys[i], 8);
-                machine.memory().write(prev + 8, node, 8);
-                prev = node;
-            }
-            machine.memory().write(prev + 8, 0, 8);
-            for (unsigned i = 0; i < cfg.cpus; ++i)
-                machine.cpu(i).setGr(
-                    15, arenaBase + Addr(i) * arenaStride);
+            prepareListSet(machine, keys, cfg.cpus);
         },
         cfg.opLog, cfg.opLogCapacity,
         [](const OpRecord &rec, inject::LinOp &op) {

@@ -15,6 +15,7 @@
 #define ZTX_WORKLOAD_LIST_SET_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "isa/program.hh"
 #include "sim/machine.hh"
@@ -62,6 +63,20 @@ struct ListSetBenchResult : RunSummary
 
 /** Build the generated program for @p cfg. */
 isa::Program buildListSetProgram(const ListSetBenchConfig &cfg);
+
+/** The keys the list starts with: cfg.prefillPercent of the key
+ *  space, drawn from cfg.seed, ascending. */
+std::vector<std::uint64_t>
+listSetPrefillKeys(const ListSetBenchConfig &cfg);
+
+/**
+ * Write the sorted chain of @p keys into @p machine's memory and
+ * point each of its first @p cpus CPUs' node-arena register at its
+ * own arena: the initial state of runListSetBench()'s machine.
+ */
+void prepareListSet(sim::Machine &machine,
+                    const std::vector<std::uint64_t> &keys,
+                    unsigned cpus);
 
 /** Run the experiment and validate the structure afterwards. */
 ListSetBenchResult runListSetBench(const ListSetBenchConfig &cfg);
