@@ -84,7 +84,7 @@ void
 BM_StoreCacheGather(benchmark::State &state)
 {
     mem::MainMemory memory;
-    core::GatheringStoreCache sc(64, "b");
+    core::GatheringStoreCache sc(64);
     const std::uint8_t bytes[8] = {1, 2, 3, 4, 5, 6, 7, 8};
     Addr addr = 0;
     for (auto _ : state) {
@@ -173,20 +173,20 @@ BM_RunPrivateRegion(benchmark::State &state)
     sim::Machine machine(cfg);
     const std::vector<isa::Program> programs =
         bench::privateTxPrograms(machine.numCpus(), 4);
-    const Counter &steps = machine.stats().counter("scheduler.steps");
     double seconds = 0.0;
     std::uint64_t stepped = 0;
     for (auto _ : state) {
         for (unsigned i = 0; i < machine.numCpus(); ++i)
             machine.setProgram(i, &programs[i]);
-        const std::uint64_t before = steps.value();
+        const std::uint64_t before =
+            machine.stats().value("scheduler.steps");
         const auto t0 = std::chrono::steady_clock::now();
         machine.run();
         const auto t1 = std::chrono::steady_clock::now();
         const double s = std::chrono::duration<double>(t1 - t0).count();
         state.SetIterationTime(s);
         seconds += s;
-        stepped += steps.value() - before;
+        stepped += machine.stats().value("scheduler.steps") - before;
     }
     state.counters["ns_per_step"] =
         stepped ? seconds * 1e9 / double(stepped) : 0.0;

@@ -95,7 +95,7 @@ main()
         inserts += iterations;
         deletes += machine.cpu(i).gr(14);
         aborts +=
-            machine.cpu(i).stats().counter("tx.aborts").value();
+            machine.cpu(i).stats().value("tx.aborts");
     }
 
     // Walk the list and verify prev/next integrity.

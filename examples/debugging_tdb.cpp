@@ -95,14 +95,10 @@ main()
     std::printf("count    : %llu of 100\n",
                 (unsigned long long)m2.peekMem(data, 8));
     std::printf("commits  : %llu\n",
-                (unsigned long long)m2.cpu(0)
-                    .stats()
-                    .counter("tx.commits")
-                    .value());
+                (unsigned long long)m2.cpu(0).stats().value("tx.commits"));
     std::printf("forced aborts : %llu\n",
                 (unsigned long long)m2.cpu(0)
                     .stats()
-                    .counter("tx.abort.diagnostic")
-                    .value());
+                    .value("tx.abort.diagnostic"));
     return 0;
 }

@@ -61,9 +61,9 @@ main()
     unsigned long long commits = 0, aborts = 0;
     for (unsigned i = 0; i < machine.numCpus(); ++i) {
         commits +=
-            machine.cpu(i).stats().counter("tx.commits").value();
+            machine.cpu(i).stats().value("tx.commits");
         aborts +=
-            machine.cpu(i).stats().counter("tx.aborts").value();
+            machine.cpu(i).stats().value("tx.aborts");
     }
     std::printf("elided commits : %llu\n", commits);
     std::printf("aborts         : %llu\n", aborts);

@@ -54,11 +54,9 @@ main()
         auto &cpu = machine.cpu(i);
         std::printf("cpu%u        : %llu commits, %llu aborts\n", i,
                     (unsigned long long)cpu.stats()
-                        .counter("tx.commits")
-                        .value(),
+                        .value("tx.commits"),
                     (unsigned long long)cpu.stats()
-                        .counter("tx.aborts")
-                        .value());
+                        .value("tx.aborts"));
     }
     return 0;
 }

@@ -100,8 +100,7 @@ main()
     std::printf("filtered aborts    : %llu (no OS involvement)\n",
                 (unsigned long long)machine.cpu(0)
                     .stats()
-                    .counter("tx.abort.filtered-program-interrupt")
-                    .value());
+                    .value("tx.abort.filtered-program-interrupt"));
     std::printf("OS page faults     : %zu (must be 0 — every null "
                 "deref was filtered)\n",
                 machine.os().countOf(tx::InterruptCode::PageFault));

@@ -1,28 +1,32 @@
 /**
  * @file
  * Lightweight statistics containers in the spirit of gem5's stats
- * package: named scalar counters and histograms that modules
- * register into a StatGroup, written out as JSON.
+ * package: scalar counters and histograms that their owners declare
+ * once, by name, in a StatGroup written out as JSON.
  */
 
 #ifndef ZTX_COMMON_STATS_HH
 #define ZTX_COMMON_STATS_HH
 
+#include <array>
 #include <cstdint>
-#include <map>
-#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ztx {
 
 class Json;
+class StatGroup;
 
-/** A named monotonically increasing event counter. */
+/** A monotonically increasing event counter. */
 class Counter
 {
   public:
     Counter() = default;
+
+    /** Declared in @p group, which its owner declares first. */
+    Counter(StatGroup &group, const char *stat_name);
 
     /** Add @p n events (default 1). */
     void
@@ -33,9 +37,6 @@ class Counter
 
     /** Current count. */
     std::uint64_t value() const { return value_; }
-
-    /** Reset to zero (between measurement phases). */
-    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
@@ -70,9 +71,6 @@ class Histogram
     /** Sum of the samples as given (before bucket clamping). */
     double sum() const { return sum_; }
 
-    /** Forget all samples. */
-    void reset();
-
   private:
     std::vector<std::uint64_t> counts_; // last entry is overflow
     double bucketWidth_;
@@ -81,103 +79,80 @@ class Histogram
 };
 
 /**
- * A registry of named stats owned by a component; supports nested
- * group names ("cpu0.l1.hits") and a JSON dump.
+ * The named counters and histograms of one component ("cpu0",
+ * "hierarchy", ...). The component owns each stat as a member and
+ * declares it here once, at construction, under a string literal;
+ * the group keeps a name and a pointer per stat. An owner that holds
+ * a group can be neither copied nor moved.
  */
 class StatGroup
 {
   public:
-    /** @param name Prefix prepended to every stat in dumps. */
+    /** @param name The group's name in stats documents. */
     explicit StatGroup(std::string name);
 
-    /** Create (or fetch) a counter under this group. */
-    Counter &counter(const std::string &stat_name);
+    StatGroup(const StatGroup &) = delete;
+    StatGroup &operator=(const StatGroup &) = delete;
 
-    /**
-     * Value of counter @p stat_name; 0 when it was never registered.
-     * Unlike counter(), reading never registers it.
-     */
-    std::uint64_t value(const std::string &stat_name) const;
-
-    /**
-     * Create (or fetch) a histogram under this group. The shape
-     * parameters apply on first registration only; later fetches
-     * return the existing histogram unchanged.
-     */
-    Histogram &histogram(const std::string &stat_name,
-                         std::size_t buckets, double bucket_width);
-
-    /** @name Read-only views over the registered stats @{ */
-    const std::map<std::string, Counter> &counters() const
+    /** Declare counter @p c under @p stat_name, a string literal. */
+    void
+    declare(const char *stat_name, const Counter &c)
     {
-        return counters_;
+        counters_.push_back({"", stat_name, &c});
     }
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return histograms_;
-    }
-    /** @} */
-
-    /** Reset every stat in the group. */
-    void resetAll();
 
     /**
-     * The group as a JSON object: counters and histogram (widths/
-     * buckets/overflow) detail. "distributions" is always an empty
-     * object, kept so every stats document keeps its shape.
+     * Declare a counter family over an enum: @p family[i] is named
+     * @p prefix followed by @p name_of(i), a string literal.
+     */
+    template <std::size_t N, class NameOf>
+    void
+    declare(const char *prefix, const std::array<Counter, N> &family,
+            NameOf name_of)
+    {
+        for (std::size_t i = 0; i < N; ++i)
+            counters_.push_back({prefix, name_of(i), &family[i]});
+    }
+
+    /** Declare histogram @p h under @p stat_name, a string literal. */
+    void
+    declare(const char *stat_name, const Histogram &h)
+    {
+        histograms_.push_back({stat_name, &h});
+    }
+
+    /** Value of declared counter @p stat_name; fatal if undeclared. */
+    std::uint64_t value(std::string_view stat_name) const;
+
+    /**
+     * The group as a JSON object: its name, each non-zero counter,
+     * and each histogram that holds a sample (widths/buckets/
+     * overflow/total).
      */
     Json toJson() const;
 
-    /** toJson(), serialized. */
-    void dumpJson(std::ostream &os, int indent = -1) const;
-
-    /** Group name. */
-    const std::string &name() const { return name_; }
-
   private:
+    struct NamedCounter
+    {
+        const char *prefix;
+        const char *name;
+        const Counter *counter;
+    };
+    struct NamedHistogram
+    {
+        const char *name;
+        const Histogram *histogram;
+    };
+
     std::string name_;
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Histogram> histograms_;
+    std::vector<NamedCounter> counters_;
+    std::vector<NamedHistogram> histograms_;
 };
 
-/**
- * A cached handle to one counter of a StatGroup, for hot paths that
- * would otherwise build a key string and search the group's map on
- * every increment.
- *
- * The counter is looked up on the handle's first increment, not at
- * construction: a counter registers exactly when a string-keyed
- * counter() call would have, so an untouched counter still never
- * appears in dumps. std::map nodes never move and resetAll() keeps
- * them, so the cached pointer stays valid for the group's lifetime.
- * Handles cannot be copied, which keeps an owner that holds one from
- * being copied into a handle that points at another object's group.
- */
-class CounterHandle
+inline Counter::Counter(StatGroup &group, const char *stat_name)
 {
-  public:
-    CounterHandle(StatGroup &group, const char *stat_name)
-        : group_(group), name_(stat_name)
-    {
-    }
-
-    CounterHandle(const CounterHandle &) = delete;
-    CounterHandle &operator=(const CounterHandle &) = delete;
-
-    /** Add @p n events to the counter, registering it if new. */
-    void
-    inc(std::uint64_t n = 1)
-    {
-        if (!counter_) [[unlikely]]
-            counter_ = &group_.counter(name_);
-        counter_->inc(n);
-    }
-
-  private:
-    StatGroup &group_;
-    const char *name_;
-    Counter *counter_ = nullptr;
-};
+    group.declare(stat_name, *this);
+}
 
 } // namespace ztx
 

@@ -20,13 +20,24 @@ Cpu::Cpu(CpuId id, mem::Hierarchy &hier, mem::MainMemory &memory,
          const TmConfig &config, std::uint64_t seed)
     : id_(id), hier_(hier), memory_(memory), pages_(pages), os_(os),
       env_(env), cfg_(config), rng_(seed),
-      storeCache_(config.storeCacheEntries,
-                  "cpu" + std::to_string(id) + ".stc"),
+      storeCache_(config.storeCacheEntries),
       stats_("cpu" + std::to_string(id))
 {
     hier_.setClient(id_, this);
     hier_.setLruExtensionEnabled(cfg_.lruExtensionEnabled);
-    regionHist_ = &stats_.histogram("region.cycles", 32, 64.0);
+    const GatheringStoreCache::Counters &sc = storeCache_.counters();
+    stats_.declare("store_cache.gathers", sc.gathers);
+    stats_.declare("store_cache.allocations", sc.allocations);
+    stats_.declare("store_cache.evictions", sc.evictions);
+    stats_.declare("store_cache.ntstg_overlap", sc.ntstgOverlap);
+    stats_.declare("store_cache.overflows", sc.overflows);
+    stats_.declare("tx.abort.", abortsByReason_, tx::abortSlotName);
+    stats_.declare("constraint_violation.", constraintViolations_,
+                   [](std::size_t kind) {
+                       return tx::constraintViolationName(
+                           tx::ConstraintViolationKind(kind));
+                   });
+    stats_.declare("region.cycles", regionHist_);
 }
 
 Cpu::~Cpu() = default;
@@ -258,12 +269,12 @@ Cpu::osInterrupt(tx::InterruptCode code, Addr addr, bool from_tx,
                  bool from_constrained, Cycles &cost)
 {
     cost += cfg_.osInterruptCost;
-    stats_.counter("os_interrupts").inc();
+    osInterrupts_.inc();
     const debug::OsAction action = os_.programInterrupt(
         {id_, code, addr, from_tx, from_constrained});
     if (action == debug::OsAction::Terminate) {
         halted_ = true;
-        stats_.counter("terminated").inc();
+        terminated_.inc();
     }
 }
 
@@ -271,7 +282,7 @@ void
 Cpu::programException(tx::InterruptCode code, Addr addr,
                       bool instruction_fetch, Cycles &cost)
 {
-    stats_.counter("program_exceptions").inc();
+    programExceptions_.inc();
     if (inTx()) {
         const bool filtered =
             !constrained_ &&
@@ -296,8 +307,7 @@ void
 Cpu::constraintViolation(tx::ConstraintViolationKind kind,
                          Cycles &cost)
 {
-    stats_.counter(std::string("constraint_violation.") +
-                   tx::constraintViolationName(kind)).inc();
+    constraintViolations_[unsigned(kind)].inc();
     // Non-filterable program interruption after the abort (§II.D).
     AbortContext actx;
     actx.reason = tx::AbortReason::ProgramInterrupt;
@@ -311,7 +321,7 @@ Cpu::constraintViolation(tx::ConstraintViolationKind kind,
 bool
 Cpu::handlePoisonedAccess(Addr line, Cycles &cost)
 {
-    stats_.counter("machine_checks").inc();
+    machineChecks_.inc();
     const bool was_tx = inTx();
     if (was_tx) {
         // Architectural guarantee: data from a poisoned line never
@@ -350,7 +360,7 @@ Cpu::restartWorkload()
     rejectsSinceCompletion_ = 0;
     dispatchCredit_ = 0;
     perPending_ = false;
-    stats_.counter("workload_restarts").inc();
+    workloadRestarts_.inc();
     ++progressEvents_;
     env_.noteProgress(id_);
 }
@@ -358,7 +368,7 @@ Cpu::restartWorkload()
 void
 Cpu::deliverExternalInterrupt()
 {
-    stats_.counter("external_interrupts").inc();
+    externalInterrupts_.inc();
     if (inTx()) {
         abortTransaction({.reason =
                               tx::AbortReason::ExternalInterrupt});
@@ -372,7 +382,7 @@ Cpu::injectSpuriousAbort()
 {
     if (!inTx())
         return;
-    stats_.counter("inject.spurious_aborts").inc();
+    spuriousAborts_.inc();
     // Transient (CC2) like the random environmental aborts zEC12
     // millicode tolerates; DiagnosticAbort matches the architected
     // "forced abort with no architectural cause" bucket.
@@ -402,13 +412,12 @@ Cpu::diagnosticJson() const
 
     d["progress_events"] = progressEvents_;
     Json aborts = Json::object();
-    for (const auto &[name, counter] : stats_.counters()) {
-        if (name.rfind("tx.abort.", 0) == 0)
-            aborts[name.substr(9)] = counter.value();
-    }
+    for (unsigned slot = 0; slot < tx::abortReasonSlots; ++slot)
+        if (const std::uint64_t n = abortsByReason_[slot].value())
+            aborts[tx::abortSlotName(slot)] = n;
     d["aborts_by_reason"] = std::move(aborts);
-    d["commits"] = stats_.value("tx.commits");
-    d["rejects_sent"] = stats_.value("xi.rejects_sent");
+    d["commits"] = txCommits_.value();
+    d["rejects_sent"] = xiRejectsSent_.value();
     // The ADT operation in flight when the machine stopped, if an
     // op log is attached: the watchdog's per-CPU pending window.
     if (opRecorder_)
@@ -633,7 +642,7 @@ Cpu::beginTransaction(const isa::Program::Slot &slot, bool constrained)
         txLevels_.clear();
         txBegins_.inc();
         if (constrained)
-            stats_.counter("tx.begins_constrained").inc();
+            txBeginsConstrained_.inc();
     }
     // TBEGINC inside a non-constrained transaction opens a regular
     // non-constrained nesting level (paper §II.D); its implicit
@@ -707,7 +716,7 @@ Cpu::endTransaction()
     }
     txCommits_.inc();
     if (was_constrained)
-        stats_.counter("tx.commits_constrained").inc();
+        txCommitsConstrained_.inc();
     ++progressEvents_;
     env_.noteProgress(id_);
     psw_.cc = 0;
@@ -952,7 +961,7 @@ Cpu::execute(const isa::Program::Slot &slot)
       case Opcode::LPSWE:
         // Privileged control operation; a no-op at this level of
         // modelling (restricted-in-TX handling happens in step()).
-        stats_.counter("lpswe").inc();
+        lpswe_.inc();
         break;
       case Opcode::INVALID:
         programException(tx::InterruptCode::Operation, slot.addr,
@@ -976,7 +985,7 @@ Cpu::execute(const isa::Program::Slot &slot)
         if (regionOpen_) {
             const double cycles =
                 double(env_.now() - regionStart_);
-            regionHist_->sample(cycles);
+            regionHist_.sample(cycles);
             regionOpen_ = false;
             ++progressEvents_;
             env_.noteProgress(id_);

@@ -159,11 +159,10 @@ class Cpu : public mem::CacheClient
     std::uint64_t progressEvents() const { return progressEvents_; }
 
     /**
-     * Transaction aborts of any reason so far (plain counter for the
-     * scenario engine's on-abort triggers; cheaper than a stats
-     * lookup on the trigger-poll path).
+     * Transaction aborts of any reason so far ("tx.aborts"), for the
+     * scenario engine's on-abort triggers.
      */
-    std::uint64_t abortsTotal() const { return abortsTotal_; }
+    std::uint64_t abortsTotal() const { return txAborts_.value(); }
 
     /**
      * Fault injection: abort the current transaction for no
@@ -244,7 +243,7 @@ class Cpu : public mem::CacheClient
 
     /** @name Measurement (MARKB/MARKE pseudo-ops) @{ */
     /** Cycles of each MARKB..MARKE region ("region.cycles"). */
-    const Histogram &regionCycles() const { return *regionHist_; }
+    const Histogram &regionCycles() const { return regionHist_; }
     /** @} */
 
     /** @name Operation log (OPLOGB/OPLOGE pseudo-ops) @{ */
@@ -261,8 +260,11 @@ class Cpu : public mem::CacheClient
     /** @} */
 
     /** Per-CPU stats ("cpuN.*"): commits, aborts by reason, ... */
-    StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
+
+    /** Aborts by tx::abortReasonSlot() ("tx.abort.<reason>"). */
+    using AbortCounters = std::array<Counter, tx::abortReasonSlots>;
+    const AbortCounters &abortsByReason() const { return abortsByReason_; }
 
     /** The gathering store cache, for index-consistency oracles. */
     const GatheringStoreCache &storeCache() const
@@ -465,9 +467,6 @@ class Cpu : public mem::CacheClient
     /** Commits + region closes + halt; see progressEvents(). */
     std::uint64_t progressEvents_ = 0;
 
-    /** Aborts of any reason; see abortsTotal(). */
-    std::uint64_t abortsTotal_ = 0;
-
     /** @name Millicode state @{ */
     unsigned constrainedAbortCount_ = 0;
     bool soloHeld_ = false;
@@ -485,7 +484,7 @@ class Cpu : public mem::CacheClient
     bool regionOpen_ = false;
     Cycles regionStart_ = 0;
     /** Latency tail of the measured regions (64-cycle buckets). */
-    Histogram *regionHist_ = nullptr;
+    Histogram regionHist_{32, 64.0};
     /** @} */
 
     /** @name Pending after-completion PER event @{ */
@@ -505,31 +504,35 @@ class Cpu : public mem::CacheClient
     bool versionArmed_ = false;
 
     StatGroup stats_;
-    /** @name Per-step, per-transaction and XI counters of stats_ @{ */
-    CounterHandle instructions_{stats_, "instructions"};
-    CounterHandle txBegins_{stats_, "tx.begins"};
-    CounterHandle txCommits_{stats_, "tx.commits"};
-    CounterHandle txAborts_{stats_, "tx.aborts"};
-    CounterHandle txOvermarks_{stats_, "tx.overmarks"};
-    CounterHandle fetchRejected_{stats_, "fetch.rejected"};
-    CounterHandle xiReceived_{stats_, "xi.received"};
-    CounterHandle xiPoisonedSeen_{stats_, "xi.poisoned_seen"};
-    CounterHandle xiRejectsSent_{stats_, "xi.rejects_sent"};
-    CounterHandle txReadEvicted_{stats_, "l1.tx_read_evicted"};
-    /** @} */
-    /** @name Millicode abort-path counters of stats_ @{ */
-    CounterHandle constrainedDelays_{stats_,
-                                     "millicode.constrained_delays"};
-    CounterHandle speculationReductions_{
-        stats_, "millicode.speculation_reduced"};
-    CounterHandle soloRequests_{stats_, "millicode.solo_requests"};
-    CounterHandle soloReleases_{stats_, "millicode.solo_releases"};
-    CounterHandle ppaDelays_{stats_, "millicode.ppa"};
-    /**
-     * "tx.abort.<reason>" by tx::abortReasonSlot(), each registered
-     * on that reason's first abort (as a CounterHandle would be).
-     */
-    std::array<Counter *, tx::abortReasonSlots> abortsByReason_{};
+    /** @name Counters, declared in stats_ @{ */
+    Counter instructions_{stats_, "instructions"};
+    Counter txBegins_{stats_, "tx.begins"};
+    Counter txBeginsConstrained_{stats_, "tx.begins_constrained"};
+    Counter txCommits_{stats_, "tx.commits"};
+    Counter txCommitsConstrained_{stats_, "tx.commits_constrained"};
+    Counter txAborts_{stats_, "tx.aborts"};
+    Counter txOvermarks_{stats_, "tx.overmarks"};
+    Counter fetchRejected_{stats_, "fetch.rejected"};
+    Counter xiReceived_{stats_, "xi.received"};
+    Counter xiPoisonedSeen_{stats_, "xi.poisoned_seen"};
+    Counter xiRejectsSent_{stats_, "xi.rejects_sent"};
+    Counter txReadEvicted_{stats_, "l1.tx_read_evicted"};
+    Counter osInterrupts_{stats_, "os_interrupts"};
+    Counter terminated_{stats_, "terminated"};
+    Counter programExceptions_{stats_, "program_exceptions"};
+    Counter machineChecks_{stats_, "machine_checks"};
+    Counter workloadRestarts_{stats_, "workload_restarts"};
+    Counter externalInterrupts_{stats_, "external_interrupts"};
+    Counter spuriousAborts_{stats_, "inject.spurious_aborts"};
+    Counter lpswe_{stats_, "lpswe"};
+    Counter constrainedDelays_{stats_, "millicode.constrained_delays"};
+    Counter speculationReductions_{stats_, "millicode.speculation_reduced"};
+    Counter soloRequests_{stats_, "millicode.solo_requests"};
+    Counter soloReleases_{stats_, "millicode.solo_releases"};
+    Counter ppaDelays_{stats_, "millicode.ppa"};
+    AbortCounters abortsByReason_;
+    /** "constraint_violation.<kind>", by ConstraintViolationKind. */
+    std::array<Counter, tx::constraintViolationKinds> constraintViolations_;
     /** @} */
 };
 

@@ -29,9 +29,8 @@ forEachBit(const std::vector<std::uint64_t> &mask, F &&f)
 
 } // namespace
 
-GatheringStoreCache::GatheringStoreCache(unsigned num_entries,
-                                         const std::string &name)
-    : entries_(num_entries), stats_(name)
+GatheringStoreCache::GatheringStoreCache(unsigned num_entries)
+    : entries_(num_entries)
 {
     if (num_entries == 0)
         ztx_fatal("store cache needs at least one entry");
@@ -132,7 +131,7 @@ GatheringStoreCache::allocate(mem::MainMemory &memory)
             oldest = idx;
     });
     drainEntry(oldest, memory);
-    stats_.counter("evictions").inc();
+    counters_.evictions.inc();
     return oldest;
 }
 
@@ -166,7 +165,7 @@ GatheringStoreCache::storeBlockPiece(Entry &entry, Addr addr,
             // The architecture requires NTSTG targets not to overlap
             // other stores of the transaction; the outcome would be
             // unpredictable on real hardware. Record it.
-            stats_.counter("ntstg_overlap").inc();
+            counters_.ntstgOverlap.inc();
         }
         entry.data[b] = bytes[i];
         entry.valid[b / 64] |= std::uint64_t(1) << (b % 64);
@@ -191,11 +190,11 @@ GatheringStoreCache::store(Addr addr, const std::uint8_t *bytes,
         unsigned idx;
         if (slot != noSlot) {
             idx = map_[slot].entry;
-            gathers_.inc();
+            counters_.gathers.inc();
         } else {
             idx = allocate(memory);
             if (idx == npos) {
-                stats_.counter("overflows").inc();
+                counters_.overflows.inc();
                 return false;
             }
             Entry &e = entries_[idx];
@@ -204,7 +203,7 @@ GatheringStoreCache::store(Addr addr, const std::uint8_t *bytes,
             e.valid = {};
             e.ntstg.reset();
             indexInsert(idx);
-            allocations_.inc();
+            counters_.allocations.inc();
         }
         storeBlockPiece(entries_[idx], addr, bytes, in_block, ntstg);
         addr += in_block;

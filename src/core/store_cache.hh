@@ -69,12 +69,8 @@ storeCacheBlockAlign(Addr addr)
 class GatheringStoreCache
 {
   public:
-    /**
-     * @param num_entries Capacity (zEC12: 64).
-     * @param name Stats prefix.
-     */
-    explicit GatheringStoreCache(unsigned num_entries = 64,
-                                 const std::string &name = "stc");
+    /** @param num_entries Capacity (zEC12: 64). */
+    explicit GatheringStoreCache(unsigned num_entries = 64);
 
     GatheringStoreCache(const GatheringStoreCache &) = delete;
     GatheringStoreCache &operator=(const GatheringStoreCache &) = delete;
@@ -140,8 +136,16 @@ class GatheringStoreCache
     /** Capacity. */
     unsigned capacity() const { return unsigned(entries_.size()); }
 
-    /** Stats group (gathers/allocations/overflows/NTSTG overlap). */
-    StatGroup &stats() { return stats_; }
+    /** Event counters, declared by the owning CPU as "store_cache.*". */
+    struct Counters
+    {
+        Counter gathers;
+        Counter allocations;
+        Counter evictions;
+        Counter ntstgOverlap;
+        Counter overflows;
+    };
+    const Counters &counters() const { return counters_; }
 
     /**
      * Verify the block map and occupancy bitmap against a walk of
@@ -219,9 +223,7 @@ class GatheringStoreCache
     unsigned live_ = 0;
     /** @} */
 
-    StatGroup stats_;
-    CounterHandle gathers_{stats_, "gathers"};
-    CounterHandle allocations_{stats_, "allocations"};
+    Counters counters_;
 };
 
 } // namespace ztx::core

@@ -2,13 +2,19 @@
 
 namespace ztx::debug {
 
+OsModel::OsModel(PageTable &page_table) : pageTable_(page_table)
+{
+    stats_.declare("interrupt.", interruptsByCode_, [](std::size_t code) {
+        return tx::interruptCodeName(tx::InterruptCode(code));
+    });
+}
+
 OsAction
 OsModel::programInterrupt(const InterruptRecord &record)
 {
     records_.push_back(record);
-    stats_.counter("interrupts").inc();
-    stats_.counter(std::string("interrupt.") +
-                   tx::interruptCodeName(record.code)).inc();
+    interrupts_.inc();
+    interruptsByCode_[unsigned(record.code)].inc();
 
     switch (record.code) {
       case tx::InterruptCode::PageFault:
@@ -35,24 +41,15 @@ OsAction
 OsModel::machineCheck(const MachineCheckRecord &record)
 {
     machineChecks_.push_back(record);
-    stats_.counter("machine_checks").inc();
+    machineCheckCount_.inc();
     if (record.scrubbed) {
-        stats_.counter("machine_check.scrubbed").inc();
+        machineCheckScrubbed_.inc();
         return OsAction::Resume;
     }
     // The memory image itself is corrupt: no refresh source exists.
     // Kill the workload item that owned the data and restart it.
-    stats_.counter("machine_check.restarts").inc();
+    machineCheckRestarts_.inc();
     return OsAction::Restart;
-}
-
-std::size_t
-OsModel::countOf(tx::InterruptCode code) const
-{
-    std::size_t n = 0;
-    for (const auto &r : records_)
-        n += r.code == code ? 1 : 0;
-    return n;
 }
 
 } // namespace ztx::debug

@@ -10,6 +10,7 @@
 #ifndef ZTX_DEBUG_OS_MODEL_HH
 #define ZTX_DEBUG_OS_MODEL_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -58,10 +59,7 @@ struct MachineCheckRecord
 class OsModel
 {
   public:
-    explicit OsModel(PageTable &page_table)
-        : pageTable_(page_table), stats_("os")
-    {
-    }
+    explicit OsModel(PageTable &page_table);
 
     /**
      * Handle a program interruption.
@@ -99,7 +97,11 @@ class OsModel
     }
 
     /** Count of interruptions with @p code. */
-    std::size_t countOf(tx::InterruptCode code) const;
+    std::uint64_t
+    countOf(tx::InterruptCode code) const
+    {
+        return interruptsByCode_[unsigned(code)].value();
+    }
 
     /** All machine checks seen, in order. */
     const std::vector<MachineCheckRecord> &machineCheckRecords() const
@@ -108,14 +110,21 @@ class OsModel
     }
 
     /** Stats group ("os.*"). */
-    StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
 
   private:
     PageTable &pageTable_;
     std::vector<InterruptRecord> records_;
     std::vector<MachineCheckRecord> machineChecks_;
-    StatGroup stats_;
+    StatGroup stats_{"os"};
+    /** @name Counters, declared in stats_ @{ */
+    Counter interrupts_{stats_, "interrupts"};
+    Counter machineCheckCount_{stats_, "machine_checks"};
+    Counter machineCheckScrubbed_{stats_, "machine_check.scrubbed"};
+    Counter machineCheckRestarts_{stats_, "machine_check.restarts"};
+    /** "interrupt.<code>", by tx::InterruptCode. */
+    std::array<Counter, tx::interruptCodes> interruptsByCode_;
+    /** @} */
 };
 
 } // namespace ztx::debug

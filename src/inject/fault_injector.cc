@@ -96,6 +96,13 @@ faultPlanJson(const FaultPlan &plan)
     return p;
 }
 
+/** The counter of each FaultKind's fires, in enumerator order. */
+constexpr const char *firedCounterName[faultKindCount] = {
+    "spurious_abort.fired", "xi_storm.fired", "squeeze.fired",
+    "interrupt_storm.fired", "xi_delay.fired",
+    "targeted_conflict.fired", "poison_line.fired",
+};
+
 FaultInjector::FaultInjector(const FaultPlan &plan,
                              std::uint64_t machine_seed,
                              mem::Hierarchy &hier,
@@ -107,6 +114,8 @@ FaultInjector::FaultInjector(const FaultPlan &plan,
       rng_(plan.seed ? plan.seed
                      : machine_seed * 0xD1B54A32D192ED03ULL + 0x5C)
 {
+    stats_.declare("", fired_,
+                   [](std::size_t k) { return firedCounterName[k]; });
     if (plan_.xiDelayMax == 0)
         plan_.xiDelayMax = 1;
     // Scenario steps: normalize degenerate shapes, reject plans
@@ -280,13 +289,13 @@ FaultInjector::evaluateScenario(Cycles now)
             break;
         }
         if (!ok) {
-            stats_.counter("scenario.assert_failed").inc();
+            scenarioAssertFailed_.inc();
             ztx_warn("scenario step ", i, " assertion ",
                      stepAssertName(s.check), " failed at cycle ",
                      now, " (target cpu ", target, ")");
         }
 
-        stats_.counter("scenario.fired").inc();
+        scenarioFired_.inc();
         ++st.fires;
         st.lastFire = now;
         if (s.trigger != TriggerKind::AtCycle ||
@@ -301,6 +310,7 @@ void
 FaultInjector::recordFire(FaultKind kind, CpuId target, Cycles now,
                           Addr line)
 {
+    fired_[std::size_t(kind)].inc();
     RecentRing &ring = recent_.at(target);
     ring.slots[ring.n % recentDepth] = {now, kind, target, line,
                                         ring.n};
@@ -316,7 +326,6 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
         core::Cpu &cpu = *cpus_.at(target);
         if (!cpu.inTx())
             return; // nothing to abort
-        spuriousFired_.inc();
         recordFire(kind, target, now, 0);
         cpu.injectSpuriousAbort();
         return;
@@ -326,14 +335,13 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
         if (target == env_.soloHolder()) {
             // Broadcast-stop stopped "all conflicting work"; an
             // adversary is conflicting work too.
-            stats_.counter("xi_storm.suppressed_solo").inc();
+            xiStormSuppressedSolo_.inc();
             return;
         }
         const std::vector<Addr> lines =
             hier_.txFootprintLines(target);
         if (lines.empty())
             return; // no transactional footprint to attack
-        stats_.counter("xi_storm.fired").inc();
         recordFire(kind, target, now, 0);
         for (unsigned i = 0; i < FaultPlan::xiStormBurst; ++i) {
             // Line picks come from the target's own stream so the
@@ -341,15 +349,14 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
             const Addr line =
                 lines[stormRng_[target].nextBounded(lines.size())];
             if (hier_.injectAdversarialXi(target, line))
-                stats_.counter("xi_storm.lines_taken").inc();
+                xiStormLinesTaken_.inc();
             else
-                stats_.counter("xi_storm.lines_defended").inc();
+                xiStormLinesDefended_.inc();
         }
         return;
       }
 
       case FaultKind::CapacitySqueeze:
-        squeezeFired_.inc();
         recordFire(kind, target, now, 0);
         hier_.squeezeCapacity(target, FaultPlan::squeezeL1Ways,
                               FaultPlan::squeezeL2Ways);
@@ -357,7 +364,6 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
         return;
 
       case FaultKind::InterruptStorm:
-        interruptStormFired_.inc();
         recordFire(kind, target, now, 0);
         for (unsigned i = 0; i < FaultPlan::interruptBurst; ++i)
             cpus_.at(target)->deliverExternalInterrupt();
@@ -377,21 +383,20 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
         }
         if (victim == invalidCpu || victim >= cpus_.size()) {
             // Nobody caches the line; a conflict XI has no victim.
-            stats_.counter("targeted_conflict.no_holder").inc();
+            conflictNoHolder_.inc();
             return;
         }
         if (victim == env_.soloHolder()) {
             // Same fairness rule as XI storms: broadcast-stop
             // stopped all conflicting work, the adversary included.
-            stats_.counter("targeted_conflict.suppressed_solo").inc();
+            conflictSolo_.inc();
             return;
         }
-        stats_.counter("targeted_conflict.fired").inc();
         recordFire(kind, victim, now, l);
         if (hier_.injectAdversarialXi(victim, l))
-            stats_.counter("targeted_conflict.taken").inc();
+            conflictTaken_.inc();
         else
-            stats_.counter("targeted_conflict.defended").inc();
+            conflictDefended_.inc();
         return;
       }
 
@@ -401,20 +406,19 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
             // Rate-driven: poison one line of the target's live tx
             // footprint (cached image only — always recoverable).
             if (target == env_.soloHolder()) {
-                stats_.counter("poison_line.suppressed_solo").inc();
+                poisonSuppressedSolo_.inc();
                 return;
             }
             const std::vector<Addr> lines =
                 hier_.txFootprintLines(target);
             if (lines.empty()) {
-                stats_.counter("poison_line.skipped_idle").inc();
+                poisonSkippedIdle_.inc();
                 return;
             }
             victim_line = lines[poisonRng_[target].nextBounded(
                 lines.size())];
             poison_memory = false;
         }
-        stats_.counter("poison_line.fired").inc();
         recordFire(kind, target, now, victim_line);
         hier_.poisonLine(victim_line, poison_memory);
         return;
@@ -425,17 +429,9 @@ FaultInjector::apply(FaultKind kind, CpuId target, Cycles now,
 Json
 FaultInjector::firedCountsJson() const
 {
-    // One key per FaultKind, in enumerator order, each read from the
-    // counter its fire path increments. value() never registers, so
-    // reading leaves the inject.* stats unchanged.
-    static constexpr const char *counter[faultKindCount] = {
-        "spurious_abort.fired", "xi_storm.fired", "squeeze.fired",
-        "interrupt_storm.fired", "xi_delay.fired",
-        "targeted_conflict.fired", "poison_line.fired",
-    };
     Json j = Json::object();
     for (std::size_t k = 0; k < faultKindCount; ++k)
-        j[faultKindName(FaultKind(k))] = stats_.value(counter[k]);
+        j[faultKindName(FaultKind(k))] = fired_[k].value();
     return j;
 }
 
@@ -483,7 +479,7 @@ FaultInjector::xiDelay(mem::XiKind kind, CpuId target,
     Rng &r = target < delayRng_.size() ? delayRng_[target] : rng_;
     if (!r.nextBool(plan_.delayedXiRate))
         return 0;
-    xiDelayFired_.inc();
+    fired_[std::size_t(FaultKind::DelayedXi)].inc();
     return r.nextBounded(plan_.xiDelayMax) + 1;
 }
 

@@ -174,13 +174,21 @@ class FaultInjector : public mem::XiDelayProbe
     /** XI delays for unattached targets. */
     Rng rng_;
     StatGroup stats_{"inject"};
-    /** @name Per-fault counters, registered at construction @{ */
-    Counter &spuriousFired_ = stats_.counter("spurious_abort.fired");
-    Counter &squeezeFired_ = stats_.counter("squeeze.fired");
-    Counter &squeezeRestored_ = stats_.counter("squeeze.restored");
-    Counter &interruptStormFired_ =
-        stats_.counter("interrupt_storm.fired");
-    Counter &xiDelayFired_ = stats_.counter("xi_delay.fired");
+    /** @name Counters, declared in stats_ @{ */
+    /** Fires by FaultKind ("<kind>.fired"); recordFire() counts. */
+    std::array<Counter, faultKindCount> fired_;
+    Counter squeezeRestored_{stats_, "squeeze.restored"};
+    Counter scenarioFired_{stats_, "scenario.fired"};
+    Counter scenarioAssertFailed_{stats_, "scenario.assert_failed"};
+    Counter xiStormSuppressedSolo_{stats_, "xi_storm.suppressed_solo"};
+    Counter xiStormLinesTaken_{stats_, "xi_storm.lines_taken"};
+    Counter xiStormLinesDefended_{stats_, "xi_storm.lines_defended"};
+    Counter conflictNoHolder_{stats_, "targeted_conflict.no_holder"};
+    Counter conflictSolo_{stats_, "targeted_conflict.suppressed_solo"};
+    Counter conflictTaken_{stats_, "targeted_conflict.taken"};
+    Counter conflictDefended_{stats_, "targeted_conflict.defended"};
+    Counter poisonSuppressedSolo_{stats_, "poison_line.suppressed_solo"};
+    Counter poisonSkippedIdle_{stats_, "poison_line.skipped_idle"};
     /** @} */
 };
 

@@ -413,7 +413,7 @@ Hierarchy::handleL2Evict(CpuId cpu, Addr victim)
 void
 Hierarchy::handleL3Evict(unsigned chip, Addr victim)
 {
-    stats_.counter("l3.evict").inc();
+    l3Evict_.inc();
     // The chip's CPUs that were built; the last built chip may
     // hold fewer than coresPerChip.
     const unsigned first = chip * topo_.coresPerChip();
@@ -427,7 +427,7 @@ Hierarchy::handleL3Evict(unsigned chip, Addr victim)
 void
 Hierarchy::handleL4Evict(unsigned mcm, Addr victim)
 {
-    stats_.counter("l4.evict").inc();
+    l4Evict_.inc();
     const unsigned first_chip = mcm * topo_.chipsPerMcm();
     const unsigned last_chip = std::min(
         first_chip + topo_.chipsPerMcm(), unsigned(l3_.size()));
@@ -612,7 +612,7 @@ Hierarchy::poisonLine(Addr line, bool memory_side)
     if (memory_side)
         bits |= poisonMemorySide;
     poisonActive_ = true;
-    stats_.counter("poison.injected").inc();
+    poisonInjected_.inc();
 }
 
 bool
@@ -625,7 +625,7 @@ Hierarchy::scrubLine(Addr line)
     if (it->second & poisonMemorySide)
         return false; // no clean copy exists anywhere
     poison_.erase(it);
-    stats_.counter("poison.scrubbed").inc();
+    poisonScrubbed_.inc();
     poisonActive_ = !poison_.empty();
     return true;
 }
@@ -635,7 +635,7 @@ Hierarchy::reloadLine(Addr line)
 {
     line = lineAlign(line);
     if (poison_.erase(line))
-        stats_.counter("poison.reloaded").inc();
+        poisonReloaded_.inc();
     poisonActive_ = !poison_.empty();
 }
 

@@ -403,25 +403,29 @@ class Hierarchy
     bool poisonActive_ = false;
     XiDelayProbe *xiProbe_ = nullptr;
     StatGroup stats_{"hierarchy"};
-    /** @name Hot-path counters, registered at construction @{ */
-    Counter &fetchTotal_ = stats_.counter("fetch.total");
-    Counter &l1Hit_ = stats_.counter("fetch.l1_hit");
-    Counter &l2Hit_ = stats_.counter("fetch.l2_hit");
-    Counter &fetchMiss_ = stats_.counter("fetch.miss");
-    Counter &l1Evict_ = stats_.counter("l1.evict");
-    Counter &lruExtSet_ = stats_.counter("l1.lru_ext_set");
-    Counter &txDirtyKilled_ = stats_.counter("l1.tx_dirty_killed");
-    Counter &l2Evict_ = stats_.counter("l2.evict");
-    Counter &xiReadOnly_ = stats_.counter("xi.read-only");
-    Counter &xiDemote_ = stats_.counter("xi.demote");
-    Counter &xiExclusive_ = stats_.counter("xi.exclusive");
-    Counter &xiLru_ = stats_.counter("xi.lru");
-    Counter &xiRejected_ = stats_.counter("xi.rejected");
-    Counter &xiDelayed_ = stats_.counter("xi.delayed");
-    Counter &poisonSpreadFetch_ = stats_.counter("poison.spread_fetch");
-    Counter &poisonSpreadCastout_ =
-        stats_.counter("poison.spread_castout");
-    Counter &poisonSpreadXi_ = stats_.counter("poison.spread_xi");
+    /** @name Counters, declared in stats_ @{ */
+    Counter fetchTotal_{stats_, "fetch.total"};
+    Counter l1Hit_{stats_, "fetch.l1_hit"};
+    Counter l2Hit_{stats_, "fetch.l2_hit"};
+    Counter fetchMiss_{stats_, "fetch.miss"};
+    Counter l1Evict_{stats_, "l1.evict"};
+    Counter lruExtSet_{stats_, "l1.lru_ext_set"};
+    Counter txDirtyKilled_{stats_, "l1.tx_dirty_killed"};
+    Counter l2Evict_{stats_, "l2.evict"};
+    Counter l3Evict_{stats_, "l3.evict"};
+    Counter l4Evict_{stats_, "l4.evict"};
+    Counter xiReadOnly_{stats_, "xi.read-only"};
+    Counter xiDemote_{stats_, "xi.demote"};
+    Counter xiExclusive_{stats_, "xi.exclusive"};
+    Counter xiLru_{stats_, "xi.lru"};
+    Counter xiRejected_{stats_, "xi.rejected"};
+    Counter xiDelayed_{stats_, "xi.delayed"};
+    Counter poisonInjected_{stats_, "poison.injected"};
+    Counter poisonScrubbed_{stats_, "poison.scrubbed"};
+    Counter poisonReloaded_{stats_, "poison.reloaded"};
+    Counter poisonSpreadFetch_{stats_, "poison.spread_fetch"};
+    Counter poisonSpreadCastout_{stats_, "poison.spread_castout"};
+    Counter poisonSpreadXi_{stats_, "poison.spread_xi"};
     /** @} */
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <string>
 
 #include "common/log.hh"
 #include "common/trace.hh"
@@ -44,13 +43,7 @@ MillicodeEngine::transactionAbort(core::Cpu &cpu,
         ctx.code = std::uint64_t(ctx.reason);
 
     cpu.txAborts_.inc();
-    ++cpu.abortsTotal_;
-    Counter *&by_reason =
-        cpu.abortsByReason_[tx::abortReasonSlot(ctx.reason)];
-    if (!by_reason) [[unlikely]]
-        by_reason = &cpu.stats_.counter(
-            std::string("tx.abort.") + tx::abortReasonName(ctx.reason));
-    by_reason->inc();
+    cpu.abortsByReason_[tx::abortReasonSlot(ctx.reason)].inc();
     ztx_trace(trace::Category::Millicode, "cpu", cpu.id_, " abort ",
               tx::abortReasonName(ctx.reason), " code=", ctx.code,
               " ia=0x", std::hex, cpu.psw_.ia);

@@ -9,7 +9,7 @@ namespace ztx::sim {
 
 IoSubsystem::IoSubsystem(mem::Hierarchy &hier,
                          mem::MainMemory &memory, CpuId agent_id)
-    : hier_(hier), memory_(memory), agentId_(agent_id), stats_("io")
+    : hier_(hier), memory_(memory), agentId_(agent_id)
 {
     hier_.setClient(agentId_, this);
 }
@@ -20,7 +20,7 @@ IoSubsystem::submit(const IoRequest &request)
     if (request.length == 0)
         ztx_fatal("zero-length I/O request");
     queue_.push_back(request);
-    stats_.counter("requests").inc();
+    requests_.inc();
 }
 
 bool
@@ -47,10 +47,10 @@ IoSubsystem::pump()
         // A transactional owner stiff-armed the channel; the channel
         // repeats the request, and the owner's hang-avoidance or
         // completion eventually lets it through.
-        stats_.counter("rejected").inc();
+        rejected_.inc();
         return res.latency;
     }
-    stats_.counter("lines").inc();
+    lines_.inc();
 
     if (req.write) {
         for (std::uint64_t i = 0; i < in_line; ++i)
@@ -69,8 +69,7 @@ IoSubsystem::pump()
                   " len=", req.length);
         queue_.pop_front();
         progress_ = 0;
-        ++completed_;
-        stats_.counter("completed").inc();
+        completed_.inc();
     }
     return res.latency;
 }

@@ -68,13 +68,12 @@ class IoSubsystem : public mem::CacheClient
     bool idle() const;
 
     /** Completed transfer count. */
-    std::uint64_t completed() const { return completed_; }
+    std::uint64_t completed() const { return completed_.value(); }
 
     /** Read bytes the way the device would (after its transfer). */
     std::uint64_t deviceRead(Addr addr, unsigned size) const;
 
     /** Stats ("io.*"): transfers, lines, rejects. */
-    StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
 
     /** @name mem::CacheClient (never rejects, never aborts) @{ */
@@ -88,8 +87,13 @@ class IoSubsystem : public mem::CacheClient
     CpuId agentId_;
     std::deque<IoRequest> queue_;
     std::uint64_t progress_ = 0; ///< bytes done of the front request
-    std::uint64_t completed_ = 0;
-    StatGroup stats_;
+    StatGroup stats_{"io"};
+    /** @name Counters, declared in stats_ @{ */
+    Counter requests_{stats_, "requests"};
+    Counter rejected_{stats_, "rejected"};
+    Counter lines_{stats_, "lines"};
+    Counter completed_{stats_, "completed"};
+    /** @} */
 };
 
 } // namespace ztx::sim

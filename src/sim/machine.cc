@@ -326,8 +326,7 @@ Machine::runSteered(Cycles max_cycles)
 void
 Machine::fireWatchdog()
 {
-    watchdogFired_ = true;
-    stats_.counter("watchdog.fired").inc();
+    watchdogCounter_.inc();
 
     Json doc = Json::object();
     doc["kind"] = "ztx.watchdog";
@@ -399,7 +398,7 @@ Machine::statsJson() const
         doc["io"] = io_->stats().toJson();
     if (injector_)
         doc["inject"] = injector_->stats().toJson();
-    if (watchdogFired_)
+    if (watchdogFired())
         doc["watchdog"] = watchdogReport_;
 
     Json cpu_groups = Json::array();

@@ -181,7 +181,6 @@ class Machine : public core::CpuEnv
     const MachineConfig &config() const { return cfg_; }
 
     /** Machine-level stats: scheduler steps, interrupts, solo. */
-    StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
 
     /** @name Fault injection & watchdog @{ */
@@ -189,7 +188,7 @@ class Machine : public core::CpuEnv
     inject::FaultInjector *injector() { return injector_.get(); }
 
     /** True once the forward-progress watchdog stopped a run. */
-    bool watchdogFired() const { return watchdogFired_; }
+    bool watchdogFired() const { return watchdogCounter_.value() != 0; }
 
     /**
      * Diagnosis bundle captured when the watchdog fired: solo-mode
@@ -237,13 +236,12 @@ class Machine : public core::CpuEnv
     ReadyTree ready_;
     std::vector<Cycles> nextInterrupt_;
     StatGroup stats_{"machine"};
-    /** @name Hot-path counters, resolved once @{ */
-    Counter &stepCounter_ = stats_.counter("scheduler.steps");
-    Counter &extDeliveredCounter_ =
-        stats_.counter("external.delivered");
-    Counter &extSkippedCounter_ =
-        stats_.counter("external.periods_skipped");
-    Counter &soloRequestCounter_ = stats_.counter("solo.requests");
+    /** @name Counters, declared in stats_ @{ */
+    Counter stepCounter_{stats_, "scheduler.steps"};
+    Counter extDeliveredCounter_{stats_, "external.delivered"};
+    Counter extSkippedCounter_{stats_, "external.periods_skipped"};
+    Counter soloRequestCounter_{stats_, "solo.requests"};
+    Counter watchdogCounter_{stats_, "watchdog.fired"};
     /** @} */
     std::unique_ptr<IoSubsystem> io_;
     Cycles ioReadyAt_ = 0;
@@ -388,7 +386,6 @@ class Machine : public core::CpuEnv
     /** @name Watchdog state @{ */
     std::uint64_t lastProgressSum_ = 0;
     Cycles lastProgressAt_ = 0;
-    bool watchdogFired_ = false;
     Json watchdogReport_;
     /** @} */
 

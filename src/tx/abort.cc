@@ -1,5 +1,7 @@
 #include "abort.hh"
 
+#include <array>
+
 namespace ztx::tx {
 
 const char *
@@ -30,6 +32,21 @@ abortReasonName(AbortReason reason)
       case AbortReason::TAbortBase: return "tabort";
     }
     return "?";
+}
+
+const char *
+abortSlotName(unsigned slot)
+{
+    static const auto names = [] {
+        std::array<const char *, abortReasonSlots> n{};
+        for (unsigned code = 0;
+             code <= unsigned(AbortReason::TAbortBase); ++code) {
+            const auto reason = AbortReason(code);
+            n[abortReasonSlot(reason)] = abortReasonName(reason);
+        }
+        return n;
+    }();
+    return names.at(slot);
 }
 
 const char *

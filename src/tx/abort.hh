@@ -79,23 +79,32 @@ abortCc(AbortReason reason, std::uint64_t abort_code)
 const char *abortReasonName(AbortReason reason);
 
 /** Number of distinct abortReasonSlot() values. */
-inline constexpr unsigned abortReasonSlots = 22;
+inline constexpr unsigned abortReasonSlots = 20;
 
 /**
- * Dense index of @p reason, for per-reason tables: TDB codes 0-17
- * map to themselves, 254-256 to 18-20, any other value to 21.
+ * Dense index of @p reason, for per-reason tables: the named TDB
+ * codes 0, 2 and 4-17 take slots 0-15, codes 254-256 take 16-18,
+ * and every unnamed value shares the catch-all slot 19.
  */
 constexpr unsigned
 abortReasonSlot(AbortReason reason)
 {
     const unsigned code = unsigned(reason);
-    if (code <= unsigned(AbortReason::DataPoisoned))
-        return code;
+    if (code == unsigned(AbortReason::None))
+        return 0;
+    if (code == unsigned(AbortReason::ExternalInterrupt))
+        return 1;
+    if (code >= unsigned(AbortReason::ProgramInterrupt) &&
+        code <= unsigned(AbortReason::DataPoisoned))
+        return code - 2;
     if (code >= unsigned(AbortReason::DiagnosticAbort) &&
         code <= unsigned(AbortReason::TAbortBase))
-        return code - unsigned(AbortReason::DiagnosticAbort) + 18;
+        return code - unsigned(AbortReason::DiagnosticAbort) + 16;
     return abortReasonSlots - 1;
 }
+
+/** abortReasonName() of the reasons in @p slot ("?" for the catch-all). */
+const char *abortSlotName(unsigned slot);
 
 /** Program-interruption codes the simulator models. */
 enum class InterruptCode : std::uint8_t
@@ -109,6 +118,10 @@ enum class InterruptCode : std::uint8_t
     ConstraintViolation, ///< constrained-TX rule broken (unfilterable)
     PerEvent,            ///< Program Event Recording (unfilterable)
 };
+
+/** Number of InterruptCode values. */
+inline constexpr unsigned interruptCodes =
+    unsigned(InterruptCode::PerEvent) + 1;
 
 /** Human-readable interrupt-code name. */
 const char *interruptCodeName(InterruptCode code);

@@ -41,6 +41,10 @@ enum class ConstraintViolationKind : std::uint8_t
     DataFootprint,
 };
 
+/** Number of ConstraintViolationKind values. */
+inline constexpr unsigned constraintViolationKinds =
+    unsigned(ConstraintViolationKind::DataFootprint) + 1;
+
 /** Human-readable violation name. */
 const char *constraintViolationName(ConstraintViolationKind kind);
 

@@ -15,7 +15,6 @@ namespace ztx::workload {
 RunSummary
 summarizeRun(const sim::Machine &machine, Cycles elapsed)
 {
-    static const std::string abort_prefix = "tx.abort.";
     RunSummary sum;
     sum.elapsedCycles = elapsed;
     sum.watchdogFired = machine.watchdogFired();
@@ -35,14 +34,9 @@ summarizeRun(const sim::Machine &machine, Cycles elapsed)
         sum.ras.machineChecks += stats.value("machine_checks");
         sum.ras.restarts += stats.value("workload_restarts");
         sum.ras.poisonAborts += stats.value("tx.abort.data-poisoned");
-        const auto &counters = stats.counters();
-        for (auto it = counters.lower_bound(abort_prefix);
-             it != counters.end() &&
-             it->first.compare(0, abort_prefix.size(),
-                               abort_prefix) == 0;
-             ++it)
-            sum.abortsByReason[it->first.substr(
-                abort_prefix.size())] += it->second.value();
+        for (unsigned slot = 0; slot < tx::abortReasonSlots; ++slot)
+            if (const std::uint64_t n = cpu.abortsByReason()[slot].value())
+                sum.abortsByReason[tx::abortSlotName(slot)] += n;
     }
     sum.meanRegionCycles =
         region_count ? region_sum / double(region_count) : 0.0;

@@ -54,11 +54,7 @@ TEST(Constrained, SimpleCommit)
     const Program p = constrainedIncrementProgram(1);
     auto m = runProgram(p);
     EXPECT_EQ(m->peekMem(dataBase, 8), 1u);
-    EXPECT_EQ(m->cpu(0)
-                  .stats()
-                  .counter("tx.commits_constrained")
-                  .value(),
-              1u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits_constrained"), 1u);
 }
 
 TEST(Constrained, TwoCpusNeverLoseAnIncrement)
@@ -143,7 +139,7 @@ expectViolation(const Program &p, const char *which)
     EXPECT_EQ(m->os().countOf(tx::InterruptCode::ConstraintViolation),
               1u)
         << which;
-    EXPECT_EQ(m->cpu(0).stats().counter("tx.commits").value(), 0u)
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits"), 0u)
         << which;
 }
 
@@ -167,11 +163,7 @@ TEST(Constrained, ThirtyTwoInstructionsCommit)
     as.tend();
     as.halt();
     auto m = runProgram(as.finish());
-    EXPECT_EQ(m->cpu(0)
-                  .stats()
-                  .counter("tx.commits_constrained")
-                  .value(),
-              1u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits_constrained"), 1u);
 }
 
 TEST(Constrained, TextFootprintBeyond256BytesViolates)
@@ -264,11 +256,7 @@ TEST(Constrained, FourOctowordsCommit)
     as.tend();
     as.halt();
     auto m = runProgram(as.finish());
-    EXPECT_EQ(m->cpu(0)
-                  .stats()
-                  .counter("tx.commits_constrained")
-                  .value(),
-              1u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits_constrained"), 1u);
 }
 
 TEST(Constrained, StraddlingAccessCountsBothOctowords)
@@ -306,12 +294,8 @@ TEST(Constrained, TbegincInsideTbeginNestsAsNormal)
     const Program p = as.finish();
     auto m = runProgram(p);
     EXPECT_EQ(m->cpu(0).gr(1), 2u);
-    EXPECT_EQ(m->cpu(0).stats().counter("tx.commits").value(), 1u);
-    EXPECT_EQ(m->cpu(0)
-                  .stats()
-                  .counter("tx.commits_constrained")
-                  .value(),
-              0u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits"), 1u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits_constrained"), 0u);
 }
 
 TEST(Constrained, TbegincImplicitFprControlBlocksFpOps)
@@ -331,7 +315,7 @@ TEST(Constrained, TbegincImplicitFprControlBlocksFpOps)
     as.halt();
     const Program p = as.finish();
     auto m = runProgram(p);
-    EXPECT_EQ(m->cpu(0).stats().counter("tx.commits").value(), 0u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits"), 0u);
     EXPECT_EQ(m->cpu(0).psw().cc, 3);
 }
 
@@ -349,12 +333,8 @@ TEST(Constrained, EscalationDelaysUnderDiagnosticAborts)
     m->run();
     EXPECT_TRUE(m->cpu(0).halted());
     EXPECT_EQ(m->peekMem(dataBase, 8), 20u);
-    EXPECT_GT(m->cpu(0).stats().counter("tx.aborts").value(), 0u);
-    EXPECT_GT(m->cpu(0)
-                  .stats()
-                  .counter("millicode.constrained_delays")
-                  .value(),
-              0u);
+    EXPECT_GT(m->cpu(0).stats().value("tx.aborts"), 0u);
+    EXPECT_GT(m->cpu(0).stats().value("millicode.constrained_delays"), 0u);
 }
 
 TEST(Constrained, SoloModeLastResortEngages)
@@ -371,11 +351,7 @@ TEST(Constrained, SoloModeLastResortEngages)
     EXPECT_EQ(m->peekMem(dataBase, 8), 120u);
     // With p=0.5 per instruction over many aborts the 12-abort solo
     // threshold is reached (deterministic for the fixed seed).
-    EXPECT_GT(m->cpu(0)
-                  .stats()
-                  .counter("millicode.solo_requests")
-                  .value(),
-              0u);
+    EXPECT_GT(m->cpu(0).stats().value("millicode.solo_requests"), 0u);
 }
 
 } // namespace

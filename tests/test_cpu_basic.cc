@@ -339,7 +339,7 @@ TEST(CpuBasic, CompareAndSwapPageFaultStoresNothing)
     EXPECT_EQ(m.os().countOf(tx::InterruptCode::PageFault), 1u);
     EXPECT_EQ(m.os().records().back().addr, dataBase);
     EXPECT_EQ(m.cpu(0).psw().ia, cs_ia);
-    EXPECT_EQ(m.cpu(0).stats().counter("instructions").value(), 3u);
+    EXPECT_EQ(m.cpu(0).stats().value("instructions"), 3u);
     EXPECT_EQ(m.peekMem(dataBase, 8), 0u);
 
     // The retried CS then swaps.
@@ -456,7 +456,7 @@ TEST(CpuNextSlot, AbortResumesAfterTheTbegin)
     auto m = runProgram(p);
     EXPECT_TRUE(m->cpu(0).halted());
     EXPECT_EQ(m->cpu(0).gr(5), 11u);
-    EXPECT_EQ(m->cpu(0).stats().counter("tx.aborts").value(), 1u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.aborts"), 1u);
 }
 
 TEST(CpuNextSlot, FallingOffTheLastInstructionIsAnOperationException)

@@ -144,7 +144,7 @@ TEST(Per, StoreEventInsideTxAbortsThenFallbackCompletes)
     EXPECT_EQ(m->peekMem(dataBase, 8), 1u);
     // Every transactional attempt aborted on the PER event; the
     // update went through the fallback lock.
-    EXPECT_EQ(m->cpu(0).stats().counter("tx.commits").value(), 0u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits"), 0u);
     EXPECT_GT(m->os().countOf(tx::InterruptCode::PerEvent), 0u);
 }
 
@@ -156,7 +156,7 @@ TEST(Per, EventSuppressionLetsTransactionsComplete)
         per.suppressInTx = true;
     });
     EXPECT_EQ(m->peekMem(dataBase, 8), 5u);
-    EXPECT_EQ(m->cpu(0).stats().counter("tx.commits").value(), 5u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits"), 5u);
     EXPECT_EQ(m->os().countOf(tx::InterruptCode::PerEvent), 0u);
 }
 
@@ -167,7 +167,7 @@ TEST(Per, TendEventFiresOnOutermostCompletion)
         per.suppressInTx = true;
         per.tendEvent = true;
     });
-    EXPECT_EQ(m->cpu(0).stats().counter("tx.commits").value(), 3u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits"), 3u);
     // One PER TEND event per successful outermost TEND.
     EXPECT_EQ(m->os().countOf(tx::InterruptCode::PerEvent), 3u);
     EXPECT_EQ(m->peekMem(dataBase, 8), 3u);
@@ -211,11 +211,7 @@ TEST(Per, ConstrainedAutoSuppressionPolicy)
     EXPECT_EQ(m->peekMem(dataBase, 8), 7u);
     EXPECT_GE(m->os().countOf(tx::InterruptCode::PerEvent), 1u);
     EXPECT_TRUE(m->cpu(0).perControls().suppressInTx);
-    EXPECT_EQ(m->cpu(0)
-                  .stats()
-                  .counter("tx.commits_constrained")
-                  .value(),
-              1u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits_constrained"), 1u);
 }
 
 TEST(Tdc, RandomAbortsExerciseRetryPath)
@@ -225,11 +221,7 @@ TEST(Tdc, RandomAbortsExerciseRetryPath)
         mm.cpu(0).tdcControl().abortProbability = 0.05;
     });
     EXPECT_EQ(m->peekMem(dataBase, 8), 50u);
-    EXPECT_GT(m->cpu(0)
-                  .stats()
-                  .counter("tx.abort.diagnostic")
-                  .value(),
-              0u);
+    EXPECT_GT(m->cpu(0).stats().value("tx.abort.diagnostic"), 0u);
 }
 
 TEST(Tdc, AlwaysModeForcesFallbackPath)
@@ -241,23 +233,15 @@ TEST(Tdc, AlwaysModeForcesFallbackPath)
         mm.cpu(0).tdcControl().abortProbability = 0.02;
     });
     EXPECT_EQ(m->peekMem(dataBase, 8), 10u);
-    EXPECT_EQ(m->cpu(0).stats().counter("tx.commits").value(), 0u);
-    EXPECT_GE(m->cpu(0)
-                  .stats()
-                  .counter("tx.abort.diagnostic")
-                  .value(),
-              10u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits"), 0u);
+    EXPECT_GE(m->cpu(0).stats().value("tx.abort.diagnostic"), 10u);
 }
 
 TEST(Tdc, OffMeansNoDiagnosticAborts)
 {
     auto m = runProgram(elisionProgram(20));
-    EXPECT_EQ(m->cpu(0)
-                  .stats()
-                  .counter("tx.abort.diagnostic")
-                  .value(),
-              0u);
-    EXPECT_EQ(m->cpu(0).stats().counter("tx.commits").value(), 20u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.abort.diagnostic"), 0u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits"), 20u);
 }
 
 TEST(ExternalInterrupts, AbortTransactionsButWorkCompletes)
@@ -270,11 +254,7 @@ TEST(ExternalInterrupts, AbortTransactionsButWorkCompletes)
     m.run();
     EXPECT_TRUE(m.allHalted());
     EXPECT_EQ(m.peekMem(dataBase, 8), 50u);
-    EXPECT_GT(m.cpu(0)
-                  .stats()
-                  .counter("external_interrupts")
-                  .value(),
-              0u);
+    EXPECT_GT(m.cpu(0).stats().value("external_interrupts"), 0u);
 }
 
 } // namespace

@@ -58,11 +58,7 @@ TEST(Filtering, UnfilteredArithmeticGoesToOs)
     auto m = runProgram(divideTxProgram(0));
     EXPECT_EQ(m->os().countOf(tx::InterruptCode::FixedPointDivide),
               1u);
-    EXPECT_EQ(m->cpu(0)
-                  .stats()
-                  .counter("tx.abort.program-interrupt")
-                  .value(),
-              1u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.abort.program-interrupt"), 1u);
     // Transient: the program-old PSW carries CC2 (paper §II.C).
     EXPECT_EQ(m->cpu(0).psw().cc, 2);
     EXPECT_TRUE(m->os().records()[0].fromTx);
@@ -73,10 +69,7 @@ TEST(Filtering, Pifc1FiltersArithmetic)
     auto m = runProgram(divideTxProgram(1));
     EXPECT_EQ(m->os().countOf(tx::InterruptCode::FixedPointDivide),
               0u);
-    EXPECT_EQ(m->cpu(0)
-                  .stats()
-                  .counter("tx.abort.filtered-program-interrupt")
-                  .value(),
+    EXPECT_EQ(m->cpu(0).stats().value("tx.abort.filtered-program-interrupt"),
               1u);
     EXPECT_EQ(m->cpu(0).psw().cc, 2);
 }
@@ -101,10 +94,7 @@ TEST(Filtering, DecimalDataFilteredAtPifc1)
     as.halt();
     auto m = runProgram(as.finish());
     EXPECT_EQ(m->os().countOf(tx::InterruptCode::DecimalData), 0u);
-    EXPECT_EQ(m->cpu(0)
-                  .stats()
-                  .counter("tx.abort.filtered-program-interrupt")
-                  .value(),
+    EXPECT_EQ(m->cpu(0).stats().value("tx.abort.filtered-program-interrupt"),
               1u);
 }
 
@@ -160,10 +150,7 @@ TEST(Filtering, Pifc2FilteredFaultNeedsFallbackToResolve)
     // 6 filtered aborts, no TX page-fault reports, then the
     // fallback's plain LG faults into the OS once and resolves.
     EXPECT_EQ(m->cpu(0).gr(0), 6u);
-    EXPECT_EQ(m->cpu(0)
-                  .stats()
-                  .counter("tx.abort.filtered-program-interrupt")
-                  .value(),
+    EXPECT_EQ(m->cpu(0).stats().value("tx.abort.filtered-program-interrupt"),
               6u);
     EXPECT_EQ(m->os().countOf(tx::InterruptCode::PageFault), 1u);
     EXPECT_FALSE(m->os().records()[0].fromTx);
@@ -262,7 +249,7 @@ TEST(Filtering, TdbAccessibilityTestedAtTbegin)
         mm.pageTable().markAbsent(tdb_addr);
     });
     EXPECT_EQ(m->cpu(0).gr(1), 5u);
-    EXPECT_EQ(m->cpu(0).stats().counter("tx.commits").value(), 1u);
+    EXPECT_EQ(m->cpu(0).stats().value("tx.commits"), 1u);
     EXPECT_EQ(m->os().countOf(tx::InterruptCode::PageFault), 1u);
     EXPECT_FALSE(m->os().records()[0].fromTx);
 }

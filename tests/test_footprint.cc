@@ -65,7 +65,7 @@ TEST(Footprint, WithinL1AssociativityCommits)
     m.setProgram(0, &p);
     m.run();
     EXPECT_EQ(m.cpu(0).gr(3), 1u);
-    EXPECT_EQ(m.cpu(0).stats().counter("tx.aborts").value(), 0u);
+    EXPECT_EQ(m.cpu(0).stats().value("tx.aborts"), 0u);
 }
 
 TEST(Footprint, LruExtensionCarriesBeyondL1Associativity)
@@ -77,14 +77,10 @@ TEST(Footprint, LruExtensionCarriesBeyondL1Associativity)
     m.setProgram(0, &p);
     m.run();
     EXPECT_EQ(m.cpu(0).gr(3), 1u);
-    EXPECT_EQ(m.cpu(0).stats().counter("tx.aborts").value(), 0u);
-    EXPECT_GT(m.cpu(0)
-                  .stats()
-                  .counter("l1.tx_read_evicted")
-                  .value(),
-              0u);
+    EXPECT_EQ(m.cpu(0).stats().value("tx.aborts"), 0u);
+    EXPECT_GT(m.cpu(0).stats().value("l1.tx_read_evicted"), 0u);
     EXPECT_GT(
-        m.hierarchy().stats().counters().at("l1.lru_ext_set").value(),
+        m.hierarchy().stats().value("l1.lru_ext_set"),
         0u);
 }
 
@@ -97,11 +93,7 @@ TEST(Footprint, WithoutLruExtensionL1OverflowAborts)
     m.setProgram(0, &p);
     m.run();
     EXPECT_EQ(m.cpu(0).gr(3), 2u); // fell back
-    EXPECT_GT(m.cpu(0)
-                  .stats()
-                  .counter("tx.abort.cache-fetch")
-                  .value(),
-              0u);
+    EXPECT_GT(m.cpu(0).stats().value("tx.abort.cache-fetch"), 0u);
 }
 
 TEST(Footprint, BeyondL2AssociativityAbortsEvenWithExtension)
@@ -113,11 +105,7 @@ TEST(Footprint, BeyondL2AssociativityAbortsEvenWithExtension)
     m.setProgram(0, &p);
     m.run();
     EXPECT_EQ(m.cpu(0).gr(3), 2u);
-    EXPECT_GT(m.cpu(0)
-                  .stats()
-                  .counter("tx.abort.cache-fetch")
-                  .value(),
-              0u);
+    EXPECT_GT(m.cpu(0).stats().value("tx.abort.cache-fetch"), 0u);
 }
 
 TEST(Footprint, ExtensionClearedBetweenTransactions)
@@ -143,7 +131,7 @@ TEST(Footprint, ExtensionClearedBetweenTransactions)
     m.setProgram(0, &p);
     m.run();
     EXPECT_EQ(m.cpu(0).gr(3), 1u);
-    EXPECT_EQ(m.cpu(0).stats().counter("tx.commits").value(), 2u);
+    EXPECT_EQ(m.cpu(0).stats().value("tx.commits"), 2u);
     EXPECT_FALSE(m.hierarchy().lruExtensionAny(0));
 }
 

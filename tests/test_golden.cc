@@ -139,7 +139,7 @@ TEST(GoldenDigest, PrivateRegionTxLegacy)
         for (Addr off = 0x800; off < 0x900; off += 8)
             image.add(m.peekMem(base + off, 8));
     }
-    EXPECT_EQ(stats, 0x540987ae5aa68d68ULL);
+    EXPECT_EQ(stats, 0x2cc159fb4b289d6aULL);
     EXPECT_EQ(image.value(), 0x0546299d5d6be2beULL);
 }
 
@@ -197,24 +197,24 @@ TEST(GoldenDigest, ContendedTBeginLegacy)
 {
     EXPECT_EQ(contendedHash(workload::SyncMethod::TBegin,
                             twoChipConfig(), 150),
-              0x8dfa7a0353c8ac27ULL);
+              0x3a7f6be6250f5dbbULL);
 }
 
 TEST(GoldenDigest, ContendedCoarseLockLegacy)
 {
     EXPECT_EQ(contendedHash(workload::SyncMethod::CoarseLock,
                             twoChipConfig(), 150),
-              0x445f1a12d5434a5dULL);
+              0x7e56bb6490d02eb8ULL);
 }
 
 TEST(GoldenDigest, ContendedWideCrossMcmLegacy)
 {
     EXPECT_EQ(contendedHash(workload::SyncMethod::TBegin, wideConfig(),
                             20),
-              0xc35d09eeb6ebc6dbULL);
+              0x7faedae0a27d4f1cULL);
     EXPECT_EQ(contendedHash(workload::SyncMethod::CoarseLock,
                             wideConfig(), 20),
-              0x56314d10eec95ca6ULL);
+              0xa668fc2e3e1bec4fULL);
 }
 
 // wideConfig() machines that run only some of their 72 slots: 2 CPUs
@@ -224,18 +224,18 @@ TEST(GoldenDigest, PartialWideCoarseLockLegacy)
 {
     const sim::MachineConfig cfg = wideConfig();
     const auto method = workload::SyncMethod::CoarseLock;
-    EXPECT_EQ(contendedHash(method, cfg, 40, 2), 0x349b957515f4e804ULL);
-    EXPECT_EQ(contendedHash(method, cfg, 40, 8), 0x1e711f62c81fe461ULL);
-    EXPECT_EQ(contendedHash(method, cfg, 20, 30), 0x37fbeeadb24ed055ULL);
+    EXPECT_EQ(contendedHash(method, cfg, 40, 2), 0x3abf708d8b854033ULL);
+    EXPECT_EQ(contendedHash(method, cfg, 40, 8), 0x8eed52235e02389dULL);
+    EXPECT_EQ(contendedHash(method, cfg, 20, 30), 0x0dc0f9acfe6be2e0ULL);
 }
 
 TEST(GoldenDigest, PartialWideTBeginLegacy)
 {
     const sim::MachineConfig cfg = wideConfig();
     const auto method = workload::SyncMethod::TBegin;
-    EXPECT_EQ(contendedHash(method, cfg, 40, 2), 0x10146500ee8d7568ULL);
-    EXPECT_EQ(contendedHash(method, cfg, 40, 8), 0x528bfdd440ba96ecULL);
-    EXPECT_EQ(contendedHash(method, cfg, 20, 30), 0xf4d313df581ba5d5ULL);
+    EXPECT_EQ(contendedHash(method, cfg, 40, 2), 0x4157f463ecd13236ULL);
+    EXPECT_EQ(contendedHash(method, cfg, 40, 8), 0x0e11c8096ba86919ULL);
+    EXPECT_EQ(contendedHash(method, cfg, 20, 30), 0x3d7dd780c024a335ULL);
 }
 
 TEST(GoldenDigest, PartialWideIoLegacy)
@@ -245,7 +245,7 @@ TEST(GoldenDigest, PartialWideIoLegacy)
     sim::MachineConfig cfg = wideConfig();
     cfg.enableIo = true;
     EXPECT_EQ(contendedHash(workload::SyncMethod::TBegin, cfg, 40, 2),
-              0xa5bfbc20371b7099ULL);
+              0x92f7d2c2e5ca259aULL);
 }
 
 } // namespace

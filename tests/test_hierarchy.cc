@@ -410,9 +410,8 @@ TEST(Hierarchy, PartialBuildKeepsOnlyReachableCaches)
     Rig rig(partialGeometry(), partialTopology(), partialCpus);
     EXPECT_EQ(rig.hier.builtCpus(), partialCpus);
     partialTraffic(rig.hier);
-    const auto &counters = rig.hier.stats().counters();
-    EXPECT_GT(counters.at("l3.evict").value(), 0u);
-    EXPECT_GT(counters.at("l4.evict").value(), 0u);
+    EXPECT_GT(rig.hier.stats().value("l3.evict"), 0u);
+    EXPECT_GT(rig.hier.stats().value("l4.evict"), 0u);
     // Caches that were not built answer "absent".
     for (unsigned k = 0; k < 48; ++k) {
         const Addr line = Addr(k) * lineSizeBytes;
@@ -478,9 +477,8 @@ TEST(Hierarchy, FetchCountsAppearInStats)
     Rig rig;
     rig.hier.fetch(0, lineA, false);
     rig.hier.fetch(0, lineA, false);
-    const auto &counters = rig.hier.stats().counters();
-    EXPECT_EQ(counters.at("fetch.total").value(), 2u);
-    EXPECT_EQ(counters.at("fetch.l1_hit").value(), 1u);
+    EXPECT_EQ(rig.hier.stats().value("fetch.total"), 2u);
+    EXPECT_EQ(rig.hier.stats().value("fetch.l1_hit"), 1u);
 }
 
 } // namespace

@@ -339,10 +339,7 @@ TEST(Inject, PlanSeedOverridesMachineDerivation)
         m.setProgram(0, &p);
         m.run();
         EXPECT_EQ(m.peekMem(dataBase, 8), 30u);
-        return m.cpu(0)
-            .stats()
-            .counter("inject.spurious_aborts")
-            .value();
+        return m.cpu(0).stats().value("inject.spurious_aborts");
     };
 
     // An explicit plan seed pins the fault sequence regardless of
@@ -371,7 +368,7 @@ TEST(Watchdog, FiresOnLivelockAndDumpsDiagnosis)
     EXPECT_FALSE(m.allHalted());
     EXPECT_LT(elapsed, 1'000'000u); // stopped, not timed out
     EXPECT_GE(elapsed, 5'000u);
-    EXPECT_EQ(m.stats().counter("watchdog.fired").value(), 1u);
+    EXPECT_EQ(m.stats().value("watchdog.fired"), 1u);
 
     const std::string report = m.watchdogReport().dump();
     EXPECT_NE(report.find("ztx.watchdog"), std::string::npos);
@@ -445,11 +442,11 @@ TEST(Inject, ConstrainedLadderEscalatesAndRecovers)
     std::uint64_t delays = 0, reduced = 0, solos = 0, releases = 0;
     for (unsigned i = 0; i < m.numCpus(); ++i) {
         auto &st = m.cpu(i).stats();
-        delays += st.counter("millicode.constrained_delays").value();
+        delays += st.value("millicode.constrained_delays");
         reduced +=
-            st.counter("millicode.speculation_reduced").value();
-        solos += st.counter("millicode.solo_requests").value();
-        releases += st.counter("millicode.solo_releases").value();
+            st.value("millicode.speculation_reduced");
+        solos += st.value("millicode.solo_requests");
+        releases += st.value("millicode.solo_releases");
     }
     EXPECT_GT(delays, 0u);
     EXPECT_GT(reduced, 0u);
@@ -526,10 +523,9 @@ TEST(Inject, CapacitySqueezeForcesCacheAborts)
     EXPECT_TRUE(m.allHalted());
     EXPECT_EQ(m.cpu(0).gr(7), 0u); // aborted, fell through
     auto &st = m.cpu(0).stats();
-    EXPECT_GT(st.counter("tx.abort.cache-fetch").value(), 0u);
+    EXPECT_GT(st.value("tx.abort.cache-fetch"), 0u);
     ASSERT_NE(m.injector(), nullptr);
-    EXPECT_EQ(m.injector()->stats().counters().at("squeeze.fired").value(),
-              1u);
+    EXPECT_EQ(m.injector()->stats().value("squeeze.fired"), 1u);
 }
 
 TEST(Inject, CapacitySqueezeExpiresAndRestoresWays)
@@ -552,9 +548,9 @@ TEST(Inject, CapacitySqueezeExpiresAndRestoresWays)
     EXPECT_TRUE(m.allHalted());
     EXPECT_EQ(m.peekMem(dataBase, 8), 80u);
     ASSERT_NE(m.injector(), nullptr);
-    const auto &st = m.injector()->stats().counters();
-    const std::uint64_t fired = st.at("squeeze.fired").value();
-    const std::uint64_t restored = st.at("squeeze.restored").value();
+    const StatGroup &st = m.injector()->stats();
+    const std::uint64_t fired = st.value("squeeze.fired");
+    const std::uint64_t restored = st.value("squeeze.restored");
     EXPECT_GT(fired, 0u);
     EXPECT_GT(restored, 0u); // at least one squeeze ran its course
     // A squeeze still pending at halt is never restored; at most
@@ -583,9 +579,7 @@ TEST(Inject, DelayedXiSlowsConflictsWithoutChangingResults)
         if (rate > 0) {
             EXPECT_GT(m.injector()
                           ->stats()
-                          .counters()
-                          .at("xi_delay.fired")
-                          .value(),
+                          .value("xi_delay.fired"),
                       0u);
         }
         return elapsed;

@@ -95,11 +95,7 @@ TEST(IoSubsystem, DmaWriteAbortsConflictingTransaction)
         m.io().pump();
     EXPECT_TRUE(m.io().idle());
     EXPECT_FALSE(m.cpu(0).inTx());
-    EXPECT_EQ(m.cpu(0)
-                  .stats()
-                  .counter("tx.abort.fetch-conflict")
-                  .value(),
-              1u);
+    EXPECT_EQ(m.cpu(0).stats().value("tx.abort.fetch-conflict"), 1u);
 }
 
 TEST(IoSubsystem, DmaInterleavesWithRunningProgram)

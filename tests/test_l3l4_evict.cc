@@ -70,13 +70,8 @@ TEST(SharedEviction, NeighborPressureAbortsTransaction)
     ASSERT_TRUE(m.cpu(1).halted());
 
     EXPECT_FALSE(m.cpu(0).inTx());
-    EXPECT_GE(m.cpu(0)
-                  .stats()
-                  .counter("tx.abort.cache-fetch")
-                  .value(),
-              1u);
-    EXPECT_GT(m.hierarchy().stats().counters().at("l3.evict").value(),
-              0u);
+    EXPECT_GE(m.cpu(0).stats().value("tx.abort.cache-fetch"), 1u);
+    EXPECT_GT(m.hierarchy().stats().value("l3.evict"), 0u);
 }
 
 TEST(SharedEviction, TxDirtyLineLostToL3EvictionAborts)
@@ -117,11 +112,7 @@ TEST(SharedEviction, TxDirtyLineLostToL3EvictionAborts)
         m.cpu(1).step();
 
     EXPECT_FALSE(m.cpu(0).inTx());
-    EXPECT_GE(m.cpu(0)
-                  .stats()
-                  .counter("tx.abort.cache-store")
-                  .value(),
-              1u);
+    EXPECT_GE(m.cpu(0).stats().value("tx.abort.cache-store"), 1u);
     // The speculative store never reached memory.
     EXPECT_EQ(m.peekMem(dataBase, 8), 1u);
 }
@@ -145,8 +136,7 @@ TEST(SharedEviction, L4EvictionCascadesThroughL3)
     m.setProgram(0, &streamer);
     m.run();
     EXPECT_TRUE(m.cpu(0).halted());
-    EXPECT_GT(m.hierarchy().stats().counters().at("l4.evict").value(),
-              0u);
+    EXPECT_GT(m.hierarchy().stats().value("l4.evict"), 0u);
     m.hierarchy().checkInvariants();
 }
 

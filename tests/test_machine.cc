@@ -55,7 +55,7 @@ TEST(Machine, CpuHaltedOutsideRunIsNotStepped)
         m.cpu(0).step();
     m.run();
     EXPECT_TRUE(m.allHalted());
-    EXPECT_EQ(m.stats().counter("scheduler.steps").value(),
+    EXPECT_EQ(m.stats().value("scheduler.steps"),
               m.cpu(1).stats().value("instructions"));
 }
 
@@ -219,9 +219,9 @@ TEST(Machine, ParkedCpuDoesNotGetInterruptBurst)
     EXPECT_EQ(m.cpu(1).gr(5), 50'000u);
 
     const std::uint64_t ints0 =
-        m.cpu(0).stats().counter("external_interrupts").value();
+        m.cpu(0).stats().value("external_interrupts");
     const std::uint64_t ints1 =
-        m.cpu(1).stats().counter("external_interrupts").value();
+        m.cpu(1).stats().value("external_interrupts");
     // Both CPUs run the same program for about the same number of
     // running cycles, so with per-period delivery their interrupt
     // counts are close; the parked backlog collapses into a single
@@ -230,8 +230,7 @@ TEST(Machine, ParkedCpuDoesNotGetInterruptBurst)
     EXPECT_GT(ints0, 0u);
     EXPECT_LT(ints1, ints0 + ints0 / 2 + 10);
     // The missed boundaries are accounted, not delivered.
-    EXPECT_GT(m.stats().counter("external.periods_skipped").value(),
-              0u);
+    EXPECT_GT(m.stats().value("external.periods_skipped"), 0u);
 }
 
 TEST(Machine, StatsDumpContainsComponents)
@@ -249,26 +248,115 @@ TEST(Machine, StatsDumpContainsComponents)
 
 TEST(Machine, CountersRegisterOnFirstIncrement)
 {
-    // A CPU that never runs a transaction must not grow tx counter
-    // keys (cached counter handles resolve lazily), so stat
-    // documents keep exactly the keys a string lookup would add.
+    // A counter's key enters the stats document on its first
+    // increment: a CPU that never runs a transaction writes no tx
+    // keys, though its group declares them.
     const Program p = counterProgram(5);
     sim::Machine m(smallConfig(1));
     m.setProgram(0, &p);
-    const auto &counters = m.cpu(0).stats().counters();
-    EXPECT_EQ(counters.count("instructions"), 0u);
+    const auto cpu0Counters = [&m] {
+        return *m.statsJson().find("cpus")->at(0).find("counters");
+    };
+    EXPECT_EQ(cpu0Counters().find("instructions"), nullptr);
     m.run();
-    EXPECT_EQ(counters.count("instructions"), 1u);
-    for (const char *name : {"tx.begins", "tx.commits", "tx.aborts"})
-        EXPECT_EQ(counters.count(name), 0u) << name;
+    const Json counters = cpu0Counters();
+    EXPECT_NE(counters.find("instructions"), nullptr);
+    for (const char *name : {"tx.begins", "tx.commits", "tx.aborts"}) {
+        EXPECT_EQ(counters.find(name), nullptr) << name;
+        EXPECT_EQ(m.cpu(0).stats().value(name), 0u) << name;
+    }
+}
+
+/** Every stat group of a statsJson() document, by name. */
+std::vector<const Json *>
+statGroups(const Json &doc)
+{
+    std::vector<const Json *> groups;
+    for (const char *name : {"machine", "hierarchy", "os", "io", "inject"})
+        if (const Json *g = doc.find(name))
+            groups.push_back(g);
+    const Json &cpus = *doc.find("cpus");
+    for (std::size_t i = 0; i < cpus.size(); ++i)
+        groups.push_back(&cpus.at(i));
+    return groups;
+}
+
+TEST(Machine, StatsDocumentWritesOnlyNonZeroStats)
+{
+    // Faults, channel I/O and the watchdog armed: every owner's
+    // group is in the document, each holding only what counted.
+    Assembler as;
+    as.la(9, 0, std::int64_t(dataBase));
+    as.lhi(8, 40);
+    as.label("loop");
+    as.markb();
+    as.tbeginc(0xFF);
+    as.lg(1, 9);
+    as.ahi(1, 1);
+    as.stg(1, 9);
+    as.tend();
+    as.marke();
+    as.stg(8, 9, 512); // outside any transaction: gathers
+    as.stg(8, 9, 520);
+    as.brct(8, "loop");
+    as.halt();
+    const Program p = as.finish();
+
+    sim::MachineConfig cfg = smallConfig(3);
+    cfg.enableIo = true;
+    cfg.watchdogCycles = 2'000'000;
+    cfg.externalInterruptPeriod = 5'003;
+    cfg.faults.spuriousAbortRate = 0.01;
+    cfg.faults.xiStormRate = 0.01;
+    cfg.faults.capacitySqueezeRate = 0.01;
+    cfg.faults.delayedXiRate = 0.05;
+    sim::Machine m(cfg);
+    m.setProgramAll(&p);
+    m.io().submit({.write = false, .addr = dataBase, .length = 512});
+    m.run();
+    ASSERT_TRUE(m.allHalted());
+    EXPECT_FALSE(m.watchdogFired());
+    EXPECT_EQ(m.peekMem(dataBase, 8), 120u);
 
     const Json doc = m.statsJson();
-    const Json &cpu0 = doc.find("cpus")->at(0);
-    const Json *json_counters = cpu0.find("counters");
-    ASSERT_NE(json_counters, nullptr);
-    EXPECT_NE(json_counters->find("instructions"), nullptr);
-    for (const char *name : {"tx.begins", "tx.commits", "tx.aborts"})
-        EXPECT_EQ(json_counters->find(name), nullptr) << name;
+    EXPECT_EQ(doc.dump().find("distributions"), std::string::npos);
+    const std::vector<const Json *> groups = statGroups(doc);
+    ASSERT_EQ(groups.size(), 5u + m.numCpus());
+    for (const Json *g : groups) {
+        const std::string &name = g->find("name")->str();
+        for (const auto &[stat, v] : g->find("counters")->items())
+            EXPECT_NE(v.asUint(), 0u) << name << " " << stat;
+        for (const auto &[stat, h] : g->find("histograms")->items())
+            EXPECT_NE(h.find("total")->asUint(), 0u) << name << " " << stat;
+    }
+
+    using StoreCacheCounters = core::GatheringStoreCache::Counters;
+    const std::pair<const char *, Counter StoreCacheCounters::*>
+        store_cache[] = {
+            {"store_cache.gathers", &StoreCacheCounters::gathers},
+            {"store_cache.allocations", &StoreCacheCounters::allocations},
+            {"store_cache.evictions", &StoreCacheCounters::evictions},
+            {"store_cache.ntstg_overlap",
+             &StoreCacheCounters::ntstgOverlap},
+            {"store_cache.overflows", &StoreCacheCounters::overflows},
+        };
+    std::uint64_t gathers = 0;
+    for (unsigned i = 0; i < m.numCpus(); ++i) {
+        const StoreCacheCounters &sc = m.cpu(i).storeCache().counters();
+        const Json &counters = *doc.find("cpus")->at(i).find("counters");
+        for (const auto &[stat, member] : store_cache) {
+            const std::uint64_t v = (sc.*member).value();
+            const Json *written = counters.find(stat);
+            if (v == 0) {
+                EXPECT_EQ(written, nullptr) << "cpu" << i << " " << stat;
+            } else {
+                ASSERT_NE(written, nullptr) << "cpu" << i << " " << stat;
+                EXPECT_EQ(written->asUint(), v) << "cpu" << i << " " << stat;
+            }
+        }
+        gathers += sc.gathers.value();
+    }
+    EXPECT_GT(gathers, 0u);
 }
 
 TEST(Machine, ActiveCpusBoundedByTopology)

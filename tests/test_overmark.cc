@@ -34,7 +34,7 @@ TEST(Overmark, DisabledByDefault)
     sim::Machine m(smallConfig(1));
     m.setProgram(0, &p);
     m.run();
-    EXPECT_EQ(m.cpu(0).stats().counter("tx.overmarks").value(), 0u);
+    EXPECT_EQ(m.cpu(0).stats().value("tx.overmarks"), 0u);
 }
 
 TEST(Overmark, MarksNeighbouringLine)
@@ -58,7 +58,7 @@ TEST(Overmark, MarksNeighbouringLine)
     ASSERT_TRUE(m.cpu(0).inTx());
     EXPECT_TRUE(m.hierarchy().txRead(0, dataBase));
     EXPECT_TRUE(m.hierarchy().txRead(0, dataBase + 256));
-    EXPECT_GE(m.cpu(0).stats().counter("tx.overmarks").value(), 1u);
+    EXPECT_GE(m.cpu(0).stats().value("tx.overmarks"), 1u);
 }
 
 TEST(Overmark, EscalationReducesSpeculationAndRecovers)
@@ -94,17 +94,9 @@ TEST(Overmark, EscalationReducesSpeculationAndRecovers)
     m.setProgram(1, &writer);
     m.run();
     ASSERT_TRUE(m.allHalted());
-    EXPECT_EQ(m.cpu(0)
-                  .stats()
-                  .counter("tx.commits_constrained")
-                  .value(),
-              1u);
-    EXPECT_GE(m.cpu(0).stats().counter("tx.aborts").value(), 2u);
-    EXPECT_GE(m.cpu(0)
-                  .stats()
-                  .counter("millicode.speculation_reduced")
-                  .value(),
-              1u);
+    EXPECT_EQ(m.cpu(0).stats().value("tx.commits_constrained"), 1u);
+    EXPECT_GE(m.cpu(0).stats().value("tx.aborts"), 2u);
+    EXPECT_GE(m.cpu(0).stats().value("millicode.speculation_reduced"), 1u);
 }
 
 TEST(Overmark, SpeculationRestoredAfterSuccess)
@@ -132,7 +124,7 @@ TEST(Overmark, SpeculationRestoredAfterSuccess)
     sim::Machine m(cfg);
     m.setProgram(0, &p);
     m.run();
-    EXPECT_GE(m.cpu(0).stats().counter("tx.overmarks").value(), 2u);
+    EXPECT_GE(m.cpu(0).stats().value("tx.overmarks"), 2u);
 }
 
 /**

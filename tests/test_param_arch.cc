@@ -92,7 +92,7 @@ TEST_P(NestingDepth, DepthCommitsAndEtndReports)
     m.setProgram(0, &p);
     m.run();
     EXPECT_EQ(m.cpu(0).gr(5), depth);
-    EXPECT_EQ(m.cpu(0).stats().counter("tx.commits").value(), 1u);
+    EXPECT_EQ(m.cpu(0).stats().value("tx.commits"), 1u);
     EXPECT_EQ(m.peekMem(dataBase, 8), 7u);
     EXPECT_EQ(m.cpu(0).nestingDepth(), 0u);
 }
@@ -157,14 +157,10 @@ TEST_P(FilterMatrix, FilteredExactlyPerArchitecture)
     const bool expect_filtered =
         kind == ExcKind::Access ? pifc >= 2 : pifc >= 1;
     const auto filtered =
-        m.cpu(0)
-            .stats()
-            .counter("tx.abort.filtered-program-interrupt")
-            .value();
+        m.cpu(0).stats().value("tx.abort.filtered-program-interrupt");
     const auto unfiltered = m.cpu(0)
                                 .stats()
-                                .counter("tx.abort.program-interrupt")
-                                .value();
+                                .value("tx.abort.program-interrupt");
     if (expect_filtered) {
         EXPECT_GE(filtered, 1u);
         EXPECT_EQ(m.os().records().size(), 0u);

@@ -62,17 +62,15 @@ cpuCounterSum(sim::Machine &m, const char *name)
 {
     std::uint64_t sum = 0;
     for (unsigned i = 0; i < m.numCpus(); ++i)
-        sum += m.cpu(i).stats().counter(name).value();
+        sum += m.cpu(i).stats().value(name);
     return sum;
 }
 
-/** An injector counter's value (0 when never registered). */
+/** An injector counter's value. */
 std::uint64_t
 injectCounter(sim::Machine &m, const std::string &name)
 {
-    const auto &counters = m.injector()->stats().counters();
-    const auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second.value();
+    return m.injector()->stats().value(name);
 }
 
 // ---------------------------------------------------------------
@@ -140,11 +138,9 @@ TEST(Poison, TransactionalFetchAbortsBeforeCommit)
     // increment was lost to — or computed from — poisoned data.
     EXPECT_EQ(m.peekMem(dataBase, 8), 10u);
     EXPECT_GE(m.cpu(0).stats()
-                  .counter("tx.abort.data-poisoned").value(), 1u);
-    EXPECT_GE(m.cpu(0).stats().counter("machine_checks").value(),
-              1u);
-    EXPECT_EQ(m.cpu(0).stats().counter("workload_restarts").value(),
-              0u);
+                  .value("tx.abort.data-poisoned"), 1u);
+    EXPECT_GE(m.cpu(0).stats().value("machine_checks"), 1u);
+    EXPECT_EQ(m.cpu(0).stats().value("workload_restarts"), 0u);
     EXPECT_FALSE(m.hierarchy().anyPoisoned());
 
     ASSERT_FALSE(m.os().machineCheckRecords().empty());
@@ -165,10 +161,8 @@ TEST(Poison, NonTxAccessMachineChecksAndResumes)
     m.run();
 
     ASSERT_TRUE(m.allHalted());
-    EXPECT_EQ(m.cpu(0).stats().counter("machine_checks").value(),
-              1u);
-    EXPECT_EQ(m.cpu(0).stats().counter("workload_restarts").value(),
-              0u);
+    EXPECT_EQ(m.cpu(0).stats().value("machine_checks"), 1u);
+    EXPECT_EQ(m.cpu(0).stats().value("workload_restarts"), 0u);
     ASSERT_EQ(m.os().machineCheckRecords().size(), 1u);
     EXPECT_FALSE(m.os().machineCheckRecords()[0].fromTx);
     EXPECT_TRUE(m.os().machineCheckRecords()[0].scrubbed);
@@ -189,10 +183,8 @@ TEST(Poison, MemorySidePoisonRestartsWorkload)
 
     ASSERT_TRUE(m.allHalted());
     EXPECT_EQ(m.peekMem(dataBase, 8), 5u);
-    EXPECT_EQ(m.cpu(0).stats().counter("workload_restarts").value(),
-              1u);
-    EXPECT_EQ(m.os().stats().counter("machine_check.restarts")
-                  .value(), 1u);
+    EXPECT_EQ(m.cpu(0).stats().value("workload_restarts"), 1u);
+    EXPECT_EQ(m.os().stats().value("machine_check.restarts"), 1u);
     EXPECT_FALSE(m.hierarchy().anyPoisoned());
 }
 
@@ -221,7 +213,7 @@ TEST(Poison, MidTransactionPoisonCaughtAtCommit)
     EXPECT_FALSE(m.watchdogFired());
     EXPECT_EQ(m.peekMem(dataBase, 8), 10u);
     EXPECT_GE(m.cpu(0).stats()
-                  .counter("tx.abort.data-poisoned").value(), 1u);
+                  .value("tx.abort.data-poisoned"), 1u);
     EXPECT_EQ(injectCounter(m, "scenario.fired"), 1u);
     EXPECT_EQ(injectCounter(m, "poison_line.fired"), 1u);
 }
@@ -281,8 +273,8 @@ TEST(Scenario, PeriodicStepFiresExactlyRepeatTimes)
     ASSERT_TRUE(m.allHalted());
     EXPECT_EQ(m.peekMem(dataBase, 8), 60u);
     EXPECT_EQ(injectCounter(m, "scenario.fired"), 3u);
-    EXPECT_EQ(m.cpu(0).stats().counter("external_interrupts")
-                  .value(), 6u); // 3 fires x burst of 2
+    // 3 fires x burst of 2
+    EXPECT_EQ(m.cpu(0).stats().value("external_interrupts"), 6u);
 }
 
 TEST(Scenario, OnAbortAndAfterStepChain)

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <array>
 
 #include "common/json.hh"
 #include "common/stats.hh"
@@ -21,8 +21,6 @@ TEST(Counter, StartsAtZeroAndIncrements)
     c.inc();
     c.inc(5);
     EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(Histogram, BucketsAndOverflow)
@@ -43,16 +41,15 @@ TEST(Histogram, BucketsAndOverflow)
     EXPECT_DOUBLE_EQ(h.sum(), 0.0 + 9.9 + 10.0 + 35.0 + 40.0 + 999.0);
 }
 
-TEST(Histogram, ResetForgets)
+TEST(Histogram, SumsSamplesAsGiven)
 {
     Histogram h(2, 1.0);
     h.sample(100.0);
-    h.reset();
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_DOUBLE_EQ(h.sum(), 0.0);
     h.sample(-1.0); // summed as given, counted in bucket 0
+    EXPECT_EQ(h.total(), 2u);
     EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_DOUBLE_EQ(h.sum(), -1.0);
+    EXPECT_EQ(h.bucketCount(2), 1u);
+    EXPECT_DOUBLE_EQ(h.sum(), 99.0);
 }
 
 TEST(Histogram, NegativeClampsToFirstBucket)
@@ -62,91 +59,68 @@ TEST(Histogram, NegativeClampsToFirstBucket)
     EXPECT_EQ(h.bucketCount(0), 1u);
 }
 
+/** A stats owner in the form the simulator's components use. */
+struct Owner
+{
+    enum class Kind : unsigned { Red, Green };
+
+    Owner()
+    {
+        stats.declare("kind.", byKind, [](std::size_t k) {
+            return k ? "green" : "red";
+        });
+        stats.declare("hist", hist);
+    }
+
+    StatGroup stats{"cpu0"};
+    Counter commits{stats, "tx.commits"};
+    Counter aborts{stats, "tx.aborts"};
+    std::array<Counter, 2> byKind;
+    Histogram hist{2, 16.0};
+};
+
 TEST(StatGroup, NamedCountersPersist)
 {
-    StatGroup g("cpu0");
-    g.counter("aborts").inc(3);
-    EXPECT_EQ(g.counter("aborts").value(), 3u);
+    Owner o;
+    o.aborts.inc(3);
+    o.byKind[unsigned(Owner::Kind::Green)].inc(2);
+    EXPECT_EQ(o.stats.value("tx.aborts"), 3u);
+    EXPECT_EQ(o.stats.value("kind.green"), 2u);
+    o.aborts.inc();
+    EXPECT_EQ(o.stats.value("tx.aborts"), 4u);
 }
 
 TEST(StatGroup, ValueReadsWithoutRegistering)
 {
-    StatGroup g("cpu0");
-    EXPECT_EQ(g.value("tx.commits"), 0u);
-    EXPECT_TRUE(g.counters().empty());
-    g.counter("tx.commits").inc(4);
-    EXPECT_EQ(g.value("tx.commits"), 4u);
-    EXPECT_EQ(g.value("tx.aborts"), 0u);
-    EXPECT_EQ(g.counters().size(), 1u);
+    Owner o;
+    EXPECT_EQ(o.stats.value("tx.commits"), 0u);
+    EXPECT_EQ(o.stats.value("kind.red"), 0u);
+    EXPECT_EQ(o.stats.toJson().find("counters")->dump(), "{}");
 }
 
-TEST(CounterHandle, RegistersOnFirstIncrementOnly)
+TEST(StatGroupDeathTest, ValueOfAnUndeclaredCounterIsFatal)
 {
-    StatGroup g("cpu0");
-    ztx::CounterHandle h(g, "instructions");
-    EXPECT_TRUE(g.counters().empty());
-    h.inc();
-    h.inc(4);
-    ASSERT_EQ(g.counters().count("instructions"), 1u);
-    EXPECT_EQ(g.counter("instructions").value(), 5u);
-    // resetAll() keeps the node the handle caches.
-    g.resetAll();
-    h.inc();
-    EXPECT_EQ(g.counter("instructions").value(), 1u);
-}
-
-TEST(CounterHandle, SharesACounterRegisteredByName)
-{
-    StatGroup g("cpu0");
-    g.counter("tx.commits").inc(2);
-    ztx::CounterHandle h(g, "tx.commits");
-    h.inc();
-    EXPECT_EQ(g.counter("tx.commits").value(), 3u);
-    EXPECT_EQ(g.counters().size(), 1u);
-}
-
-TEST(StatGroup, ResetAllClearsEverything)
-{
-    StatGroup g("x");
-    g.counter("a").inc(2);
-    g.histogram("h", 4, 10.0).sample(5.0);
-    g.resetAll();
-    EXPECT_EQ(g.counter("a").value(), 0u);
-    EXPECT_EQ(g.histogram("h", 4, 10.0).total(), 0u);
-}
-
-TEST(StatGroup, HistogramFirstRegistrationWins)
-{
-    StatGroup g("x");
-    Histogram &a = g.histogram("h", 4, 10.0);
-    Histogram &b = g.histogram("h", 99, 1.0);
-    EXPECT_EQ(&a, &b);
-    EXPECT_EQ(b.buckets(), 4u);
-    EXPECT_DOUBLE_EQ(b.bucketWidth(), 10.0);
+    Owner o;
+    // A misspelt name must not read as a zero count.
+    EXPECT_DEATH(o.stats.value("tx.comits"), "declares no counter");
 }
 
 TEST(StatGroup, JsonRoundTrip)
 {
-    StatGroup g("cpu0");
-    g.counter("tx.commits").inc(41);
-    g.histogram("hist", 2, 16.0).sample(3.0);
-    g.histogram("hist", 2, 16.0).sample(100.0);
+    Owner o;
+    o.commits.inc(41);
+    o.byKind[unsigned(Owner::Kind::Red)].inc();
+    o.hist.sample(3.0);
+    o.hist.sample(100.0);
 
-    std::ostringstream os;
-    g.dumpJson(os, 2);
-    const auto parsed = Json::parse(os.str());
+    const auto parsed = Json::parse(o.stats.toJson().dump(2));
     ASSERT_TRUE(parsed.has_value());
 
     EXPECT_EQ(parsed->find("name")->str(), "cpu0");
-    const Json *counters = parsed->find("counters");
-    ASSERT_NE(counters, nullptr);
-    EXPECT_EQ(counters->find("tx.commits")->asUint(), 41u);
-
-    // No stat registers distributions; the key stays, empty, so
-    // every stats document keeps its shape.
-    const Json *dists = parsed->find("distributions");
-    ASSERT_NE(dists, nullptr);
-    EXPECT_EQ(dists->dump(), "{}");
+    // Only the counters that counted appear.
+    EXPECT_EQ(parsed->find("counters")->dump(),
+              "{\"kind.red\":1,\"tx.commits\":41}");
+    EXPECT_EQ(parsed->find("distributions"), nullptr);
 
     const Json *hist = parsed->find("histograms")->find("hist");
     ASSERT_NE(hist, nullptr);
@@ -156,6 +130,15 @@ TEST(StatGroup, JsonRoundTrip)
     EXPECT_EQ(hist->find("buckets")->at(1).asUint(), 0u);
     EXPECT_EQ(hist->find("overflow")->asUint(), 1u);
     EXPECT_EQ(hist->find("total")->asUint(), 2u);
+}
+
+TEST(StatGroup, HistogramWithoutSamplesStaysOut)
+{
+    Owner o;
+    EXPECT_EQ(o.stats.toJson().find("histograms")->dump(), "{}");
+    o.hist.sample(1.0);
+    EXPECT_NE(o.stats.toJson().find("histograms")->find("hist"),
+              nullptr);
 }
 
 TEST(Json, ScalarsRoundTrip)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "core/store_cache.hh"
 #include "mem/main_memory.hh"
 
@@ -37,7 +38,7 @@ class StoreCacheTest : public ::testing::Test
     }
 
     MainMemory memory;
-    GatheringStoreCache sc{8, "t"}; // small: 8 entries
+    GatheringStoreCache sc{8}; // small: 8 entries
 };
 
 TEST_F(StoreCacheTest, GatherIntoSameBlock)
@@ -45,7 +46,7 @@ TEST_F(StoreCacheTest, GatherIntoSameBlock)
     EXPECT_TRUE(store8(0x100, 1));
     EXPECT_TRUE(store8(0x108, 2));
     EXPECT_EQ(sc.liveEntries(), 1u); // gathered
-    EXPECT_EQ(sc.stats().counter("gathers").value(), 1u);
+    EXPECT_EQ(sc.counters().gathers.value(), 1u);
     EXPECT_EQ(read8(0x100), 1u);
     EXPECT_EQ(read8(0x108), 2u);
 }
@@ -71,7 +72,7 @@ TEST_F(StoreCacheTest, CapacityEvictsOldestNonTx)
     EXPECT_EQ(sc.liveEntries(), 8u);
     // Entry 0 was written back to memory.
     EXPECT_EQ(memory.read(0, 8), 0u);
-    EXPECT_EQ(sc.stats().counter("evictions").value(), 1u);
+    EXPECT_EQ(sc.counters().evictions.value(), 1u);
     EXPECT_EQ(read8(8 * 128), 8u);
 }
 
@@ -81,7 +82,7 @@ TEST_F(StoreCacheTest, OverflowWhenFullOfTxEntries)
     for (unsigned i = 0; i < 8; ++i)
         EXPECT_TRUE(store8(Addr(i) * 128, i));
     EXPECT_FALSE(store8(Addr(8) * 128, 8));
-    EXPECT_EQ(sc.stats().counter("overflows").value(), 1u);
+    EXPECT_EQ(sc.counters().overflows.value(), 1u);
 }
 
 TEST_F(StoreCacheTest, TxDataInvisibleToMemoryUntilCommit)
@@ -121,13 +122,13 @@ TEST_F(StoreCacheTest, NtstgOverlapDetected)
     store8(0x100, 42);
     store8(0x100, 43, true); // NTSTG over a tx store
     const std::uint64_t overlaps =
-        sc.stats().counter("ntstg_overlap").value();
+        sc.counters().ntstgOverlap.value();
     EXPECT_GE(overlaps, 1u);
     // Commit clears the marks: a later plain store over the
     // doubleword is no overlap.
     sc.commitTransaction(memory);
     store8(0x100, 44);
-    EXPECT_EQ(sc.stats().counter("ntstg_overlap").value(), overlaps);
+    EXPECT_EQ(sc.counters().ntstgOverlap.value(), overlaps);
 }
 
 TEST_F(StoreCacheTest, BeginTransactionDrainsEveryEntry)
@@ -140,7 +141,7 @@ TEST_F(StoreCacheTest, BeginTransactionDrainsEveryEntry)
     // A store after TBEGIN allocates a fresh entry.
     store8(0x108, 2);
     EXPECT_EQ(sc.liveEntries(), 1u);
-    EXPECT_EQ(sc.stats().counter("gathers").value(), 0u);
+    EXPECT_EQ(sc.counters().gathers.value(), 0u);
 }
 
 TEST_F(StoreCacheTest, CommitKeepsEntriesOpenForGathering)
@@ -185,12 +186,20 @@ TEST_F(StoreCacheTest, PostCommitStoreRedirtiesWholeEntry)
 
 TEST_F(StoreCacheTest, CountersRegisterOnFirstIncrement)
 {
-    EXPECT_TRUE(sc.stats().counters().empty());
+    // Declared in a CPU's group, a store-cache counter enters the
+    // stats document on its first increment.
+    StatGroup group("cpu0");
+    group.declare("store_cache.gathers", sc.counters().gathers);
+    group.declare("store_cache.allocations", sc.counters().allocations);
+    const auto keys = [&] {
+        return group.toJson().find("counters")->dump();
+    };
+    EXPECT_EQ(keys(), "{}");
     store8(0x100, 1);
-    EXPECT_EQ(sc.stats().counters().count("allocations"), 1u);
-    EXPECT_EQ(sc.stats().counters().count("gathers"), 0u);
+    EXPECT_EQ(keys(), "{\"store_cache.allocations\":1}");
     store8(0x108, 2);
-    EXPECT_EQ(sc.stats().counters().count("gathers"), 1u);
+    EXPECT_EQ(keys(), "{\"store_cache.allocations\":1,"
+                      "\"store_cache.gathers\":1}");
 }
 
 TEST_F(StoreCacheTest, LineQueries)

@@ -192,7 +192,7 @@ TEST(PerBranch, SuppressedInsideTransaction)
     m.setProgram(0, &p);
     m.run();
     EXPECT_EQ(m.os().countOf(tx::InterruptCode::PerEvent), 0u);
-    EXPECT_EQ(m.cpu(0).stats().counter("tx.commits").value(), 1u);
+    EXPECT_EQ(m.cpu(0).stats().value("tx.commits"), 1u);
 }
 
 TEST(PerBranch, InsideTxWithoutSuppressionAborts)
@@ -221,7 +221,7 @@ TEST(PerBranch, InsideTxWithoutSuppressionAborts)
     m.setProgram(0, &p);
     m.run();
     EXPECT_GT(m.os().countOf(tx::InterruptCode::PerEvent), 0u);
-    EXPECT_EQ(m.cpu(0).stats().counter("tx.commits").value(), 0u);
+    EXPECT_EQ(m.cpu(0).stats().value("tx.commits"), 0u);
 }
 
 } // namespace
